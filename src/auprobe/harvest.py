@@ -88,7 +88,10 @@ class ActivationDB:
             raise DataError(f"{path}: not an activation db")
         tokens = lines[0].split()[2:]
         meta = dict(t.split("=", 1) for t in tokens if "=" in t)
-        layer = int(meta.pop("layer", "0"))
+        try:
+            layer = int(meta.pop("layer", "0"))
+        except ValueError as exc:
+            raise DataError(f"{path} line 1: {exc}") from exc
         meta.pop("v", None)
         if expect_checkpoint is not None and meta.get("checkpoint") != expect_checkpoint:
             raise DataError(f"{path}: produced by a different checkpoint")
@@ -103,8 +106,12 @@ class ActivationDB:
             parts = line.split(",")
             if len(parts) != 5:
                 raise DataError(f"{path} line {ln}: expected 5 fields")
-            img, j = int(parts[0]), int(parts[1])
-            by_image.setdefault(img, {})[j] = (float(parts[2]), int(parts[3]), int(parts[4]))
+            try:
+                img, j = int(parts[0]), int(parts[1])
+                entry = (float(parts[2]), int(parts[3]), int(parts[4]))
+            except ValueError as exc:
+                raise DataError(f"{path} line {ln}: {exc}") from exc
+            by_image.setdefault(img, {})[j] = entry
         if not by_image:
             raise DataError(f"{path}: empty activation db")
         image_ids = sorted(by_image)

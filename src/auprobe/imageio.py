@@ -164,7 +164,10 @@ def _decode_png(data: bytes, path) -> np.ndarray:
             break
     if width is None:
         raise ImageFormatError(f"{path}: missing IHDR")
-    raw = zlib.decompress(bytes(idat))
+    try:
+        raw = zlib.decompress(bytes(idat))
+    except zlib.error as exc:
+        raise ImageFormatError(f"{path}: corrupt PNG image data: {exc}") from exc
     if len(raw) != height * (width + 1):
         raise ImageFormatError(f"{path}: scanline data has wrong length")
     out = np.empty((height, width), dtype=np.uint8)

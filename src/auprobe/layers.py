@@ -1,8 +1,13 @@
 """Forward and backward passes for every layer in the network.
 
 Convolution is realized as an explicit matrix multiply over unrolled
-patches (im2col). The unrolled-kernel matrix is the linear operator of
-the convolution, so the backward/deconvolution path is literally its
+patches (im2col). The patch matrix of an input [C,H,W] is a C-contiguous
+[C*k*k, H*W] array: row (c, u, v) holds channel c shifted by kernel
+offset (u, v), so with K the [out, C*k*k] kernel matrix the three GEMMs
+are `K @ cols` (forward), `grad @ cols.T` (kernel gradient) and
+`K.T @ grad` (input gradient), and none of their results is transposed
+or copied. The unrolled-kernel matrix is the linear operator of the
+convolution, so the backward/deconvolution path is literally its
 transpose: `transpose_apply` and `backward` share one col2im scatter-add
 that is the exact adjoint of the im2col gather.
 
@@ -19,28 +24,40 @@ import numpy as np
 from .tensor import ShapeError, Tensor
 
 
+def _overlap(extent: int, shift: int) -> tuple[int, int]:
+    """Output positions [lo, hi) whose input position (+ shift) is in range."""
+    return max(0, -shift), min(extent, extent - shift)
+
+
 def im2col(x: Tensor, kernel_size: int, pad: int) -> Tensor:
-    """Unroll x [C,H,W] into patch rows [H*W, C*k*k], zero padded."""
+    """Unroll x [C,H,W] into the patch matrix [C*k*k, H*W], zero padded."""
     c, h, w = x.shape
     k = kernel_size
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((c, k, k, h, w), dtype=x.dtype)
+    cols = np.zeros((c, k, k, h, w), dtype=x.dtype)
     for u in range(k):
+        i0, i1 = _overlap(h, u - pad)
         for v in range(k):
-            cols[:, u, v] = xp[:, u : u + h, v : v + w]
-    return cols.reshape(c * k * k, h * w).T
+            j0, j1 = _overlap(w, v - pad)
+            if i0 < i1 and j0 < j1:
+                cols[:, u, v, i0:i1, j0:j1] = x[:, i0 + u - pad : i1 + u - pad,
+                                                 j0 + v - pad : j1 + v - pad]
+    return cols.reshape(c * k * k, h * w)
 
 
 def col2im(cols: Tensor, shape: tuple[int, int, int], kernel_size: int, pad: int) -> Tensor:
-    """Adjoint of im2col: scatter-add patch rows back to [C,H,W]."""
+    """Adjoint of im2col: scatter-add a [C*k*k, H*W] patch matrix to [C,H,W]."""
     c, h, w = shape
     k = kernel_size
-    acc = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    colsr = cols.T.reshape(c, k, k, h, w)
+    acc = np.zeros((c, h, w), dtype=cols.dtype)
+    colsr = cols.reshape(c, k, k, h, w)
     for u in range(k):
+        i0, i1 = _overlap(h, u - pad)
         for v in range(k):
-            acc[:, u : u + h, v : v + w] += colsr[:, u, v]
-    return acc[:, pad : pad + h, pad : pad + w]
+            j0, j1 = _overlap(w, v - pad)
+            if i0 < i1 and j0 < j1:
+                acc[:, i0 + u - pad : i1 + u - pad,
+                    j0 + v - pad : j1 + v - pad] += colsr[:, u, v, i0:i1, j0:j1]
+    return acc
 
 
 def _init_std(mode: str, fan_in: int) -> float:
@@ -56,6 +73,12 @@ class ConvLayer:
 
     kernels: [out_channels, in_channels, k, k], bias: [out_channels].
     Gradient buffers accumulate across calls until zero_grad().
+
+    forward(x, return_cols=True) also returns the im2col patch matrix it
+    multiplied; handing it to backward(cols=...) spares backward the
+    second im2col of the same input. backward(input_grad=False) skips
+    the input-gradient GEMM and its col2im, which the first conv of a
+    network needs (nothing reads the gradient wrt the image).
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 5,
@@ -83,19 +106,26 @@ class ConvLayer:
         self.grad_kernels[...] = 0
         self.grad_bias[...] = 0
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, *, return_cols: bool = False) -> Tensor | tuple[Tensor, Tensor]:
+        """Return the output [out_channels,H,W], and the patch matrix if asked."""
         if x.ndim != 3 or x.shape[0] != self.in_channels:
             raise ShapeError(
                 f"expected input [{self.in_channels},H,W], got {x.shape}"
             )
         _, h, w = x.shape
         cols = im2col(x, self.kernel_size, self.pad)
-        out = cols @ self._kernel_matrix.T
-        out += self.bias
-        return out.T.reshape(self.out_channels, h, w)
+        out = self._kernel_matrix @ cols
+        out += self.bias[:, None]
+        out = out.reshape(self.out_channels, h, w)
+        return (out, cols) if return_cols else out
 
-    def backward(self, grad_out: Tensor, saved_input: Tensor) -> Tensor:
-        """Accumulate parameter gradients, return gradient wrt input."""
+    def backward(self, grad_out: Tensor, saved_input: Tensor, *,
+                 cols: Tensor | None = None, input_grad: bool = True) -> Tensor | None:
+        """Accumulate parameter gradients, return gradient wrt input.
+
+        cols: the patch matrix forward built from saved_input (rebuilt
+        when None). With input_grad=False nothing is returned.
+        """
         _, h, w = saved_input.shape
         if grad_out.shape != (self.out_channels, h, w):
             raise ShapeError(
@@ -103,10 +133,13 @@ class ConvLayer:
                 f"{(self.out_channels, h, w)}"
             )
         grad_mat = grad_out.reshape(self.out_channels, -1)
-        cols = im2col(saved_input, self.kernel_size, self.pad)
-        self.grad_kernels += (grad_mat @ cols).reshape(self.kernels.shape)
+        if cols is None:
+            cols = im2col(saved_input, self.kernel_size, self.pad)
+        self.grad_kernels += (grad_mat @ cols.T).reshape(self.kernels.shape)
         self.grad_bias += grad_out.sum(axis=(1, 2))
-        grad_cols = grad_mat.T @ self._kernel_matrix
+        if not input_grad:
+            return None
+        grad_cols = self._kernel_matrix.T @ grad_mat
         return col2im(grad_cols, saved_input.shape, self.kernel_size, self.pad)
 
     def transpose_apply(self, y: Tensor) -> Tensor:
@@ -120,7 +153,7 @@ class ConvLayer:
                 f"expected output-shaped signal [{self.out_channels},H,W], got {y.shape}"
             )
         _, h, w = y.shape
-        grad_cols = y.reshape(self.out_channels, -1).T @ self._kernel_matrix
+        grad_cols = self._kernel_matrix.T @ y.reshape(self.out_channels, -1)
         return col2im(grad_cols, (self.in_channels, h, w), self.kernel_size, self.pad)
 
 
@@ -185,7 +218,12 @@ class SwitchRecord:
 
 
 def maxpool_forward(x: Tensor) -> tuple[Tensor, SwitchRecord]:
-    """2x2 max pool; odd extents are padded with -inf (never selected)."""
+    """2x2 max pool; odd extents are padded with -inf (never selected).
+
+    The maximum is taken over the four strided views of the window
+    corners; the switch is the first corner, in row-major order, that
+    holds it.
+    """
     c, h, w = x.shape
     hp, wp = h + h % 2, w + w % 2
     if (hp, wp) != (h, w):
@@ -194,11 +232,15 @@ def maxpool_forward(x: Tensor) -> tuple[Tensor, SwitchRecord]:
     else:
         xp = x
     oh, ow = hp // 2, wp // 2
-    windows = xp.reshape(c, oh, 2, ow, 2).transpose(0, 1, 3, 2, 4).reshape(c, oh, ow, 4)
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    rows = 2 * np.arange(oh, dtype=np.int32)[None, :, None] + (idx // 2).astype(np.int32)
-    cols = 2 * np.arange(ow, dtype=np.int32)[None, None, :] + (idx % 2).astype(np.int32)
+    top_left, top_right = xp[:, 0::2, 0::2], xp[:, 0::2, 1::2]
+    bottom_left, bottom_right = xp[:, 1::2, 0::2], xp[:, 1::2, 1::2]
+    top = np.maximum(top_left, top_right)
+    bottom = np.maximum(bottom_left, bottom_right)
+    out = np.maximum(top, bottom)
+    in_bottom = top < out
+    in_right = np.where(in_bottom, bottom_left < bottom, top_left < top)
+    rows = 2 * np.arange(oh, dtype=np.int32)[None, :, None] + in_bottom
+    cols = 2 * np.arange(ow, dtype=np.int32)[None, None, :] + in_right
     return out, SwitchRecord(rows=rows, cols=cols, input_shape=(c, h, w))
 
 

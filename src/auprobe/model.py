@@ -115,6 +115,7 @@ class StageTrace:
     relu_out: Tensor
     pool_out: Tensor
     switches: SwitchRecord
+    cols: Tensor | None = None  # the conv's im2col patch matrix, kept for training
 
 
 @dataclass
@@ -186,14 +187,15 @@ class Network:
         if x.shape != expected:
             raise ShapeError(f"expected input {expected}, got {x.shape}")
 
-    def _run_stages(self, x: Tensor) -> list[StageTrace]:
+    def _run_stages(self, x: Tensor, keep_cols: bool = False) -> list[StageTrace]:
         stages = []
         a = x
         for conv in self.convs:
-            conv_out = conv.forward(a)
+            conv_out, cols = conv.forward(a, return_cols=True)
             relu_out = relu_forward(conv_out)
             pool_out, switches = maxpool_forward(relu_out)
-            stages.append(StageTrace(a, conv_out, relu_out, pool_out, switches))
+            stages.append(StageTrace(a, conv_out, relu_out, pool_out, switches,
+                                     cols if keep_cols else None))
             a = pool_out
         return stages
 
@@ -208,7 +210,7 @@ class Network:
                 dropout_rng: np.random.Generator | None = None):
         """Return logits; in train mode also the cache backward() needs."""
         self._check_input(x)
-        stages = self._run_stages(x)
+        stages = self._run_stages(x, keep_cols=train)
         flat = stages[-1].pool_out.reshape(-1)
         drop_mask = None
         if train and dropout_p > 0:
@@ -237,7 +239,11 @@ class Network:
     # ---------------------------------------------------------- backward
 
     def backward(self, cache: _Cache, grad_logits: Tensor) -> None:
-        """Accumulate parameter gradients for one sample."""
+        """Accumulate parameter gradients for one sample.
+
+        Each conv reuses the patch matrix its training forward kept; the
+        first conv computes no gradient wrt the input image.
+        """
         g = self.fc2.backward(grad_logits, cache.fc2_in)
         if cache.drop_mask is not None:
             g = g * cache.drop_mask
@@ -247,7 +253,8 @@ class Network:
         for stage, conv in zip(reversed(cache.stages), reversed(self.convs)):
             g = maxpool_backward(g, stage.switches)
             g = relu_backward(g, stage.conv_out)
-            g = conv.backward(g, stage.conv_in)
+            g = conv.backward(g, stage.conv_in, cols=stage.cols,
+                              input_grad=conv is not self.convs[0])
 
 
 def build_network(config: ModelConfig) -> Network:
@@ -370,6 +377,7 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
                 epoch_loss += loss
                 epoch_correct += int(np.argmax(logits) == labels[idx])
                 net.backward(cache, grad)
+                del cache  # free this sample's patch matrices before the next forward
             sgd_step(net, velocity, cfg, 1.0 / len(batch))
         train_loss = epoch_loss / n
         test_acc = None

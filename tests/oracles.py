@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive (explicit loop nests, math.log,
-central differences) and shares no code with the library under test.
+central differences) or an earlier, independently written kernel, and
+shares no code with the library under test.
 """
 
 from __future__ import annotations
@@ -43,6 +44,52 @@ def maxpool_direct(x: np.ndarray) -> np.ndarray:
                 window = x[ch, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
                 out[ch, i, j] = window.max()
     return out
+
+
+# Earlier vectorized kernels, kept verbatim as references: the library's
+# im2col/col2im and maxpool_forward must reproduce them bit for bit.
+
+
+def im2col_transposed(x: np.ndarray, kernel_size: int, pad: int) -> np.ndarray:
+    """Patch rows [H*W, C*k*k] gathered from an np.pad copy of x."""
+    c, h, w = x.shape
+    k = kernel_size
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((c, k, k, h, w), dtype=x.dtype)
+    for u in range(k):
+        for v in range(k):
+            cols[:, u, v] = xp[:, u : u + h, v : v + w]
+    return cols.reshape(c * k * k, h * w).T
+
+
+def col2im_transposed(cols: np.ndarray, shape, kernel_size: int, pad: int) -> np.ndarray:
+    """Scatter-add patch rows [H*W, C*k*k] into a padded buffer, then crop."""
+    c, h, w = shape
+    k = kernel_size
+    acc = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    colsr = cols.T.reshape(c, k, k, h, w)
+    for u in range(k):
+        for v in range(k):
+            acc[:, u : u + h, v : v + w] += colsr[:, u, v]
+    return acc[:, pad : pad + h, pad : pad + w]
+
+
+def maxpool_argmax(x: np.ndarray):
+    """2x2 max pool by argmax over transposed windows: (values, rows, cols)."""
+    c, h, w = x.shape
+    hp, wp = h + h % 2, w + w % 2
+    if (hp, wp) != (h, w):
+        xp = np.full((c, hp, wp), -np.inf, dtype=x.dtype)
+        xp[:, :h, :w] = x
+    else:
+        xp = x
+    oh, ow = hp // 2, wp // 2
+    windows = xp.reshape(c, oh, 2, ow, 2).transpose(0, 1, 3, 2, 4).reshape(c, oh, ow, 4)
+    idx = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    rows = 2 * np.arange(oh, dtype=np.int32)[None, :, None] + (idx // 2).astype(np.int32)
+    cols = 2 * np.arange(ow, dtype=np.int32)[None, None, :] + (idx % 2).astype(np.int32)
+    return out, rows, cols
 
 
 def softmax_ce_direct(logits, label: int) -> tuple[float, list[float]]:

@@ -120,6 +120,19 @@ def test_associate_rejects_foreign_db(tmp_path, dataset, config_file):
     assert rc == 2
 
 
+def test_associate_non_numeric_db_field_exits_2(tmp_path, dataset, capsys):
+    manifest_hash = data.load_manifest(dataset).content_hash()
+    db_path = tmp_path / "db.csv"
+    db_path.write_text(f"# auprobe-activation-db v=1 layer=3 manifest={manifest_hash}\n"
+                       "image_id,map,value,row,col\n0,0,abc,1,1\n")
+    rc = main(["associate", "--db", str(db_path), "--manifest", str(dataset),
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "db.csv line 3" in err
+
+
 def test_deconv_writes_montage_and_responses(tmp_path, dataset, config_file):
     ckpt = tmp_path / "run.ckpt"
     assert main(["train", "--manifest", str(dataset), "--config", str(config_file),

@@ -86,6 +86,15 @@ def test_db_provenance_validation(tmp_path, setup):
         ActivationDB.load(p, expect_manifest="0" * 64)
 
 
+@pytest.mark.parametrize("row", ["0,0,abc,1,1", "x,0,1.0,1,1", "0,0,1.0,1,2.5"])
+def test_db_non_numeric_field_is_data_error(tmp_path, row):
+    p = tmp_path / "db.csv"
+    p.write_text("# auprobe-activation-db v=1 layer=3\nimage_id,map,value,row,col\n"
+                 f"1,0,2.0,0,0\n{row}\n")
+    with pytest.raises(DataError, match=r"db\.csv line 4: "):
+        ActivationDB.load(p)
+
+
 def test_harvest_empty_manifest_rejected(setup):
     net, _ = setup
     with pytest.raises(DataError):

@@ -104,6 +104,17 @@ def test_png_rejects_rgb(tmp_path):
         read_image(p)
 
 
+def test_png_corrupt_image_data_rejected(tmp_path, gradient):
+    p = tmp_path / "corrupt.png"
+    write_png(p, gradient)
+    data = bytearray(p.read_bytes())
+    idat = data.index(b"IDAT") + 4
+    data[idat + 2] = 0xFF  # first deflate block header after the zlib header: invalid type
+    p.write_bytes(bytes(data))
+    with pytest.raises(ImageFormatError, match="corrupt.png: corrupt PNG image data"):
+        read_image(p)
+
+
 def test_unknown_format_rejected(tmp_path):
     p = tmp_path / "x.bin"
     p.write_bytes(b"GIF89a whatever")

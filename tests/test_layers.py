@@ -8,7 +8,9 @@ from auprobe.layers import (
     ConvLayer,
     FCLayer,
     SwitchRecord,
+    col2im,
     dropout_mask,
+    im2col,
     maxpool_backward,
     maxpool_forward,
     relu_backward,
@@ -20,7 +22,10 @@ from auprobe.tensor import ShapeError, inner_product
 
 from oracles import (
     central_difference,
+    col2im_transposed,
     conv_direct,
+    im2col_transposed,
+    maxpool_argmax,
     maxpool_direct,
     relative_error,
     softmax_ce_direct,
@@ -138,6 +143,95 @@ def test_conv_input_gradient_finite_difference():
         assert relative_error(grad_in[index], fd) < 1e-4
 
 
+# The patch-matrix layout changed from [H*W, C*k*k] to [C*k*k, H*W]; conv
+# results must still equal those of the earlier kernels (tests/oracles.py).
+# in_c, out_c, h, w, k: the conv stages of reduced_config and ModelConfig()
+MODEL_GEOMETRIES = [
+    (1, 8, 48, 48, 5), (8, 16, 24, 24, 5), (16, 32, 12, 12, 5),
+    (1, 64, 96, 96, 5), (64, 128, 48, 48, 5), (128, 256, 24, 24, 5),
+]
+# odd and tiny extents, down to images smaller than the kernel
+ODD_GEOMETRIES = [(3, 4, 7, 5, 5), (2, 3, 5, 9, 3), (2, 2, 3, 3, 5), (1, 2, 1, 2, 5)]
+
+
+def _conv_case(dtype, in_c, out_c, h, w, k):
+    rng = np.random.default_rng(in_c * 100 + h)
+    layer = ConvLayer(in_c, out_c, k, rng=rng, dtype=dtype)
+    layer.bias[...] = rng.normal(size=out_c)
+    x = rng.normal(size=(in_c, h, w)).astype(dtype)
+    g = rng.normal(size=(out_c, h, w)).astype(dtype)
+    return layer, layer.kernels.reshape(out_c, -1), x, g
+
+
+def _forward_reference(layer, kmat, x):
+    ref = im2col_transposed(x, layer.kernel_size, layer.pad) @ kmat.T
+    ref += layer.bias
+    return ref.T.reshape(layer.out_channels, *x.shape[1:])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("geometry", MODEL_GEOMETRIES + ODD_GEOMETRIES)
+def test_im2col_col2im_equal_transposed_layout(dtype, geometry):
+    in_c, _, h, w, k = geometry
+    rng = np.random.default_rng(h * w)
+    x = rng.normal(size=(in_c, h, w)).astype(dtype)
+    cols = im2col(x, k, k // 2)
+    assert cols.flags.c_contiguous and cols.dtype == dtype
+    np.testing.assert_array_equal(cols, im2col_transposed(x, k, k // 2).T)
+    patches = rng.normal(size=cols.shape).astype(dtype)
+    np.testing.assert_array_equal(col2im(patches, x.shape, k, k // 2),
+                                  col2im_transposed(patches.T, x.shape, k, k // 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("geometry", MODEL_GEOMETRIES)
+def test_conv_forward_equals_transposed_layout(dtype, geometry):
+    layer, kmat, x, _ = _conv_case(dtype, *geometry)
+    out, _ = layer.forward(x, return_cols=True)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, _forward_reference(layer, kmat, x))
+    np.testing.assert_array_equal(layer.forward(x), out)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("geometry", ODD_GEOMETRIES)
+def test_conv_forward_odd_extents_within_summation_bound(dtype, geometry):
+    # K @ cols and (cols.T @ K.T).T reach different BLAS kernels; when H*W
+    # is not a multiple of the SIMD width they may sum in another order,
+    # so here the two may differ by the rounding bound of a length-n dot.
+    layer, kmat, x, _ = _conv_case(dtype, *geometry)
+    cols = im2col_transposed(x, layer.kernel_size, layer.pad).T
+    n = kmat.shape[1] + 1
+    bound = n * np.finfo(dtype).eps * (np.abs(kmat) @ np.abs(cols) + np.abs(layer.bias)[:, None])
+    diff = np.abs(layer.forward(x) - _forward_reference(layer, kmat, x))
+    assert (diff.reshape(bound.shape) <= bound).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("geometry", MODEL_GEOMETRIES + ODD_GEOMETRIES)
+def test_conv_gradients_equal_transposed_layout(dtype, geometry):
+    layer, kmat, x, g = _conv_case(dtype, *geometry)
+    k, pad = layer.kernel_size, layer.pad
+    ref_cols = im2col_transposed(x, k, pad)
+    grad_mat = g.reshape(layer.out_channels, -1)
+    ref_kernels = (grad_mat @ ref_cols).reshape(layer.kernels.shape)
+    ref_bias = g.sum(axis=(1, 2))
+    ref_input = col2im_transposed(grad_mat.T @ kmat, x.shape, k, pad)
+
+    grad_in = layer.backward(g, x)
+    np.testing.assert_array_equal(grad_in, ref_input)
+    np.testing.assert_array_equal(layer.grad_kernels, ref_kernels)
+    np.testing.assert_array_equal(layer.grad_bias, ref_bias)
+    np.testing.assert_array_equal(layer.transpose_apply(g), ref_input)
+
+    # the forward's patch matrix, and no input gradient, give the same parameter gradients
+    layer.zero_grad()
+    _, cols = layer.forward(x, return_cols=True)
+    assert layer.backward(g, x, cols=cols, input_grad=False) is None
+    np.testing.assert_array_equal(layer.grad_kernels, ref_kernels)
+    np.testing.assert_array_equal(layer.grad_bias, ref_bias)
+
+
 # ---------------------------------------------------------------- relu
 
 
@@ -200,6 +294,40 @@ def test_maxpool_matches_window_scan(x):
         for i in range(oh):
             for j in range(ow):
                 assert x[ch, sw.rows[ch, i, j], sw.cols[ch, i, j]] == out[ch, i, j]
+
+
+def _assert_pool_equals_argmax(x):
+    out, sw = maxpool_forward(x)
+    ref, rows, cols = maxpool_argmax(x)
+    assert out.dtype == x.dtype
+    np.testing.assert_array_equal(out, ref)
+    np.testing.assert_array_equal(sw.rows, rows)
+    np.testing.assert_array_equal(sw.cols, cols)
+    assert sw.rows.dtype == rows.dtype and sw.cols.dtype == cols.dtype
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(3, 8, 8), (2, 7, 5), (1, 1, 1), (4, 6, 9), (8, 48, 48)])
+def test_maxpool_equals_argmax_reference(dtype, shape):
+    rng = np.random.default_rng(sum(shape))
+    _assert_pool_equals_argmax(rng.normal(size=shape).astype(dtype))
+    # all-equal windows: every switch is the window's top-left corner
+    _assert_pool_equals_argmax(np.full(shape, 2.5, dtype=dtype))
+    _assert_pool_equals_argmax(np.full(shape, -np.inf, dtype=dtype))
+
+
+@given(
+    st.sampled_from([np.float64, np.float32]).flatmap(
+        lambda dtype: hnp.arrays(
+            dtype,
+            st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9)),
+            elements=st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]),
+        )
+    )
+)
+@settings(max_examples=150)
+def test_maxpool_ties_and_infinities_equal_argmax_reference(x):
+    _assert_pool_equals_argmax(x)
 
 
 def test_maxpool_backward_routes_single_value():

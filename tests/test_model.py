@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from auprobe import data, model
+from auprobe import data, layers, model
 from auprobe.data import DataError
-from auprobe.layers import maxpool_forward, relu_forward
+from auprobe.layers import (
+    maxpool_backward,
+    maxpool_forward,
+    relu_backward,
+    relu_forward,
+    softmax_cross_entropy,
+)
 from auprobe.model import (
     ModelConfig,
     Network,
@@ -143,6 +149,42 @@ def test_training_deterministic(tiny_manifest):
         train(net, tiny_manifest, TrainConfig(batch_size=8, epochs=2, seed=9, augment=False))
         results.append(serialize_network(net))
     assert results[0] == results[1]
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_training_sample_builds_each_patch_matrix_once(monkeypatch):
+    net = build_network(model.reduced_config(seed=4))
+    x = np.random.default_rng(0).random((1, 48, 48))
+    calls = _count_calls(monkeypatch, layers, ["im2col", "col2im"])
+    logits, cache = net.forward(x, train=True, dropout_p=0.5,
+                                dropout_rng=np.random.default_rng(1))
+    _, grad_logits = softmax_cross_entropy(logits, 2)
+    net.zero_grads()
+    net.backward(cache, grad_logits)
+    # one im2col per conv, kept for backward; no col2im into the image
+    assert calls == {"im2col": 3, "col2im": 2}
+    cached = [grad.copy() for _, _, grad in net.parameters()]
+
+    # reference: every conv rebuilds its patch matrix and returns an input gradient
+    net.zero_grads()
+    g = net.fc2.backward(grad_logits, cache.fc2_in) * cache.drop_mask
+    g = net.fc1.backward(relu_backward(g, cache.fc1_out), cache.flat)
+    g = g.reshape(cache.stages[-1].pool_out.shape)
+    for stage, conv in zip(reversed(cache.stages), reversed(net.convs)):
+        g = relu_backward(maxpool_backward(g, stage.switches), stage.conv_out)
+        g = conv.backward(g, stage.conv_in)
+    assert calls == {"im2col": 6, "col2im": 5}
+    for (name, _, grad), expected in zip(net.parameters(), cached):
+        assert np.array_equal(grad, expected), name
 
 
 def test_weight_decay_alone_shrinks_norms():
