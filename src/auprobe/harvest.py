@@ -9,6 +9,7 @@ manifest that produced it.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,6 +115,15 @@ class ActivationDB:
             by_image.setdefault(img, {})[j] = entry
         if not by_image:
             raise DataError(f"{path}: empty activation db")
+        if len(lines) - 2 - lines[2:].count("") != sum(map(len, by_image.values())):
+            seen = set()
+            for ln, line in enumerate(lines[2:], start=3):
+                if not line:
+                    continue
+                key = tuple(int(f) for f in line.split(",")[:2])
+                if key in seen:
+                    raise DataError(f"{path} line {ln}: repeats image {key[0]} map {key[1]}")
+                seen.add(key)
         image_ids = sorted(by_image)
         maps = sorted(by_image[image_ids[0]])
         num_maps = len(maps)
@@ -127,12 +137,22 @@ class ActivationDB:
                 raise DataError(f"{path}: image {img} has a different map set")
             for j in maps:
                 values[i, j], rows[i, j], cols[i, j] = by_image[img][j]
+        if not np.isfinite(values).all():
+            for ln, line in enumerate(lines[2:], start=3):
+                field = line.split(",")[2] if line else "0"
+                if not math.isfinite(float(field)):
+                    raise DataError(f"{path} line {ln}: non-finite value {field!r}")
         return cls(image_ids, values, rows, cols, layer, meta)
 
 
 def harvest(net: Network, manifest: DatasetManifest, layer: int | None = None,
             threads: int = 1) -> ActivationDB:
-    """One record per (image, map) under the deterministic eval transform."""
+    """One record per (image, map) under the deterministic eval transform.
+
+    Raises NumericError naming the image and the map when a peak is not
+    finite: argmax would pick a NaN peak, and a NaN map would then win
+    every unit's profile.
+    """
     if len(manifest) == 0:
         raise DataError("cannot harvest an empty manifest")
     if layer is None:
@@ -150,6 +170,12 @@ def harvest(net: Network, manifest: DatasetManifest, layer: int | None = None,
         flat = fmap.reshape(num_maps, -1)
         arg = flat.argmax(axis=1)  # first max in row-major order on ties
         vals = flat[np.arange(num_maps), arg]
+        if not np.isfinite(vals).all():
+            j = int(np.flatnonzero(~np.isfinite(vals))[0])
+            raise model_mod.NumericError(
+                f"non-finite activation {vals[j]} in layer {layer} map {j} "
+                f"of image {i} ({manifest.image_path(i)})"
+            )
         r, c = np.unravel_index(arg, fmap.shape[1:])
         return vals.astype(np.float64), r.astype(np.int32), c.astype(np.int32)
 

@@ -12,7 +12,8 @@ transpose: `transpose_apply` and `backward` share one col2im scatter-add
 that is the exact adjoint of the im2col gather.
 
 All spatial ops work on single images shaped [channels, height, width];
-batching is the trainer's job.
+batching is the trainer's job. The FC backward also takes stacked rows,
+so that the trainer can form a weight gradient once per batch.
 """
 
 from __future__ import annotations
@@ -22,6 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import ShapeError, Tensor
+
+# Elements in one block of the blocked FC weight-gradient and SGD update
+# loops (512 KB in float64): small next to a weight matrix, large enough
+# that the Python cost per block is noise.
+BLOCK_ELEMENTS = 1 << 16
+# Output rows per tile of the FC weight gradient: a tile reuses one column
+# slab of the stacked inputs for this many rows.
+_FC_TILE_ROWS = 16
 
 
 def _overlap(extent: int, shift: int) -> tuple[int, int]:
@@ -93,9 +102,9 @@ class ConvLayer:
             self.kernels = np.zeros(shape, dtype=dtype)
         else:
             std = _init_std(init_mode, in_channels * kernel_size * kernel_size)
-            self.kernels = (rng.standard_normal(shape) * std).astype(dtype)
+            self.kernels = (rng.standard_normal(shape) * std).astype(dtype, copy=False)
         self.bias = np.zeros(out_channels, dtype=dtype)
-        self.grad_kernels = np.zeros_like(self.kernels)
+        self.grad_kernels = np.zeros(shape, dtype=dtype)
         self.grad_bias = np.zeros_like(self.bias)
 
     @property
@@ -158,7 +167,18 @@ class ConvLayer:
 
 
 class FCLayer:
-    """Fully connected layer: y = W x + b on 1-D inputs."""
+    """Fully connected layer: y = W x + b.
+
+    forward takes one sample [in]. backward takes one sample ([out]
+    gradient, [in] input) or N stacked rows ([N, out], [N, in]), whose
+    weight gradient is the one GEMM grad_out.T @ saved_input. It is added
+    into grad_weights tile by tile, about BLOCK_ELEMENTS at a time, so no
+    temporary the size of the weights is built. param_grads=False leaves
+    out the weight and bias gradients, input_grad=False the input
+    gradient: the trainer takes fc1's input gradient per sample and its
+    parameter gradients once per batch from the stacked rows, because per
+    sample they cost a pass over a weight-sized outer product.
+    """
 
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator | None = None, init_mode: str = "scaled",
@@ -169,9 +189,10 @@ class FCLayer:
             self.weights = np.zeros((out_features, in_features), dtype=dtype)
         else:
             std = _init_std(init_mode, in_features)
-            self.weights = (rng.standard_normal((out_features, in_features)) * std).astype(dtype)
+            self.weights = (rng.standard_normal((out_features, in_features))
+                            * std).astype(dtype, copy=False)
         self.bias = np.zeros(out_features, dtype=dtype)
-        self.grad_weights = np.zeros_like(self.weights)
+        self.grad_weights = np.zeros(self.weights.shape, dtype=dtype)
         self.grad_bias = np.zeros_like(self.bias)
 
     def zero_grad(self) -> None:
@@ -183,12 +204,34 @@ class FCLayer:
             raise ShapeError(f"expected [{self.in_features}] input, got {x.shape}")
         return self.weights @ x + self.bias
 
-    def backward(self, grad_out: Tensor, saved_input: Tensor) -> Tensor:
-        if grad_out.shape != (self.out_features,):
-            raise ShapeError(f"grad_out shape {grad_out.shape} != [{self.out_features}]")
-        self.grad_weights += np.outer(grad_out, saved_input)
-        self.grad_bias += grad_out
-        return self.weights.T @ grad_out
+    def backward(self, grad_out: Tensor, saved_input: Tensor, *,
+                 param_grads: bool = True, input_grad: bool = True) -> Tensor | None:
+        """Accumulate parameter gradients, return gradient wrt input.
+
+        The input gradient has saved_input's shape; with input_grad=False
+        nothing is returned.
+        """
+        if (grad_out.ndim not in (1, 2) or grad_out.shape[:-1] != saved_input.shape[:-1]
+                or grad_out.shape[-1] != self.out_features
+                or saved_input.shape[-1] != self.in_features):
+            raise ShapeError(
+                f"grad_out {grad_out.shape} and input {saved_input.shape} do not match "
+                f"[{self.out_features}] and [{self.in_features}] (or N rows of them)"
+            )
+        if param_grads:
+            g = grad_out.reshape(-1, self.out_features)
+            x = saved_input.reshape(-1, self.in_features)
+            self.grad_bias += g.sum(axis=0)
+            cols = min(self.in_features, BLOCK_ELEMENTS // _FC_TILE_ROWS)
+            rows = max(1, BLOCK_ELEMENTS // cols)
+            for c0 in range(0, self.in_features, cols):
+                x_slab = x[:, c0 : c0 + cols]
+                for r0 in range(0, self.out_features, rows):
+                    self.grad_weights[r0 : r0 + rows, c0 : c0 + cols] += (
+                        g[:, r0 : r0 + rows].T @ x_slab)
+        if not input_grad:
+            return None
+        return grad_out @ self.weights
 
 
 def relu_forward(x: Tensor) -> Tensor:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import data as data_mod
 from .layers import (
+    BLOCK_ELEMENTS,
     ConvLayer,
     FCLayer,
     SwitchRecord,
@@ -32,7 +33,7 @@ from .tensor import ShapeError, Tensor
 
 
 class NumericError(Exception):
-    """Training produced a non-finite loss."""
+    """A computation produced a non-finite loss, weight or activation."""
 
 
 CHECKPOINT_MAGIC = b"AUPROBE-CKPT v1\n"
@@ -238,23 +239,28 @@ class Network:
 
     # ---------------------------------------------------------- backward
 
-    def backward(self, cache: _Cache, grad_logits: Tensor) -> None:
+    def backward(self, cache: _Cache, grad_logits: Tensor, *,
+                 fc1_params: bool = True) -> Tensor:
         """Accumulate parameter gradients for one sample.
 
         Each conv reuses the patch matrix its training forward kept; the
-        first conv computes no gradient wrt the input image.
+        first conv computes no gradient wrt the input image. Returns the
+        gradient wrt fc1's output. With fc1_params=False fc1's weight and
+        bias gradients are left out: `train` stacks the returned rows and
+        cache.flat and forms them once per batch.
         """
         g = self.fc2.backward(grad_logits, cache.fc2_in)
         if cache.drop_mask is not None:
             g = g * cache.drop_mask
-        g = relu_backward(g, cache.fc1_out)
-        g = self.fc1.backward(g, cache.flat)
+        fc1_grad = relu_backward(g, cache.fc1_out)
+        g = self.fc1.backward(fc1_grad, cache.flat, param_grads=fc1_params)
         g = g.reshape(cache.stages[-1].pool_out.shape)
         for stage, conv in zip(reversed(cache.stages), reversed(self.convs)):
             g = maxpool_backward(g, stage.switches)
             g = relu_backward(g, stage.conv_out)
             g = conv.backward(g, stage.conv_in, cols=stage.cols,
                               input_grad=conv is not self.convs[0])
+        return fc1_grad
 
 
 def build_network(config: ModelConfig) -> Network:
@@ -286,13 +292,35 @@ def write_metrics_csv(metrics: list[EpochMetrics], path) -> None:
 
 def sgd_step(net: Network, velocity: dict[str, Tensor], cfg: TrainConfig,
              grad_scale: float) -> None:
-    """One momentum + weight-decay update from the accumulated gradients."""
+    """One momentum + weight-decay update from the accumulated gradients.
+
+    Per element, in this order: step = grad * grad_scale + weight_decay *
+    value, velocity = velocity * momentum - learning_rate * step, value +=
+    velocity. Whole-array expressions would build weight-sized
+    temporaries (fc1 of ModelConfig() holds 302 MB in float64), so the
+    update runs in place, BLOCK_ELEMENTS at a time through two block-sized
+    scratch rows; the arithmetic is the same, so the weights are too.
+    Raises NumericError naming the parameter when a block is left with a
+    non-finite weight.
+    """
+    scratch = np.empty((2, BLOCK_ELEMENTS), dtype=net.config.np_dtype)
     for name, value, grad in net.parameters():
-        step = grad * grad_scale + cfg.weight_decay * value
-        vel = velocity[name]
-        vel *= cfg.momentum
-        vel -= cfg.learning_rate * step
-        value += vel
+        flat = value.reshape(-1)  # views: every parameter array is C-contiguous
+        flat_grad = grad.reshape(-1)
+        flat_vel = velocity[name].reshape(-1)
+        for start in range(0, flat.size, BLOCK_ELEMENTS):
+            w = flat[start : start + BLOCK_ELEMENTS]
+            vel = flat_vel[start : start + BLOCK_ELEMENTS]
+            step, decay = scratch[:, : w.size]
+            np.multiply(flat_grad[start : start + BLOCK_ELEMENTS], grad_scale, out=step)
+            np.multiply(cfg.weight_decay, w, out=decay)
+            step += decay
+            vel *= cfg.momentum
+            step *= cfg.learning_rate
+            vel -= step
+            w += vel
+            if not np.isfinite(w).all():
+                raise NumericError(f"SGD step left a non-finite weight in {name}")
 
 
 def _label_indices(manifest: data_mod.DatasetManifest, num_classes: int) -> list[int]:
@@ -328,6 +356,15 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
     When cfg.test_count > 0 the manifest is split by whole sequences and
     the held-out accuracy is logged each epoch. Stops early once the
     train loss has improved by less than 1e-4 for 5 consecutive epochs.
+
+    fc1's weight and bias gradients are deferred to the end of each
+    batch: every sample's gradient wrt fc1's output and its fc1 input are
+    kept as rows of two [batch, features] buffers, and one FCLayer.backward
+    call on them forms the weight gradient as a single GEMM, tiled into
+    the buffer zero_grads cleared. Per sample it would be a weight-sized
+    outer product and a pass over the weights; with sgd_step's in-place
+    update no step of training allocates anything the size of a weight
+    matrix. Without augmentation the eval tensors are one stacked array.
     """
     if len(manifest) == 0:
         raise data_mod.DataError("training manifest is empty")
@@ -337,19 +374,24 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
         train_manifest, test_manifest = manifest, None
 
     labels = _label_indices(train_manifest, net.config.num_classes)
-    images = [data_mod.load_image(train_manifest, i) for i in range(len(train_manifest))]
+    n = len(train_manifest)
+    images = [data_mod.load_image(train_manifest, i) for i in range(n)]
     size = net.config.input_size
     dtype = net.config.np_dtype
     eval_tensors = None
     if not cfg.augment:
-        eval_tensors = [data_mod.eval_transform(img, size, dtype=dtype) for img in images]
+        eval_tensors = np.empty((n, 1, size, size), dtype=dtype)
+        for i, img in enumerate(images):
+            eval_tensors[i] = data_mod.eval_transform(img, size, dtype=dtype)
+    rows = min(cfg.batch_size, n)
+    fc1_grads = np.empty((rows, net.fc1.out_features), dtype=dtype)
+    fc1_inputs = np.empty((rows, net.fc1.in_features), dtype=dtype)
 
     velocity = {name: np.zeros_like(value) for name, value, _ in net.parameters()}
     metrics: list[EpochMetrics] = []
     start = time.time()
     stall = 0
     prev_loss = None
-    n = len(train_manifest)
 
     for epoch in range(1, cfg.epochs + 1):
         order = np.random.default_rng([cfg.seed, epoch, 0]).permutation(n)
@@ -358,7 +400,7 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
         for batch_start in range(0, n, cfg.batch_size):
             batch = order[batch_start : batch_start + cfg.batch_size]
             net.zero_grads()
-            for idx in batch:
+            for k, idx in enumerate(batch):
                 idx = int(idx)
                 if cfg.augment:
                     aug_rng = np.random.default_rng([cfg.seed, epoch, 1, idx])
@@ -376,8 +418,11 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
                     )
                 epoch_loss += loss
                 epoch_correct += int(np.argmax(logits) == labels[idx])
-                net.backward(cache, grad)
+                fc1_grads[k] = net.backward(cache, grad, fc1_params=False)
+                fc1_inputs[k] = cache.flat
                 del cache  # free this sample's patch matrices before the next forward
+            net.fc1.backward(fc1_grads[: len(batch)], fc1_inputs[: len(batch)],
+                             input_grad=False)
             sgd_step(net, velocity, cfg, 1.0 / len(batch))
         train_loss = epoch_loss / n
         test_acc = None

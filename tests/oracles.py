@@ -92,6 +92,20 @@ def maxpool_argmax(x: np.ndarray):
     return out, rows, cols
 
 
+def sgd_step_reference(params, velocity, cfg, grad_scale: float) -> None:
+    """The SGD update as whole-array expressions (the earlier sgd_step).
+
+    params: (name, value, gradient) triples; updates values and velocity
+    in place with weight-sized temporaries.
+    """
+    for name, value, grad in params:
+        step = grad * grad_scale + cfg.weight_decay * value
+        vel = velocity[name]
+        vel *= cfg.momentum
+        vel -= cfg.learning_rate * step
+        value += vel
+
+
 def softmax_ce_direct(logits, label: int) -> tuple[float, list[float]]:
     """Softmax cross-entropy straight from the definition (math module)."""
     exps = [math.exp(float(v)) for v in logits]

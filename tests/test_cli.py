@@ -133,6 +133,34 @@ def test_associate_non_numeric_db_field_exits_2(tmp_path, dataset, capsys):
     assert err.startswith("error: ") and "db.csv line 3" in err
 
 
+def test_associate_nan_db_value_exits_2(tmp_path, dataset, capsys):
+    manifest_hash = data.load_manifest(dataset).content_hash()
+    db_path = tmp_path / "db.csv"
+    db_path.write_text(f"# auprobe-activation-db v=1 layer=3 manifest={manifest_hash}\n"
+                       "image_id,map,value,row,col\n0,0,1.5,1,1\n0,1,nan,1,1\n")
+    rc = main(["associate", "--db", str(db_path), "--manifest", str(dataset),
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "db.csv line 4: non-finite value 'nan'" in err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_train_non_finite_weight_exits_3(tmp_path, dataset, config_file, capsys, monkeypatch):
+    # an infinite gradient under a finite loss: only the weight check can catch it
+    monkeypatch.setattr(model, "softmax_cross_entropy",
+                        lambda logits, label: (1.0, np.full_like(logits, np.inf)))
+    ckpt = tmp_path / "run.ckpt"
+    rc = main(["train", "--manifest", str(dataset), "--config", str(config_file),
+               "--out", str(ckpt)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("numeric failure: ") and "non-finite weight in conv1.kernels" in err
+    assert not ckpt.exists()
+
+
 def test_deconv_writes_montage_and_responses(tmp_path, dataset, config_file):
     ckpt = tmp_path / "run.ckpt"
     assert main(["train", "--manifest", str(dataset), "--config", str(config_file),

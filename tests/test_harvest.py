@@ -95,6 +95,38 @@ def test_db_non_numeric_field_is_data_error(tmp_path, row):
         ActivationDB.load(p)
 
 
+def test_harvest_nan_map_is_numeric_error(setup):
+    net, manifest = setup
+    kernels = net.convs[2].kernels
+    saved = kernels[5].copy()
+    kernels[5] = np.nan
+    try:
+        with pytest.raises(model.NumericError,
+                           match=r"layer 3 map 5 of image 0 \(.+\.pgm\)"):
+            harvest(net, manifest)
+    finally:
+        kernels[5] = saved
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_db_non_finite_value_is_data_error(tmp_path, value):
+    p = tmp_path / "db.csv"
+    p.write_text("# auprobe-activation-db v=1 layer=3\nimage_id,map,value,row,col\n"
+                 f"0,0,2.0,0,0\n0,1,1.0,0,0\n1,0,{value},0,0\n1,1,{value},0,0\n")
+    with pytest.raises(DataError, match=rf"db\.csv line 5: non-finite value '{value}'"):
+        ActivationDB.load(p)
+
+
+@pytest.mark.parametrize("first", ["nan", "2.0"])
+def test_db_repeated_image_map_is_data_error(tmp_path, first):
+    # a repeated (image, map) row would overwrite the first one, NaN or not
+    p = tmp_path / "db.csv"
+    p.write_text("# auprobe-activation-db v=1 layer=3\nimage_id,map,value,row,col\n"
+                 f"0,0,{first},0,0\n\n1,0,1.0,0,0\n\n0,0,5.0,0,0\n")
+    with pytest.raises(DataError, match=r"db\.csv line 7: repeats image 0 map 0"):
+        ActivationDB.load(p)
+
+
 def test_harvest_empty_manifest_rejected(setup):
     net, _ = setup
     with pytest.raises(DataError):

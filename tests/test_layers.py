@@ -397,6 +397,65 @@ def test_fc_gradient_finite_difference():
         assert relative_error(grad_in[index], fd) < 1e-4
 
 
+def _within_sum_bound(got, exact, terms, abs_sum, dtype):
+    """|got - exact| <= terms * eps * abs_sum: the rounding bound of a length-terms sum."""
+    return (np.abs(got - exact) <= terms * np.finfo(dtype).eps * abs_sum).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n, out_f, in_f", [(1, 3, 5), (7, 40, 5000), (16, 128, 1152)])
+def test_fc_backward_rows_equal_sum_of_outer_products(dtype, n, out_f, in_f):
+    # (7, 40, 5000) spans several tiles in both directions, partial ones included
+    rng = np.random.default_rng(n)
+    layer = FCLayer(in_f, out_f, rng=rng, dtype=dtype)
+    g = rng.normal(size=(n, out_f)).astype(dtype)
+    x = rng.normal(size=(n, in_f)).astype(dtype)
+    start = rng.normal(size=layer.grad_weights.shape).astype(dtype)
+    layer.grad_weights[...] = start
+    grad_in = layer.backward(g, x)
+    g64, x64, w64 = g.astype(np.float64), x.astype(np.float64), layer.weights.astype(np.float64)
+    expected = start.astype(np.float64)
+    for i in range(n):
+        expected += np.outer(g64[i], x64[i])
+    assert _within_sum_bound(layer.grad_weights, expected, n + 1,
+                             np.abs(g64).T @ np.abs(x64) + np.abs(start), dtype)
+    assert _within_sum_bound(layer.grad_bias, g64.sum(axis=0), n,
+                             np.abs(g64).sum(axis=0), dtype)
+    assert grad_in.shape == x.shape
+    for i in range(n):
+        assert _within_sum_bound(grad_in[i], w64.T @ g64[i], out_f,
+                                 np.abs(w64).T @ np.abs(g64[i]), dtype)
+
+
+def test_fc_backward_one_sample_is_exact_outer_product():
+    rng = np.random.default_rng(12)
+    layer = FCLayer(5000, 40, rng=rng)
+    g, x = rng.normal(size=40), rng.normal(size=5000)
+    grad_in = layer.backward(g, x)
+    assert np.array_equal(layer.grad_weights, np.outer(g, x))
+    assert np.array_equal(layer.grad_bias, g)
+    assert np.array_equal(grad_in, layer.weights.T @ g)
+
+
+def test_fc_backward_skips_what_is_switched_off():
+    rng = np.random.default_rng(13)
+    layer = FCLayer(6, 4, rng=rng)
+    g, x = rng.normal(size=(3, 4)), rng.normal(size=(3, 6))
+    grad_in = layer.backward(g, x, param_grads=False)
+    assert not layer.grad_weights.any() and not layer.grad_bias.any()
+    assert layer.backward(g, x, input_grad=False) is None
+    np.testing.assert_allclose(grad_in, g @ layer.weights, rtol=1e-15)
+    assert layer.grad_weights.any() and layer.grad_bias.any()
+
+
+@pytest.mark.parametrize("g_shape, x_shape", [((4,), (3, 6)), ((3, 4), (2, 6)),
+                                              ((3, 5), (3, 6)), ((1, 3, 4), (1, 3, 6))])
+def test_fc_backward_shape_mismatch(g_shape, x_shape):
+    layer = FCLayer(6, 4)
+    with pytest.raises(ShapeError):
+        layer.backward(np.zeros(g_shape), np.zeros(x_shape))
+
+
 # ---------------------------------------------------------------- softmax
 
 

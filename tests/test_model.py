@@ -23,6 +23,8 @@ from auprobe.model import (
     train,
 )
 
+from oracles import sgd_step_reference
+
 
 @pytest.fixture(scope="module")
 def tiny_manifest(tmp_path_factory):
@@ -198,6 +200,74 @@ def test_weight_decay_alone_shrinks_norms():
         norms.append(np.linalg.norm(net.fc1.weights))
     diffs = np.diff(norms)
     assert (diffs < 0).all()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_sgd_step_equals_whole_array_reference(dtype):
+    # fc1 holds 16 x 5000 = 80000 weights: one full block and a partial one
+    cfg = small_config(fc_hidden=5000, dtype=dtype)
+    assert (cfg.flat_features * cfg.fc_hidden) % layers.BLOCK_ELEMENTS != 0
+    net, ref = build_network(cfg), build_network(cfg)
+    train_cfg = TrainConfig(learning_rate=0.05, weight_decay=0.01, momentum=0.9)
+    rng = np.random.default_rng(5)
+    velocity = {name: rng.normal(size=v.shape).astype(v.dtype) for name, v, _ in net.parameters()}
+    ref_velocity = {name: v.copy() for name, v in velocity.items()}
+    for _ in range(4):
+        for (_, _, grad), (_, _, ref_grad) in zip(net.parameters(), ref.parameters()):
+            grad[...] = rng.normal(size=grad.shape)
+            ref_grad[...] = grad
+        sgd_step(net, velocity, train_cfg, 1.0 / 3)
+        sgd_step_reference(ref.parameters(), ref_velocity, train_cfg, 1.0 / 3)
+        for (name, value, _), (_, ref_value, _) in zip(net.parameters(), ref.parameters()):
+            assert np.array_equal(value, ref_value), name
+            assert np.array_equal(velocity[name], ref_velocity[name]), name
+
+
+def test_sgd_step_non_finite_weight_names_parameter():
+    net = build_network(small_config(fc_hidden=5000))
+    velocity = {name: np.zeros_like(v) for name, v, _ in net.parameters()}
+    net.zero_grads()
+    net.fc1.grad_weights[4999, 15] = np.inf  # in fc1's last, partial block
+    with pytest.raises(NumericError, match=r"fc1\.weights"):
+        sgd_step(net, velocity, TrainConfig(), 1.0)
+
+
+def test_train_batch_gradients_match_per_sample_loop(tiny_manifest, monkeypatch):
+    """The first batch's gradients, fc1's from one GEMM over the batch, equal
+    those of a loop that runs the one-sample Network.backward on each image."""
+    net = build_network(model.reduced_config(seed=4))
+    initial = serialize_network(net)
+    cfg = TrainConfig(batch_size=8, epochs=1, seed=9, augment=False)
+    seen = {}
+
+    class FirstStep(Exception):
+        pass
+
+    def capture(net_, velocity, cfg_, grad_scale):
+        seen.update((name, grad.copy()) for name, _, grad in net_.parameters())
+        raise FirstStep
+
+    monkeypatch.setattr(model, "sgd_step", capture)
+    with pytest.raises(FirstStep):
+        train(net, tiny_manifest, cfg)
+
+    ref = build_network(model.reduced_config(seed=4))
+    assert serialize_network(ref) == initial
+    labels = model._label_indices(tiny_manifest, ref.config.num_classes)
+    order = np.random.default_rng([cfg.seed, 1, 0]).permutation(len(tiny_manifest))
+    ref.zero_grads()
+    for idx in order[: cfg.batch_size]:
+        idx = int(idx)
+        x = data.eval_transform(data.load_image(tiny_manifest, idx), ref.config.input_size)
+        logits, cache = ref.forward(x, train=True, dropout_p=cfg.dropout_p,
+                                    dropout_rng=np.random.default_rng([cfg.seed, 1, 2, idx]))
+        _, grad = softmax_cross_entropy(logits, labels[idx])
+        ref.backward(cache, grad)
+    for name, _, expected in ref.parameters():
+        got = seen[name]
+        assert got.any(), name
+        np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max(), err_msg=name)
 
 
 def test_empty_dataset_rejected():
