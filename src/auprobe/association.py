@@ -4,10 +4,12 @@ For one action unit and one feature map, take the top-n peak activations
 over images containing the unit (R) and over images without it (Q),
 pair them rank-wise, and accumulate both directions of an epsilon-floored
 KL-style sum. The map with the largest symmetric distance is the unit's
-detector candidate.
+detector candidate. `profile` scores every map of the activation DB at
+once: one sort per partition gives the top-n lists of all maps as rows.
 
 Activations are used as raw values floored at epsilon, not true
-probabilities; pass normalize=True to rescale each list to sum 1 first.
+probabilities; `kl_term(normalize=True)` rescales each list to sum 1
+first.
 """
 
 from __future__ import annotations
@@ -19,74 +21,45 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, DatasetManifest
-from .harvest import ActivationDB, partition_by_au, top_n
+from .harvest import ActivationDB, partition_by_au
 
 EPSILON = 1e-8
 
 
 def _as_response(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).ravel()
+    arr = np.ascontiguousarray(values, dtype=np.float64)
     if (arr < 0).any():
         raise ValueError("activation responses must be nonnegative")
     return arr
 
 
-def kl_term(r, q, eps: float = EPSILON, normalize: bool = False) -> float:
-    """Sum of r_k * log(r_k / q_k) over rank-paired values.
+def kl_term(r, q, eps: float = EPSILON, normalize: bool = False) -> float | np.ndarray:
+    """Sum of r_k * log(r_k / q_k) over rank-paired values (the last axis).
 
     Both lists are floored at eps before the log so exact zeros stay
     finite. With normalize=True each list is first rescaled to sum 1.
+    A 1-D pair gives one float; [maps, k] rows give one sum per map.
     """
     r = _as_response(r)
     q = _as_response(q)
     if r.shape != q.shape:
-        raise ValueError(f"length mismatch: {r.size} vs {q.size}")
+        raise ValueError(f"shape mismatch: {r.shape} vs {q.shape}")
     if normalize:
-        if r.sum() > 0:
-            r = r / r.sum()
-        if q.sum() > 0:
-            q = q / q.sum()
+        r, q = _unit_sum(r), _unit_sum(q)
     r = np.maximum(r, eps)
     q = np.maximum(q, eps)
-    return float(np.sum(r * np.log(r / q)))
+    # each row of a C-contiguous array sums in the order of a 1-D list
+    return (r * np.log(r / q)).sum(axis=-1)
 
 
-@dataclass(frozen=True)
-class ResponsePair:
-    """Rank-aligned top-n responses from the with/without-AU image sets."""
-
-    r: np.ndarray
-    q: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        for name, arr in (("r", self.r), ("q", self.q)):
-            if (np.diff(arr) > 0).any():
-                raise ValueError(f"{name} values must be sorted descending")
-        if self.r.shape != self.q.shape:
-            raise ValueError("response lists must have equal length")
+def _unit_sum(x: np.ndarray) -> np.ndarray:
+    total = x.sum(axis=-1, keepdims=True)
+    return np.divide(x, total, out=x.copy(), where=total > 0)
 
 
-def make_response_pair(r_values, q_values, n: int) -> ResponsePair:
-    """Truncate both descending lists to a common rank count <= n."""
-    r = _as_response(r_values)
-    q = _as_response(q_values)
-    k = min(n, r.size, q.size)
-    if k == 0:
-        raise ValueError("cannot pair empty response lists")
-    return ResponsePair(r=r[:k], q=q[:k], n=k)
-
-
-def symmetric_distance(pair, q=None, eps: float = EPSILON,
-                       normalize: bool = False) -> float:
-    """kl_term(R, Q) + kl_term(Q, R); symmetric by construction.
-
-    Takes either a ResponsePair or two explicit rank-paired lists.
-    """
-    if q is None:
-        r, q = pair.r, pair.q
-    else:
-        r = pair
+def symmetric_distance(r, q, eps: float = EPSILON,
+                       normalize: bool = False) -> float | np.ndarray:
+    """kl_term(R, Q) + kl_term(Q, R); symmetric by construction."""
     return kl_term(r, q, eps, normalize) + kl_term(q, r, eps, normalize)
 
 
@@ -105,8 +78,8 @@ class AUDistanceProfile:
         return float(self.distances[self.argmax_map])
 
 
-def profile(db: ActivationDB, manifest: DatasetManifest, au_id: int, n: int = 9,
-            normalize: bool = False) -> AUDistanceProfile:
+def profile(db: ActivationDB, manifest: DatasetManifest, au_id: int,
+            n: int = 9) -> AUDistanceProfile:
     """Distance of one AU on every feature map, via rank-paired top-n.
 
     Partitions smaller than n shrink both lists to the shorter length
@@ -116,21 +89,24 @@ def profile(db: ActivationDB, manifest: DatasetManifest, au_id: int, n: int = 9,
         raise DataError(
             f"activation db covers {db.num_images} images, manifest has {len(manifest)}"
         )
+    if db.image_ids != list(range(len(manifest))):
+        raise DataError("activation db image ids are not the manifest's row indices")
+    if n < 1:
+        raise DataError(f"top-n count must be at least 1, got {n}")
     with_au, without = partition_by_au(manifest, au_id)
     if not without:
         raise DataError(f"action unit {au_id} present in every image; no contrast set")
-    available = min(len(with_au), len(without))
-    if available < n:
+    k = min(n, len(with_au), len(without))
+    if k < n:
         warnings.warn(
-            f"AU {au_id}: only {available} images on the smaller side, using n={available}",
+            f"AU {au_id}: only {k} images on the smaller side, using n={k}",
             stacklevel=2,
         )
-    distances = np.zeros(db.num_maps)
-    for j in range(db.num_maps):
-        r = [rec.value for rec in top_n(db, j, with_au, n)]
-        q = [rec.value for rec in top_n(db, j, without, n)]
-        pair = make_response_pair(r, q, n)
-        distances[j] = symmetric_distance(pair, normalize=normalize)
+    has = np.zeros(db.num_images, dtype=bool)
+    has[list(with_au)] = True
+    r, q = (np.ascontiguousarray(-np.sort(-db.values[side], axis=0)[:k].T)
+            for side in (has, ~has))
+    distances = symmetric_distance(r, q)
     argmax = int(np.argmax(distances))  # ties resolve to the smallest index
     provenance = dict(db.provenance)
     provenance["n"] = str(n)
@@ -138,9 +114,9 @@ def profile(db: ActivationDB, manifest: DatasetManifest, au_id: int, n: int = 9,
                              n=n, provenance=provenance)
 
 
-def profile_all(db: ActivationDB, manifest: DatasetManifest, au_ids, n: int = 9,
-                normalize: bool = False) -> list[AUDistanceProfile]:
-    return [profile(db, manifest, au_id, n, normalize) for au_id in sorted(au_ids)]
+def profile_all(db: ActivationDB, manifest: DatasetManifest, au_ids,
+                n: int = 9) -> list[AUDistanceProfile]:
+    return [profile(db, manifest, au_id, n) for au_id in sorted(au_ids)]
 
 
 def save_profile_csv(prof: AUDistanceProfile, path) -> None:
@@ -156,9 +132,13 @@ def load_profile_csv(path) -> tuple[np.ndarray, int]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "map,distance":
         raise DataError(f"{path}: not a profile csv")
-    body = [ln for ln in lines[1:] if ln]
-    if not body or not body[-1].startswith("argmax,"):
+    body = [(ln, text) for ln, text in enumerate(lines[1:], start=2) if text]
+    if not body or not body[-1][1].startswith("argmax,"):
         raise DataError(f"{path}: missing argmax summary line")
-    distances = np.array([float(ln.split(",")[1]) for ln in body[:-1]])
-    argmax = int(body[-1].split(",")[1])
-    return distances, argmax
+    fields = []
+    for i, (ln, text) in enumerate(body):
+        try:
+            fields.append((int if i == len(body) - 1 else float)(text.split(",")[1]))
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path} line {ln}: malformed line {text!r}") from exc
+    return np.array(fields[:-1]), fields[-1]

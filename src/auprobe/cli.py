@@ -39,6 +39,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return value
+
+
 # ------------------------------------------------------------- config io
 
 
@@ -171,7 +181,7 @@ def cmd_train(args) -> int:
 def cmd_harvest(args) -> int:
     net = model.load_checkpoint(args.checkpoint)
     manifest = data.load_manifest(args.manifest)
-    db = harvest_mod.harvest(net, manifest, threads=args.threads)
+    db = harvest_mod.harvest(net, manifest)
     db.save(args.out)
     print(f"harvest: {db.num_images} images x {db.num_maps} maps -> {args.out}")
     return 0
@@ -180,7 +190,7 @@ def cmd_harvest(args) -> int:
 def cmd_deconv(args) -> int:
     net = model.load_checkpoint(args.checkpoint)
     manifest = data.load_manifest(args.manifest)
-    db = harvest_mod.harvest(net, manifest, threads=args.threads)
+    db = harvest_mod.harvest(net, manifest)
     if not 0 <= args.map < db.num_maps:
         raise DataError(f"--map {args.map} outside 0..{db.num_maps - 1}")
     out = Path(args.out)
@@ -274,7 +284,7 @@ def cmd_pipeline(args) -> int:
         )
 
         stage = "harvest"
-        db = harvest_mod.harvest(net, manifest, threads=args.threads)
+        db = harvest_mod.harvest(net, manifest)
         db.save(out / "db.csv")
         print(f"pipeline[harvest]: {db.num_images} x {db.num_maps} records")
 
@@ -316,23 +326,21 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="activation db CSV to write")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_harvest)
 
     p = sub.add_parser("deconv", help="project one map's top activations to pixels")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--map", type=int, required=True)
-    p.add_argument("--top", type=int, default=9)
+    p.add_argument("--top", type=_positive_int, default=9)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_deconv)
 
     p = sub.add_parser("associate", help="rank feature maps per action unit")
     p.add_argument("--db", required=True, help="activation db CSV")
     p.add_argument("--manifest", required=True)
     p.add_argument("--au", default="all", help="comma-separated AU ids or 'all'")
-    p.add_argument("--n", type=int, default=9)
+    p.add_argument("--n", type=_positive_int, default=9)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--checkpoint", help="optional; enables deconvolution montages")
     p.set_defaults(func=cmd_associate)
@@ -343,8 +351,7 @@ def build_parser() -> _Parser:
     group.add_argument("--manifest", help="existing dataset manifest")
     p.add_argument("--config", help="key=value config file (default: desk-scale)")
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--n", type=int, default=9)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=9)
     p.set_defaults(func=cmd_pipeline)
     return parser
 

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import imageio
-from .tensor import Tensor
 
 
 class DataError(Exception):
@@ -201,7 +200,7 @@ def standardize(img: np.ndarray) -> np.ndarray:
 
 
 def augment(image: np.ndarray, rng: np.random.Generator, out_size: int = 96,
-            dtype=np.float64) -> Tensor:
+            dtype=np.float64) -> np.ndarray:
     """Stochastic training transform -> [1,out_size,out_size].
 
     In order: rotate by U(-15, 15) degrees, horizontal flip with
@@ -223,7 +222,7 @@ def augment(image: np.ndarray, rng: np.random.Generator, out_size: int = 96,
     return standardize(img)[None, :, :].astype(dtype)
 
 
-def eval_transform(image: np.ndarray, out_size: int = 96, dtype=np.float64) -> Tensor:
+def eval_transform(image: np.ndarray, out_size: int = 96, dtype=np.float64) -> np.ndarray:
     """Deterministic test-time transform: resize, center crop, standardize."""
     img = np.asarray(image, dtype=np.float64)
     if min(img.shape) < 8:

@@ -16,9 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import imageio
-from .layers import ConvLayer, SwitchRecord, relu_forward, unpool
+from .layers import ConvLayer, ShapeError, SwitchRecord, relu_forward, unpool
 from .model import ForwardTrace, ModelConfig, Network
-from .tensor import ShapeError, Tensor
 
 
 @dataclass
@@ -30,7 +29,7 @@ class DeconvStage:
     relu: bool = True
 
 
-def project_stages(stages: list[DeconvStage], top: Tensor) -> Tensor:
+def project_stages(stages: list[DeconvStage], top: np.ndarray) -> np.ndarray:
     """Run a signal down a stage stack (listed bottom-up) to input space."""
     signal = top
     for stage in reversed(stages):
@@ -56,7 +55,7 @@ def _check_trace(trace: ForwardTrace, net: Network) -> None:
 
 
 def project(trace: ForwardTrace, net: Network, layer: int, map_index: int,
-            location: tuple[int, int]) -> Tensor:
+            location: tuple[int, int]) -> np.ndarray:
     """Pixel-space response of one pooled activation at `layer`.
 
     The chosen activation (map_index, location) keeps its traced value,
@@ -134,7 +133,7 @@ def receptive_field_span(config: ModelConfig, layer: int) -> int:
     return span
 
 
-def projection_energy_fraction(projection: Tensor,
+def projection_energy_fraction(projection: np.ndarray,
                                box: tuple[int, int, int, int]) -> float:
     """Share of squared-pixel energy inside box (x0, y0, x1, y1), end exclusive."""
     proj = projection[0] if projection.ndim == 3 else projection
@@ -146,7 +145,7 @@ def projection_energy_fraction(projection: Tensor,
     return inside / total
 
 
-def render_response(projection: Tensor, rf: tuple[int, int, int, int],
+def render_response(projection: np.ndarray, rf: tuple[int, int, int, int],
                     source_image: np.ndarray, out_path) -> tuple[Path, Path]:
     """Write the receptive-field crop and its deconvolution response.
 

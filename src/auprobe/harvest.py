@@ -10,7 +10,6 @@ manifest that produced it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,16 +136,20 @@ class ActivationDB:
                 raise DataError(f"{path}: image {img} has a different map set")
             for j in maps:
                 values[i, j], rows[i, j], cols[i, j] = by_image[img][j]
-        if not np.isfinite(values).all():
+        if not ((values >= 0) & (values < np.inf)).all():  # NaN fails both
             for ln, line in enumerate(lines[2:], start=3):
                 field = line.split(",")[2] if line else "0"
-                if not math.isfinite(float(field)):
+                value = float(field)
+                if not math.isfinite(value):
                     raise DataError(f"{path} line {ln}: non-finite value {field!r}")
+                if value < 0:
+                    raise DataError(f"{path} line {ln}: negative peak {field!r}; "
+                                    "peaks are maxima of ReLU outputs")
         return cls(image_ids, values, rows, cols, layer, meta)
 
 
-def harvest(net: Network, manifest: DatasetManifest, layer: int | None = None,
-            threads: int = 1) -> ActivationDB:
+def harvest(net: Network, manifest: DatasetManifest,
+            layer: int | None = None) -> ActivationDB:
     """One record per (image, map) under the deterministic eval transform.
 
     Raises NumericError naming the image and the map when a peak is not
@@ -180,11 +183,7 @@ def harvest(net: Network, manifest: DatasetManifest, layer: int | None = None,
         return vals.astype(np.float64), r.astype(np.int32), c.astype(np.int32)
 
     n = len(manifest)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(n)))
-    else:
-        results = [one(i) for i in range(n)]
+    results = [one(i) for i in range(n)]
     values = np.stack([r[0] for r in results])
     rows = np.stack([r[1] for r in results])
     cols = np.stack([r[2] for r in results])
@@ -204,6 +203,8 @@ def top_n(db: ActivationDB, map_index: int, subset, n: int) -> list[ActivationRe
     Sorted by value descending; equal values order by smaller image id.
     Returns fewer than n records when the subset is smaller than n.
     """
+    if n < 1:
+        raise DataError(f"top-n count must be at least 1, got {n}")
     ids = sorted(set(int(i) for i in subset))
     if not ids:
         raise DataError("top_n needs a nonempty image subset")
@@ -212,9 +213,9 @@ def top_n(db: ActivationDB, map_index: int, subset, n: int) -> list[ActivationRe
     missing = [i for i in ids if i not in db._index_of]
     if missing:
         raise DataError(f"image ids not in activation db: {missing[:5]}")
-    records = [db.record(i, map_index) for i in ids]
-    records.sort(key=lambda r: (-r.value, r.image_id))
-    return records[: min(n, len(records))]
+    values = db.values[[db._index_of[i] for i in ids], map_index]
+    order = np.lexsort((ids, -values))[:n]
+    return [db.record(ids[i], map_index) for i in order]
 
 
 def partition_by_au(manifest: DatasetManifest, au_id: int) -> tuple[set[int], set[int]]:

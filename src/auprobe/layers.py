@@ -22,7 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+
+class ShapeError(ValueError):
+    """Operand shapes are incompatible or do not match the data length."""
+
 
 # Elements in one block of the blocked FC weight-gradient and SGD update
 # loops (512 KB in float64): small next to a weight matrix, large enough
@@ -38,7 +41,7 @@ def _overlap(extent: int, shift: int) -> tuple[int, int]:
     return max(0, -shift), min(extent, extent - shift)
 
 
-def im2col(x: Tensor, kernel_size: int, pad: int) -> Tensor:
+def im2col(x: np.ndarray, kernel_size: int, pad: int) -> np.ndarray:
     """Unroll x [C,H,W] into the patch matrix [C*k*k, H*W], zero padded."""
     c, h, w = x.shape
     k = kernel_size
@@ -53,7 +56,8 @@ def im2col(x: Tensor, kernel_size: int, pad: int) -> Tensor:
     return cols.reshape(c * k * k, h * w)
 
 
-def col2im(cols: Tensor, shape: tuple[int, int, int], kernel_size: int, pad: int) -> Tensor:
+def col2im(cols: np.ndarray, shape: tuple[int, int, int], kernel_size: int,
+           pad: int) -> np.ndarray:
     """Adjoint of im2col: scatter-add a [C*k*k, H*W] patch matrix to [C,H,W]."""
     c, h, w = shape
     k = kernel_size
@@ -108,14 +112,15 @@ class ConvLayer:
         self.grad_bias = np.zeros_like(self.bias)
 
     @property
-    def _kernel_matrix(self) -> Tensor:
+    def _kernel_matrix(self) -> np.ndarray:
         return self.kernels.reshape(self.out_channels, -1)
 
     def zero_grad(self) -> None:
         self.grad_kernels[...] = 0
         self.grad_bias[...] = 0
 
-    def forward(self, x: Tensor, *, return_cols: bool = False) -> Tensor | tuple[Tensor, Tensor]:
+    def forward(self, x: np.ndarray, *,
+                return_cols: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Return the output [out_channels,H,W], and the patch matrix if asked."""
         if x.ndim != 3 or x.shape[0] != self.in_channels:
             raise ShapeError(
@@ -128,8 +133,8 @@ class ConvLayer:
         out = out.reshape(self.out_channels, h, w)
         return (out, cols) if return_cols else out
 
-    def backward(self, grad_out: Tensor, saved_input: Tensor, *,
-                 cols: Tensor | None = None, input_grad: bool = True) -> Tensor | None:
+    def backward(self, grad_out: np.ndarray, saved_input: np.ndarray, *,
+                 cols: np.ndarray | None = None, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate parameter gradients, return gradient wrt input.
 
         cols: the patch matrix forward built from saved_input (rebuilt
@@ -151,7 +156,7 @@ class ConvLayer:
         grad_cols = self._kernel_matrix.T @ grad_mat
         return col2im(grad_cols, saved_input.shape, self.kernel_size, self.pad)
 
-    def transpose_apply(self, y: Tensor) -> Tensor:
+    def transpose_apply(self, y: np.ndarray) -> np.ndarray:
         """Pure operator transpose (no bias, no gradient accumulation).
 
         Maps an output-shaped signal [out_channels,H,W] back to input
@@ -199,13 +204,13 @@ class FCLayer:
         self.grad_weights[...] = 0
         self.grad_bias[...] = 0
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.in_features,):
             raise ShapeError(f"expected [{self.in_features}] input, got {x.shape}")
         return self.weights @ x + self.bias
 
-    def backward(self, grad_out: Tensor, saved_input: Tensor, *,
-                 param_grads: bool = True, input_grad: bool = True) -> Tensor | None:
+    def backward(self, grad_out: np.ndarray, saved_input: np.ndarray, *,
+                 param_grads: bool = True, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate parameter gradients, return gradient wrt input.
 
         The input gradient has saved_input's shape; with input_grad=False
@@ -234,11 +239,11 @@ class FCLayer:
         return grad_out @ self.weights
 
 
-def relu_forward(x: Tensor) -> Tensor:
+def relu_forward(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def relu_backward(grad_out: Tensor, saved_input: Tensor) -> Tensor:
+def relu_backward(grad_out: np.ndarray, saved_input: np.ndarray) -> np.ndarray:
     # gradient at exactly 0 is defined as 0
     return np.where(saved_input > 0, grad_out, 0)
 
@@ -251,8 +256,8 @@ class SwitchRecord:
     the smallest row-major index so unpooling is reproducible.
     """
 
-    rows: Tensor
-    cols: Tensor
+    rows: np.ndarray
+    cols: np.ndarray
     input_shape: tuple[int, int, int]
 
     @property
@@ -260,7 +265,7 @@ class SwitchRecord:
         return self.rows.shape
 
 
-def maxpool_forward(x: Tensor) -> tuple[Tensor, SwitchRecord]:
+def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, SwitchRecord]:
     """2x2 max pool; odd extents are padded with -inf (never selected).
 
     The maximum is taken over the four strided views of the window
@@ -287,7 +292,7 @@ def maxpool_forward(x: Tensor) -> tuple[Tensor, SwitchRecord]:
     return out, SwitchRecord(rows=rows, cols=cols, input_shape=(c, h, w))
 
 
-def unpool(values: Tensor, switches: SwitchRecord) -> Tensor:
+def unpool(values: np.ndarray, switches: SwitchRecord) -> np.ndarray:
     """Place each pooled-grid value at its recorded switch coordinate."""
     if values.shape != switches.pooled_shape:
         raise ShapeError(
@@ -301,12 +306,12 @@ def unpool(values: Tensor, switches: SwitchRecord) -> Tensor:
     return out
 
 
-def maxpool_backward(grad_out: Tensor, switches: SwitchRecord) -> Tensor:
+def maxpool_backward(grad_out: np.ndarray, switches: SwitchRecord) -> np.ndarray:
     """Route each output gradient to its argmax location; zeros elsewhere."""
     return unpool(grad_out, switches)
 
 
-def softmax_cross_entropy(logits: Tensor, label: int) -> tuple[float, Tensor]:
+def softmax_cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
     """Return (loss, grad wrt logits) of -log softmax(logits)[label]."""
     n = logits.shape[0]
     if not 0 <= label < n:
@@ -322,7 +327,7 @@ def softmax_cross_entropy(logits: Tensor, label: int) -> tuple[float, Tensor]:
 
 
 def dropout_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator,
-                 dtype=np.float64) -> Tensor:
+                 dtype=np.float64) -> np.ndarray:
     """Inverted-dropout multiplier: 0 with probability p, else 1/(1-p)."""
     keep = rng.random(shape) >= p
     return keep.astype(dtype) / (1.0 - p)

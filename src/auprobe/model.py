@@ -21,6 +21,7 @@ from .layers import (
     BLOCK_ELEMENTS,
     ConvLayer,
     FCLayer,
+    ShapeError,
     SwitchRecord,
     dropout_mask,
     maxpool_backward,
@@ -29,7 +30,6 @@ from .layers import (
     relu_forward,
     softmax_cross_entropy,
 )
-from .tensor import ShapeError, Tensor
 
 
 class NumericError(Exception):
@@ -111,12 +111,12 @@ class TrainConfig:
 
 @dataclass
 class StageTrace:
-    conv_in: Tensor
-    conv_out: Tensor
-    relu_out: Tensor
-    pool_out: Tensor
+    conv_in: np.ndarray
+    conv_out: np.ndarray
+    relu_out: np.ndarray
+    pool_out: np.ndarray
     switches: SwitchRecord
-    cols: Tensor | None = None  # the conv's im2col patch matrix, kept for training
+    cols: np.ndarray | None = None  # the conv's im2col patch matrix, kept for training
 
 
 @dataclass
@@ -125,20 +125,20 @@ class ForwardTrace:
 
     image_id: int | None
     stages: list[StageTrace]
-    flat: Tensor
-    fc1_out: Tensor
-    hidden: Tensor
-    logits: Tensor
+    flat: np.ndarray
+    fc1_out: np.ndarray
+    hidden: np.ndarray
+    logits: np.ndarray
 
 
 @dataclass
 class _Cache:
     stages: list[StageTrace]
-    flat: Tensor
-    fc1_out: Tensor
-    hidden: Tensor
-    fc2_in: Tensor
-    drop_mask: Tensor | None
+    flat: np.ndarray
+    fc1_out: np.ndarray
+    hidden: np.ndarray
+    fc2_in: np.ndarray
+    drop_mask: np.ndarray | None
 
 
 class Network:
@@ -163,7 +163,7 @@ class Network:
 
     # ------------------------------------------------------- parameters
 
-    def parameters(self) -> list[tuple[str, Tensor, Tensor]]:
+    def parameters(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
         """(name, value, gradient buffer) triples in checkpoint order."""
         out = []
         for i, conv in enumerate(self.convs, start=1):
@@ -183,12 +183,12 @@ class Network:
 
     # ----------------------------------------------------------- forward
 
-    def _check_input(self, x: Tensor) -> None:
+    def _check_input(self, x: np.ndarray) -> None:
         expected = (1, self.config.input_size, self.config.input_size)
         if x.shape != expected:
             raise ShapeError(f"expected input {expected}, got {x.shape}")
 
-    def _run_stages(self, x: Tensor, keep_cols: bool = False) -> list[StageTrace]:
+    def _run_stages(self, x: np.ndarray, keep_cols: bool = False) -> list[StageTrace]:
         stages = []
         a = x
         for conv in self.convs:
@@ -200,14 +200,14 @@ class Network:
             a = pool_out
         return stages
 
-    def _head(self, flat: Tensor, drop_mask: Tensor | None):
+    def _head(self, flat: np.ndarray, drop_mask: np.ndarray | None):
         fc1_out = self.fc1.forward(flat)
         hidden = relu_forward(fc1_out)
         fc2_in = hidden * drop_mask if drop_mask is not None else hidden
         logits = self.fc2.forward(fc2_in)
         return fc1_out, hidden, fc2_in, logits
 
-    def forward(self, x: Tensor, train: bool = False, dropout_p: float = 0.5,
+    def forward(self, x: np.ndarray, train: bool = False, dropout_p: float = 0.5,
                 dropout_rng: np.random.Generator | None = None):
         """Return logits; in train mode also the cache backward() needs."""
         self._check_input(x)
@@ -224,7 +224,7 @@ class Network:
             return logits
         return logits, _Cache(stages, flat, fc1_out, hidden, fc2_in, drop_mask)
 
-    def forward_trace(self, x: Tensor, image_id: int | None = None) -> ForwardTrace:
+    def forward_trace(self, x: np.ndarray, image_id: int | None = None) -> ForwardTrace:
         """Inference pass that keeps every intermediate activation."""
         self._check_input(x)
         stages = self._run_stages(x)
@@ -232,15 +232,15 @@ class Network:
         fc1_out, hidden, _, logits = self._head(flat, None)
         return ForwardTrace(image_id, stages, flat, fc1_out, hidden, logits)
 
-    def stage_outputs(self, x: Tensor) -> list[Tensor]:
+    def stage_outputs(self, x: np.ndarray) -> list[np.ndarray]:
         """Pooled feature maps per stage, without the classifier head."""
         self._check_input(x)
         return [st.pool_out for st in self._run_stages(x)]
 
     # ---------------------------------------------------------- backward
 
-    def backward(self, cache: _Cache, grad_logits: Tensor, *,
-                 fc1_params: bool = True) -> Tensor:
+    def backward(self, cache: _Cache, grad_logits: np.ndarray, *,
+                 fc1_params: bool = True) -> np.ndarray:
         """Accumulate parameter gradients for one sample.
 
         Each conv reuses the patch matrix its training forward kept; the
@@ -290,7 +290,7 @@ def write_metrics_csv(metrics: list[EpochMetrics], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def sgd_step(net: Network, velocity: dict[str, Tensor], cfg: TrainConfig,
+def sgd_step(net: Network, velocity: dict[str, np.ndarray], cfg: TrainConfig,
              grad_scale: float) -> None:
     """One momentum + weight-decay update from the accumulated gradients.
 

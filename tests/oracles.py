@@ -127,6 +127,50 @@ def kl_direct(r, q, eps: float = 1e-8) -> float:
     return total
 
 
+def kl_rank_paired(r: np.ndarray, q: np.ndarray, eps: float = 1e-8) -> float:
+    """The earlier 1-D kl_term: epsilon floor, then one np.sum per list.
+
+    Profiles must match it bit for bit, which kl_direct's math.log loop,
+    summing in another order, cannot promise.
+    """
+    r = np.maximum(np.asarray(r, dtype=np.float64), eps)
+    q = np.maximum(np.asarray(q, dtype=np.float64), eps)
+    return float(np.sum(r * np.log(r / q)))
+
+
+def top_n_records(values: np.ndarray, map_index: int, subset, n: int) -> list[tuple[float, int]]:
+    """(value, image id) of one map's n largest peaks: a sort of every record."""
+    records = [(float(values[i, map_index]), i) for i in sorted(set(subset))]
+    records.sort(key=lambda rec: (-rec[0], rec[1]))
+    return records[:n]
+
+
+def profile_loop(values: np.ndarray, has_au: np.ndarray, n: int,
+                 eps: float = 1e-8) -> np.ndarray:
+    """The earlier per-map profile: rank-truncated top-n lists, 1-D sums.
+
+    values is [images, maps] with image i at row i; has_au marks the
+    images that carry the unit.
+    """
+    with_au = np.flatnonzero(has_au)
+    without = np.flatnonzero(~has_au)
+    distances = np.zeros(values.shape[1])
+    for j in range(values.shape[1]):
+        r = np.array([v for v, _ in top_n_records(values, j, with_au, n)])
+        q = np.array([v for v, _ in top_n_records(values, j, without, n)])
+        k = min(n, r.size, q.size)
+        r, q = r[:k], q[:k]
+        distances[j] = kl_rank_paired(r, q, eps) + kl_rank_paired(q, r, eps)
+    return distances
+
+
+def inner_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of elementwise products of two equal-shape arrays, as a float."""
+    if a.shape != b.shape:
+        raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
+    return float(np.dot(a.reshape(-1), b.reshape(-1)))
+
+
 def central_difference(f, param: np.ndarray, index: tuple, eps: float = 1e-5) -> float:
     """Central finite difference of scalar f() wrt param[index] (in place)."""
     orig = param[index]

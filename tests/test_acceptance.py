@@ -17,7 +17,7 @@ import pytest
 from auprobe import association, data, deconv, harvest, model
 from auprobe.cli import main as cli_main
 from auprobe.layers import ConvLayer, FCLayer, softmax_cross_entropy
-from auprobe.tensor import inner_product
+from oracles import inner_product
 
 from conftest import record_criterion
 from oracles import central_difference, relative_error

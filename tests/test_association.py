@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from auprobe.association import (
     AUDistanceProfile,
     kl_term,
     load_profile_csv,
-    make_response_pair,
     profile,
     profile_all,
     save_profile_csv,
@@ -18,7 +18,7 @@ from auprobe.association import (
 from auprobe.data import DataError, DatasetManifest, ManifestRow
 from auprobe.harvest import ActivationDB
 
-from oracles import kl_direct
+from oracles import kl_direct, kl_rank_paired, profile_loop
 
 
 def test_kl_identical_is_exact_zero():
@@ -61,16 +61,16 @@ def test_symmetric_distance_symmetry_exact():
     for _ in range(50):
         r = np.sort(rng.uniform(0, 10, size=9))[::-1]
         q = np.sort(rng.uniform(0, 10, size=9))[::-1]
-        ab = symmetric_distance(make_response_pair(r, q, 9))
-        ba = symmetric_distance(make_response_pair(q, r, 9))
+        ab = symmetric_distance(r, q)
+        ba = symmetric_distance(q, r)
         assert ab == ba
 
 
 def test_symmetric_distance_zero_iff_equal_floored():
     r = np.array([3.0, 2.0, 1.0])
-    assert symmetric_distance(make_response_pair(r, r.copy(), 3)) == 0.0
+    assert symmetric_distance(r, r.copy()) == 0.0
     q = np.array([3.0, 2.0, 0.5])
-    assert symmetric_distance(make_response_pair(r, q, 3)) > 0.0
+    assert symmetric_distance(r, q) > 0.0
 
 
 def test_each_direction_can_differ():
@@ -108,19 +108,33 @@ def test_symmetry_property(rs, qs):
     k = min(len(rs), len(qs))
     r = np.sort(np.asarray(rs[:k]))[::-1]
     q = np.sort(np.asarray(qs[:k]))[::-1]
-    pair = make_response_pair(r, q, k)
-    rev = make_response_pair(q, r, k)
-    assert symmetric_distance(pair) == symmetric_distance(rev)
+    assert symmetric_distance(r, q) == symmetric_distance(q, r)
 
 
 def test_response_pair_validation():
-    with pytest.raises(ValueError):
-        make_response_pair([1.0, 2.0], [2.0, 1.0], 2)  # ascending r
-    pair = make_response_pair([5.0, 4.0, 3.0], [2.0, 1.0], 9)
-    assert pair.n == 2
-    assert pair.r.tolist() == [5.0, 4.0]
-    with pytest.raises(ValueError):
-        make_response_pair([], [], 9)
+    # lists pair rank-wise: equal shapes, nonnegative values
+    with pytest.raises(ValueError, match="shape mismatch"):
+        symmetric_distance([5.0, 4.0, 3.0], [2.0, 1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        symmetric_distance([[5.0, 4.0]], [[2.0, -1.0]])
+    rows = symmetric_distance([[5.0, 4.0], [2.0, 1.0]], [[2.0, 1.0], [5.0, 4.0]])
+    assert rows.shape == (2,)
+    assert rows[0] == rows[1] == symmetric_distance([5.0, 4.0], [2.0, 1.0])
+
+
+def test_kl_rows_match_one_dimensional_sums():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        maps, k = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        r = rng.uniform(0, 10, (maps, k)) * (rng.random((maps, k)) > 0.2)
+        q = rng.uniform(0, 10, (maps, k))
+        rows = kl_term(r, q)
+        assert rows.shape == (maps,)
+        assert np.array_equal(rows, [kl_term(r[j], q[j]) for j in range(maps)])
+        assert np.array_equal(rows, [kl_rank_paired(r[j], q[j]) for j in range(maps)])
+        assert np.array_equal(kl_term(r, q, normalize=True),
+                              [kl_term(r[j], q[j], normalize=True) for j in range(maps)])
+    assert isinstance(kl_term([2.0, 1.0], [1.0, 2.0]), float)
 
 
 # ------------------------------------------------------------- profiles
@@ -139,6 +153,52 @@ def db_from_values(values):
     n, m = values.shape
     zeros = np.zeros((n, m), dtype=np.int32)
     return ActivationDB(list(range(n)), values, zeros, zeros, 3, {"checkpoint": "c", "manifest": "m"})
+
+
+def random_profile_case(rng):
+    """A DB with ties and exact zeros, and an AU mask with both sides nonempty."""
+    images, maps = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+    if rng.random() < 0.5:
+        values = rng.integers(0, 4, (images, maps)) / 2.0  # many ties, many zeros
+    else:
+        values = rng.uniform(0, 5, (images, maps)) * (rng.random((images, maps)) > 0.3)
+    has = np.zeros(images, dtype=bool)
+    if rng.random() < 0.25:
+        has[rng.integers(images)] = True  # a one-image partition
+    else:
+        has[rng.permutation(images)[: int(rng.integers(1, images))]] = True
+    if rng.random() < 0.25:
+        has = ~has  # the one-image side without the unit
+    n = int(rng.choice([1, 2, 3, 7, 8, 9, 12, 39]))
+    return values, has, n
+
+
+def test_profile_matches_per_map_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        values, has, n = random_profile_case(rng)
+        manifest = manifest_with_aus([{5} if h else set() for h in has])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            prof = profile(db_from_values(values), manifest, 5, n=n)
+        expected = profile_loop(values, has, n)
+        assert np.array_equal(prof.distances, expected)
+        assert prof.argmax_map == int(np.argmax(expected))
+        assert prof.n == n and prof.provenance["n"] == str(n)
+
+
+def test_profile_rejects_foreign_image_ids():
+    db = db_from_values(np.ones((2, 2)))
+    db.image_ids = [1, 2]
+    with pytest.raises(DataError, match="row indices"):
+        profile(db, manifest_with_aus([{1}, set()]), 1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_profile_n_below_one_rejected(n):
+    db = db_from_values(np.ones((2, 2)))
+    with pytest.raises(DataError, match="at least 1"):
+        profile(db, manifest_with_aus([{1}, set()]), 1, n=n)
 
 
 def test_profile_detector_map_wins():
@@ -186,6 +246,8 @@ def test_profile_au_everywhere_rejected():
     db = db_from_values(np.ones((2, 2)))
     with pytest.raises(DataError, match="every image"):
         profile(db, manifest_with_aus(au_sets), 1)
+    with pytest.raises(DataError, match="absent"):
+        profile(db, manifest_with_aus(au_sets), 2)
 
 
 def test_profile_size_mismatch_rejected():
@@ -219,3 +281,14 @@ def test_profile_csv_roundtrip(tmp_path):
     distances, argmax = load_profile_csv(p)
     np.testing.assert_array_equal(distances, prof.distances)
     assert argmax == 1
+
+
+@pytest.mark.parametrize("body, ln", [("0,abc\nargmax,0,0.5", 2),
+                                      ("0\nargmax,0,0.5", 2),
+                                      ("0,0.5\nargmax,x,0.5", 3)],
+                         ids=["bad-distance", "missing-field", "bad-argmax"])
+def test_profile_csv_malformed_line_is_data_error(tmp_path, body, ln):
+    p = tmp_path / "au_1.csv"
+    p.write_text(f"map,distance\n{body}\n")
+    with pytest.raises(DataError, match=rf"au_1\.csv line {ln}: malformed line"):
+        load_profile_csv(p)

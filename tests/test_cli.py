@@ -146,6 +146,35 @@ def test_associate_nan_db_value_exits_2(tmp_path, dataset, capsys):
     assert err.startswith("error: ") and "db.csv line 4: non-finite value 'nan'" in err
 
 
+def test_associate_negative_db_value_exits_2(tmp_path, dataset, capsys):
+    manifest_hash = data.load_manifest(dataset).content_hash()
+    db_path = tmp_path / "db.csv"
+    db_path.write_text(f"# auprobe-activation-db v=1 layer=3 manifest={manifest_hash}\n"
+                       "image_id,map,value,row,col\n0,0,1.5,1,1\n0,1,-0.5,1,1\n")
+    rc = main(["associate", "--db", str(db_path), "--manifest", str(dataset),
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "db.csv line 4: negative peak '-0.5'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["associate", "--db", "db.csv", "--manifest", "m.csv", "--out", "o", "--n", "0"],
+    ["associate", "--db", "db.csv", "--manifest", "m.csv", "--out", "o", "--n", "-1"],
+    ["deconv", "--checkpoint", "c", "--manifest", "m.csv", "--map", "0", "--out", "o",
+     "--top", "0"],
+    ["deconv", "--checkpoint", "c", "--manifest", "m.csv", "--map", "0", "--out", "o",
+     "--top", "-1"],
+    ["pipeline", "--out", "o", "--n", "0"],
+])
+def test_top_n_count_below_one_is_usage_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("expected a positive integer, got "
+                                         f"'{argv[-1]}'")
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_train_non_finite_weight_exits_3(tmp_path, dataset, config_file, capsys, monkeypatch):
     # an infinite gradient under a finite loss: only the weight check can catch it

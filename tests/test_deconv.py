@@ -11,9 +11,8 @@ from auprobe.deconv import (
     render_response,
 )
 from auprobe.imageio import read_image
-from auprobe.layers import ConvLayer
+from auprobe.layers import ConvLayer, ShapeError
 from auprobe.model import ModelConfig, Network
-from auprobe.tensor import ShapeError
 
 from oracles import reachable_pixels
 

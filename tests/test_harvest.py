@@ -5,6 +5,8 @@ from auprobe import data, model
 from auprobe.data import DataError
 from auprobe.harvest import ActivationDB, harvest, partition_by_au, top_n
 
+from oracles import top_n_records
+
 
 @pytest.fixture(scope="module")
 def setup(tmp_path_factory):
@@ -36,14 +38,6 @@ def test_harvest_deterministic(setup):
     assert a.values.tobytes() == b.values.tobytes()
     assert a.rows.tobytes() == b.rows.tobytes()
     assert a.provenance == b.provenance
-
-
-def test_threads_do_not_change_results(setup):
-    net, manifest = setup
-    a = harvest(net, manifest, threads=1)
-    b = harvest(net, manifest, threads=2)
-    assert a.values.tobytes() == b.values.tobytes()
-    assert a.cols.tobytes() == b.cols.tobytes()
 
 
 def test_record_location_attains_value(setup):
@@ -117,6 +111,23 @@ def test_db_non_finite_value_is_data_error(tmp_path, value):
         ActivationDB.load(p)
 
 
+@pytest.mark.parametrize("value", ["-0.5", "-1e-300"])
+def test_db_negative_value_is_data_error(tmp_path, value):
+    # one negative peak, below the top of its map, still fails the load
+    p = tmp_path / "db.csv"
+    p.write_text("# auprobe-activation-db v=1 layer=3\nimage_id,map,value,row,col\n"
+                 f"0,0,2.0,0,0\n0,1,1.0,0,0\n1,0,{value},0,0\n1,1,3.0,0,0\n")
+    with pytest.raises(DataError, match=rf"db\.csv line 5: negative peak '{value}'"):
+        ActivationDB.load(p)
+
+
+def test_db_negative_zero_loads(tmp_path):
+    p = tmp_path / "db.csv"
+    p.write_text("# auprobe-activation-db v=1 layer=3\nimage_id,map,value,row,col\n"
+                 "0,0,-0.0,0,0\n1,0,1.0,0,0\n")
+    assert ActivationDB.load(p).values.tolist() == [[0.0], [1.0]]
+
+
 @pytest.mark.parametrize("first", ["nan", "2.0"])
 def test_db_repeated_image_map_is_data_error(tmp_path, first):
     # a repeated (image, map) row would overwrite the first one, NaN or not
@@ -174,6 +185,27 @@ def test_top_n_subset_restricts():
     db = build_db(np.array([[9.0], [8.0], [7.0], [6.0]]))
     out = top_n(db, 0, {2, 3}, 9)
     assert [r.image_id for r in out] == [2, 3]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_top_n_below_one_rejected(n):
+    db = build_db(np.ones((3, 1)))
+    with pytest.raises(DataError, match="at least 1"):
+        top_n(db, 0, range(3), n)
+
+
+def test_top_n_matches_sort_of_all_records():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        images, maps = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+        values = rng.integers(0, 5, (images, maps)) / 4.0  # ties and zeros
+        db = build_db(values)
+        db.rows[:] = rng.integers(0, 6, (images, maps))
+        subset = rng.choice(images, int(rng.integers(1, images + 1)), replace=False)
+        j, n = int(rng.integers(maps)), int(rng.integers(1, 12))
+        got = top_n(db, j, subset, n)
+        assert [(r.value, r.image_id) for r in got] == top_n_records(values, j, subset, n)
+        assert all(r.map_index == j and r.row == db.rows[r.image_id, j] for r in got)
 
 
 def test_top_n_duplicate_free():

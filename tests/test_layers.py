@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from auprobe.layers import (
     ConvLayer,
     FCLayer,
+    ShapeError,
     SwitchRecord,
     col2im,
     dropout_mask,
@@ -18,13 +19,13 @@ from auprobe.layers import (
     softmax_cross_entropy,
     unpool,
 )
-from auprobe.tensor import ShapeError, inner_product
 
 from oracles import (
     central_difference,
     col2im_transposed,
     conv_direct,
     im2col_transposed,
+    inner_product,
     maxpool_argmax,
     maxpool_direct,
     relative_error,
