@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, DatasetManifest
+from .data import DataError, DatasetManifest, read_text
 from .harvest import ActivationDB, partition_by_au
 
 EPSILON = 1e-8
@@ -129,7 +129,7 @@ def save_profile_csv(prof: AUDistanceProfile, path) -> None:
 
 def load_profile_csv(path) -> tuple[np.ndarray, int]:
     """Distances and argmax map back from a profile CSV."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != "map,distance":
         raise DataError(f"{path}: not a profile csv")
     body = [(ln, text) for ln, text in enumerate(lines[1:], start=2) if text]

@@ -78,7 +78,7 @@ def parse_config_file(path) -> tuple[ModelConfig, TrainConfig]:
     train_fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
     model_kw: dict = {}
     train_kw: dict = {}
-    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, line in enumerate(data.read_text(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

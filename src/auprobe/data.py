@@ -25,6 +25,18 @@ class DataError(Exception):
     """Manifest, image, or configuration input is unusable."""
 
 
+def read_text(path) -> str:
+    """A file's text, decoded as UTF-8; DataError naming the file if it is not UTF-8.
+
+    Line endings are left as they are, for the csv module and for
+    str.splitlines.
+    """
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 # ------------------------------------------------------------- manifest
 
 MANIFEST_COLUMNS = ["path", "label", "aus", "subject", "sequence", "crop"]
@@ -111,14 +123,13 @@ def load_manifest(path, validate_images: bool = True) -> DatasetManifest:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"manifest not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != MANIFEST_COLUMNS:
-            raise DataError(
-                f"{path}: expected header {','.join(MANIFEST_COLUMNS)}, "
-                f"got {reader.fieldnames}"
-            )
-        rows = [_parse_row(raw, line) for line, raw in enumerate(reader, start=2)]
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != MANIFEST_COLUMNS:
+        raise DataError(
+            f"{path}: expected header {','.join(MANIFEST_COLUMNS)}, "
+            f"got {reader.fieldnames}"
+        )
+    rows = [_parse_row(raw, line) for line, raw in enumerate(reader, start=2)]
     manifest = DatasetManifest(rows=rows, base_dir=path.parent)
     if validate_images:
         for i, row in enumerate(rows):
@@ -148,25 +159,36 @@ def load_image(manifest: DatasetManifest, index: int) -> np.ndarray:
 # --------------------------------------------------------- transforms
 
 
+def _taps(coords: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(weight, clipped index, inside) of the two taps along one axis of n samples.
+
+    The first tap is at floor(coords), the second one sample further.
+    """
+    first = np.floor(coords).astype(np.int64)
+    frac = coords - first
+    taps = []
+    for step, weight in ((0, 1.0 - frac), (1, frac)):
+        index = first + step
+        taps.append((weight, np.minimum(np.maximum(index, 0), n - 1),
+                     (index >= 0) & (index < n)))
+    return taps
+
+
 def _bilinear_sample(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Sample img (float [H,W]) at fractional coords; zero outside."""
+    """Sample img (float [H,W]) at fractional coords; zero outside.
+
+    ys and xs broadcast against each other: full coordinate grids, or a
+    [out_h, 1] column of row coordinates and a [1, out_w] row of column
+    coordinates, whose taps are then computed once per row and column.
+    Each of the four taps is one gather at clipped indices, with the
+    samples outside the image replaced by zero.
+    """
     h, w = img.shape
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    fy = ys - y0
-    fx = xs - x0
-    out = np.zeros(ys.shape, dtype=np.float64)
-    for dy in (0, 1):
-        wy = np.where(dy == 0, 1.0 - fy, fy)
-        yy = y0 + dy
-        inside_y = (yy >= 0) & (yy < h)
-        for dx in (0, 1):
-            wx = np.where(dx == 0, 1.0 - fx, fx)
-            xx = x0 + dx
-            inside = inside_y & (xx >= 0) & (xx < w)
-            vals = np.zeros(ys.shape, dtype=np.float64)
-            vals[inside] = img[yy[inside], xx[inside]]
-            out += wy * wx * vals
+    out = np.zeros(np.broadcast_shapes(ys.shape, xs.shape), dtype=np.float64)
+    x_taps = _taps(xs, w)
+    for wy, yy, inside_y in _taps(ys, h):
+        for wx, xx, inside_x in x_taps:
+            out += wy * wx * np.where(inside_y & inside_x, img[yy, xx], 0.0)
     return out
 
 
@@ -184,12 +206,16 @@ def rotate(img: np.ndarray, degrees: float) -> np.ndarray:
 
 
 def resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize with the half-pixel-center convention."""
+    """Bilinear resize with the half-pixel-center convention.
+
+    Separable: the row taps are computed once as an [out_h, 1] column,
+    the column taps once as a [1, out_w] row.
+    """
     h, w = img.shape
     ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
-    grid_y, grid_x = np.meshgrid(np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1), indexing="ij")
-    return _bilinear_sample(np.asarray(img, dtype=np.float64), grid_y, grid_x)
+    return _bilinear_sample(np.asarray(img, dtype=np.float64),
+                            np.clip(ys, 0, h - 1)[:, None], np.clip(xs, 0, w - 1)[None, :])
 
 
 def standardize(img: np.ndarray) -> np.ndarray:
@@ -422,7 +448,7 @@ def default_synthetic_spec(canvas_size: int = 48, samples_per_class: int = 100,
 
 def load_synthetic_spec(path) -> SyntheticSpec:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(read_text(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read synthetic spec {path}: {exc}") from exc
     try:

@@ -64,7 +64,7 @@ class ActivationDB:
     # ------------------------------------------------------- persistence
 
     def save(self, path) -> None:
-        lines = [self._header_line(), "image_id,map,value,row,col"]
+        lines = [self._header_line(), DB_COLUMNS]
         for i, img in enumerate(self.image_ids):
             for j in range(self.num_maps):
                 lines.append(
@@ -80,10 +80,21 @@ class ActivationDB:
     @classmethod
     def load(cls, path, expect_checkpoint: str | None = None,
              expect_manifest: str | None = None) -> "ActivationDB":
+        """Read a DB that save() wrote; DataError naming the file (and line) otherwise.
+
+        Each column goes through int() or float() straight into one
+        np.fromiter array, so the DB accepts what those accept (numpy's
+        string casts call the same functions, through a slower path).
+        The checks run in this order, each naming the first offending
+        line in file order: an empty body, field count and syntax, a
+        repeated (image, map) row, maps of the lowest image id not
+        0..m-1, an image with another map set, a negative or non-finite
+        peak.
+        """
         path = Path(path)
         if not path.is_file():
             raise DataError(f"activation db not found: {path}")
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = data_mod.read_text(path).splitlines()
         if not lines or not lines[0].startswith("# auprobe-activation-db"):
             raise DataError(f"{path}: not an activation db")
         tokens = lines[0].split()[2:]
@@ -97,64 +108,103 @@ class ActivationDB:
             raise DataError(f"{path}: produced by a different checkpoint")
         if expect_manifest is not None and meta.get("manifest") != expect_manifest:
             raise DataError(f"{path}: produced by a different manifest")
-        if len(lines) < 2 or lines[1] != "image_id,map,value,row,col":
+        if len(lines) < 2 or lines[1] != DB_COLUMNS:
             raise DataError(f"{path}: missing column header")
-        by_image: dict[int, dict[int, tuple[float, int, int]]] = {}
-        for ln, line in enumerate(lines[2:], start=3):
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise DataError(f"{path} line {ln}: expected 5 fields")
-            try:
-                img, j = int(parts[0]), int(parts[1])
-                entry = (float(parts[2]), int(parts[3]), int(parts[4]))
-            except ValueError as exc:
-                raise DataError(f"{path} line {ln}: {exc}") from exc
-            by_image.setdefault(img, {})[j] = entry
-        if not by_image:
+        numbers = [ln for ln, line in enumerate(lines[2:], start=3) if line]
+        body = [lines[ln - 1] for ln in numbers]
+        if not body:
             raise DataError(f"{path}: empty activation db")
-        if len(lines) - 2 - lines[2:].count("") != sum(map(len, by_image.values())):
-            seen = set()
-            for ln, line in enumerate(lines[2:], start=3):
-                if not line:
-                    continue
-                key = tuple(int(f) for f in line.split(",")[:2])
-                if key in seen:
-                    raise DataError(f"{path} line {ln}: repeats image {key[0]} map {key[1]}")
-                seen.add(key)
-        image_ids = sorted(by_image)
-        maps = sorted(by_image[image_ids[0]])
-        num_maps = len(maps)
-        if maps != list(range(num_maps)):
+        if any(line.count(",") != 4 for line in body):
+            raise _first_malformed_line(path, numbers, body)
+        fields = ",".join(body).split(",")
+        try:
+            img, maps, values, rows, cols = (
+                np.fromiter(map(float if dtype is np.float64 else int, fields[k::5]),
+                            dtype, len(body))
+                for k, dtype in enumerate(_DB_DTYPES))
+        except (ValueError, OverflowError):
+            raise _first_malformed_line(path, numbers, body) from None
+
+        order = np.lexsort((maps, img))  # stable: repeats keep their file order
+        img_sorted, maps_sorted = img[order], maps[order]
+        repeats = (img_sorted[1:] == img_sorted[:-1]) & (maps_sorted[1:] == maps_sorted[:-1])
+        if repeats.any():
+            k = order[1:][repeats].min()
+            raise DataError(f"{path} line {numbers[k]}: repeats image {img[k]} map {maps[k]}")
+        image_ids, starts, counts = np.unique(img_sorted, return_index=True, return_counts=True)
+        # with no repeats, an image's maps are 0..m-1 iff each sits at its rank
+        in_place = maps_sorted == np.arange(len(order)) - np.repeat(starts, counts)
+        num_maps = int(counts[0])
+        if not in_place[:num_maps].all():
             raise DataError(f"{path}: map indices are not dense")
-        values = np.zeros((len(image_ids), num_maps))
-        rows = np.zeros((len(image_ids), num_maps), dtype=np.int32)
-        cols = np.zeros((len(image_ids), num_maps), dtype=np.int32)
-        for i, img in enumerate(image_ids):
-            if sorted(by_image[img]) != maps:
-                raise DataError(f"{path}: image {img} has a different map set")
-            for j in maps:
-                values[i, j], rows[i, j], cols[i, j] = by_image[img][j]
-        if not ((values >= 0) & (values < np.inf)).all():  # NaN fails both
-            for ln, line in enumerate(lines[2:], start=3):
-                field = line.split(",")[2] if line else "0"
-                value = float(field)
-                if not math.isfinite(value):
-                    raise DataError(f"{path} line {ln}: non-finite value {field!r}")
-                if value < 0:
-                    raise DataError(f"{path} line {ln}: negative peak {field!r}; "
-                                    "peaks are maxima of ReLU outputs")
-        return cls(image_ids, values, rows, cols, layer, meta)
+        other_set = (counts != num_maps) | ~np.logical_and.reduceat(in_place, starts)
+        if other_set.any():
+            raise DataError(f"{path}: image {image_ids[other_set.argmax()]} "
+                            "has a different map set")
+        valid = (values >= 0) & (values < np.inf)  # NaN fails both
+        if not valid.all():
+            k = int(valid.argmin())
+            field = fields[5 * k + 2]
+            if not math.isfinite(values[k]):
+                raise DataError(f"{path} line {numbers[k]}: non-finite value {field!r}")
+            raise DataError(f"{path} line {numbers[k]}: negative peak {field!r}; "
+                            "peaks are maxima of ReLU outputs")
+        shape = (len(image_ids), num_maps)
+        return cls(image_ids.tolist(), values[order].reshape(shape),
+                   rows[order].reshape(shape), cols[order].reshape(shape), layer, meta)
+
+
+DB_COLUMNS = "image_id,map,value,row,col"
+_DB_DTYPES = (np.int64, np.int64, np.float64, np.int32, np.int32)
+
+
+def _first_malformed_line(path, numbers: list[int], body: list[str]) -> DataError:
+    """The error for the first DB line without 5 fields or with one that does not parse.
+
+    Runs only once a line count or a column cast has failed. int() and
+    float() give the messages; each value must also fit its column's
+    dtype, as in the cast.
+    """
+    for ln, line in zip(numbers, body):
+        parts = line.split(",")
+        if len(parts) != 5:
+            return DataError(f"{path} line {ln}: expected 5 fields")
+        try:
+            for text, dtype in zip(parts, _DB_DTYPES):
+                dtype((float if dtype is np.float64 else int)(text))
+        except (ValueError, OverflowError) as exc:
+            return DataError(f"{path} line {ln}: {exc}")
+    return DataError(f"{path}: a column does not parse")
+
+
+# Bytes of im2col patch matrix one harvest chunk may build at its largest
+# conv: chunks bigger than the caches made the GEMMs slower, and each
+# image's own patch matrix sets how many fit.
+CHUNK_BYTES = 4 << 20
+
+
+def chunk_images(config: model_mod.ModelConfig, layer: int) -> int:
+    """Images per harvest chunk: CHUNK_BYTES over the largest per-image patch matrix.
+
+    Counts the convs up to `layer`; at least one image.
+    """
+    sizes = [config.input_size] + config.stage_sizes()
+    in_channels = (1,) + tuple(config.conv_channels)
+    itemsize = np.dtype(config.np_dtype).itemsize
+    largest = max(in_channels[i] * config.kernel_size ** 2 * sizes[i] ** 2 * itemsize
+                  for i in range(layer))
+    return max(1, CHUNK_BYTES // largest)
 
 
 def harvest(net: Network, manifest: DatasetManifest,
             layer: int | None = None) -> ActivationDB:
     """One record per (image, map) under the deterministic eval transform.
 
-    Raises NumericError naming the image and the map when a peak is not
-    finite: argmax would pick a NaN peak, and a NaN map would then win
-    every unit's profile.
+    Images run through the conv stack chunk_images() at a time; each is
+    loaded and transformed on its own into the chunk, so images of any
+    size mix. Raises NumericError naming the first image and, within it,
+    the first map whose peak is not finite: argmax would pick a NaN
+    peak, and a NaN map would then win every unit's profile.
     """
     if len(manifest) == 0:
         raise DataError("cannot harvest an empty manifest")
@@ -165,28 +215,32 @@ def harvest(net: Network, manifest: DatasetManifest,
     size = net.config.input_size
     dtype = net.config.np_dtype
     num_maps = net.config.conv_channels[layer - 1]
-
-    def one(i: int):
-        img = data_mod.load_image(manifest, i)
-        x = data_mod.eval_transform(img, size, dtype=dtype)
-        fmap = net.stage_outputs(x)[layer - 1]
-        flat = fmap.reshape(num_maps, -1)
-        arg = flat.argmax(axis=1)  # first max in row-major order on ties
-        vals = flat[np.arange(num_maps), arg]
-        if not np.isfinite(vals).all():
-            j = int(np.flatnonzero(~np.isfinite(vals))[0])
+    n = len(manifest)
+    chunk = min(n, chunk_images(net.config, layer))
+    xs = np.empty((chunk, 1, size, size), dtype=dtype)
+    values = np.empty((n, num_maps))
+    rows = np.empty((n, num_maps), dtype=np.int32)
+    cols = np.empty((n, num_maps), dtype=np.int32)
+    for start in range(0, n, chunk):
+        m = min(chunk, n - start)
+        for k in range(m):
+            xs[k] = data_mod.eval_transform(data_mod.load_image(manifest, start + k),
+                                            size, dtype=dtype)
+        fmaps = net.stage_outputs(xs[:m], layer)
+        flat = fmaps.reshape(m, num_maps, -1)
+        arg = flat.argmax(axis=2)  # first max in row-major order on ties
+        vals = np.take_along_axis(flat, arg[..., None], axis=2)[..., 0]
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            k, j = np.argwhere(bad)[0]  # first image, then its first map
+            i = start + int(k)
             raise model_mod.NumericError(
-                f"non-finite activation {vals[j]} in layer {layer} map {j} "
+                f"non-finite activation {vals[k, j]} in layer {layer} map {j} "
                 f"of image {i} ({manifest.image_path(i)})"
             )
-        r, c = np.unravel_index(arg, fmap.shape[1:])
-        return vals.astype(np.float64), r.astype(np.int32), c.astype(np.int32)
-
-    n = len(manifest)
-    results = [one(i) for i in range(n)]
-    values = np.stack([r[0] for r in results])
-    rows = np.stack([r[1] for r in results])
-    cols = np.stack([r[2] for r in results])
+        values[start : start + m] = vals
+        rows[start : start + m], cols[start : start + m] = np.unravel_index(
+            arg, fmaps.shape[2:])
     provenance = {
         "checkpoint": model_mod.checkpoint_hash(net),
         "manifest": manifest.content_hash(),

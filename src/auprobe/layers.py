@@ -11,9 +11,12 @@ convolution, so the backward/deconvolution path is literally its
 transpose: `transpose_apply` and `backward` share one col2im scatter-add
 that is the exact adjoint of the im2col gather.
 
-All spatial ops work on single images shaped [channels, height, width];
-batching is the trainer's job. The FC backward also takes stacked rows,
-so that the trainer can form a weight gradient once per batch.
+Spatial ops take single images shaped [channels, height, width]. im2col,
+ConvLayer.forward and maxpool_values also take a chunk of images shaped
+[channels, images, height, width], which inference (harvest) runs in one
+pass; training, backward, col2im and the switch-keeping maxpool_forward
+stay per image. The FC backward also takes stacked rows, so that the
+trainer can form a weight gradient once per batch.
 """
 
 from __future__ import annotations
@@ -42,18 +45,22 @@ def _overlap(extent: int, shift: int) -> tuple[int, int]:
 
 
 def im2col(x: np.ndarray, kernel_size: int, pad: int) -> np.ndarray:
-    """Unroll x [C,H,W] into the patch matrix [C*k*k, H*W], zero padded."""
-    c, h, w = x.shape
+    """Unroll x [C,H,W] into the patch matrix [C*k*k, H*W], zero padded.
+
+    A chunk x [C,N,H,W] gives [C*k*k, N*H*W]: each image's H*W columns
+    in turn, padded on its own. x is copied once into a zero-padded
+    canvas, so each of the k*k slabs of the patch matrix is written by
+    one whole-slab copy and never zero-filled first.
+    """
+    c, h, w = x.shape[0], x.shape[-2], x.shape[-1]
     k = kernel_size
-    cols = np.zeros((c, k, k, h, w), dtype=x.dtype)
+    canvas = np.zeros(x.shape[:-2] + (h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    canvas[..., pad : pad + h, pad : pad + w] = x
+    cols = np.empty((c, k, k) + x.shape[1:], dtype=x.dtype)
     for u in range(k):
-        i0, i1 = _overlap(h, u - pad)
         for v in range(k):
-            j0, j1 = _overlap(w, v - pad)
-            if i0 < i1 and j0 < j1:
-                cols[:, u, v, i0:i1, j0:j1] = x[:, i0 + u - pad : i1 + u - pad,
-                                                 j0 + v - pad : j1 + v - pad]
-    return cols.reshape(c * k * k, h * w)
+            cols[:, u, v] = canvas[..., u : u + h, v : v + w]
+    return cols.reshape(c * k * k, -1)
 
 
 def col2im(cols: np.ndarray, shape: tuple[int, int, int], kernel_size: int,
@@ -121,16 +128,30 @@ class ConvLayer:
 
     def forward(self, x: np.ndarray, *,
                 return_cols: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Return the output [out_channels,H,W], and the patch matrix if asked."""
-        if x.ndim != 3 or x.shape[0] != self.in_channels:
+        """Return the output [out_channels,H,W], and the patch matrix if asked.
+
+        A chunk x [C,N,H,W] gives [out_channels,N,H,W]. Its product is one
+        GEMM per image, each of the shape a single-image call multiplies:
+        one GEMM over all N*H*W columns can sum in another order where an
+        image's columns do not start on a BLAS kernel block, and then an
+        image would not get its single-image bits.
+        """
+        if x.ndim not in (3, 4) or x.shape[0] != self.in_channels:
             raise ShapeError(
-                f"expected input [{self.in_channels},H,W], got {x.shape}"
+                f"expected input [{self.in_channels},H,W] or [{self.in_channels},N,H,W], "
+                f"got {x.shape}"
             )
-        _, h, w = x.shape
         cols = im2col(x, self.kernel_size, self.pad)
-        out = self._kernel_matrix @ cols
+        kmat = self._kernel_matrix
+        if x.ndim == 3:
+            out = kmat @ cols
+        else:
+            n = x.shape[1]
+            out = np.empty((self.out_channels, cols.shape[1]), dtype=np.result_type(kmat, cols))
+            np.matmul(kmat, cols.reshape(len(cols), n, -1).transpose(1, 0, 2),
+                      out=out.reshape(self.out_channels, n, -1).transpose(1, 0, 2))
         out += self.bias[:, None]
-        out = out.reshape(self.out_channels, h, w)
+        out = out.reshape((self.out_channels,) + x.shape[1:])
         return (out, cols) if return_cols else out
 
     def backward(self, grad_out: np.ndarray, saved_input: np.ndarray, *,
@@ -265,31 +286,50 @@ class SwitchRecord:
         return self.rows.shape
 
 
+def _window_corners(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Strided views of the 2x2 window corners over the last two axes.
+
+    Odd extents are padded with -inf, which no window's maximum selects.
+    Returned in row-major order: top left, top right, bottom left,
+    bottom right.
+    """
+    h, w = x.shape[-2:]
+    if h % 2 or w % 2:
+        xp = np.full(x.shape[:-2] + (h + h % 2, w + w % 2), -np.inf, dtype=x.dtype)
+        xp[..., :h, :w] = x
+        x = xp
+    return x[..., 0::2, 0::2], x[..., 0::2, 1::2], x[..., 1::2, 0::2], x[..., 1::2, 1::2]
+
+
+def maxpool_values(x: np.ndarray) -> np.ndarray:
+    """The values of maxpool_forward, without switches, over the last two axes.
+
+    Takes [C,H,W] or a chunk [C,N,H,W]. The maxima are combined in
+    maxpool_forward's order, so the values are its bits, NaN and +-inf
+    included.
+    """
+    top_left, top_right, bottom_left, bottom_right = _window_corners(x)
+    out = np.maximum(top_left, top_right)
+    return np.maximum(out, np.maximum(bottom_left, bottom_right), out=out)
+
+
 def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, SwitchRecord]:
-    """2x2 max pool; odd extents are padded with -inf (never selected).
+    """2x2 max pool of x [C,H,W]; odd extents are padded with -inf (never selected).
 
     The maximum is taken over the four strided views of the window
     corners; the switch is the first corner, in row-major order, that
     holds it.
     """
-    c, h, w = x.shape
-    hp, wp = h + h % 2, w + w % 2
-    if (hp, wp) != (h, w):
-        xp = np.full((c, hp, wp), -np.inf, dtype=x.dtype)
-        xp[:, :h, :w] = x
-    else:
-        xp = x
-    oh, ow = hp // 2, wp // 2
-    top_left, top_right = xp[:, 0::2, 0::2], xp[:, 0::2, 1::2]
-    bottom_left, bottom_right = xp[:, 1::2, 0::2], xp[:, 1::2, 1::2]
+    top_left, top_right, bottom_left, bottom_right = _window_corners(x)
     top = np.maximum(top_left, top_right)
     bottom = np.maximum(bottom_left, bottom_right)
     out = np.maximum(top, bottom)
+    _, oh, ow = out.shape
     in_bottom = top < out
     in_right = np.where(in_bottom, bottom_left < bottom, top_left < top)
     rows = 2 * np.arange(oh, dtype=np.int32)[None, :, None] + in_bottom
     cols = 2 * np.arange(ow, dtype=np.int32)[None, None, :] + in_right
-    return out, SwitchRecord(rows=rows, cols=cols, input_shape=(c, h, w))
+    return out, SwitchRecord(rows=rows, cols=cols, input_shape=x.shape)
 
 
 def unpool(values: np.ndarray, switches: SwitchRecord) -> np.ndarray:

@@ -26,6 +26,7 @@ from .layers import (
     dropout_mask,
     maxpool_backward,
     maxpool_forward,
+    maxpool_values,
     relu_backward,
     relu_forward,
     softmax_cross_entropy,
@@ -232,10 +233,24 @@ class Network:
         fc1_out, hidden, _, logits = self._head(flat, None)
         return ForwardTrace(image_id, stages, flat, fc1_out, hidden, logits)
 
-    def stage_outputs(self, x: np.ndarray) -> list[np.ndarray]:
-        """Pooled feature maps per stage, without the classifier head."""
-        self._check_input(x)
-        return [st.pool_out for st in self._run_stages(x)]
+    def stage_outputs(self, xs: np.ndarray, layer: int) -> np.ndarray:
+        """Pooled feature maps [N, C, h, w] of stage `layer` (1-based) for xs [N, 1, S, S].
+
+        The chunk runs through the conv stack once, stage by stage as
+        [C, N, H, W] arrays, and stops at `layer`. It keeps no trace,
+        patch matrix or switch and runs no classifier head; each image's
+        maps are the bits forward_trace gives it.
+        """
+        expected = (1, self.config.input_size, self.config.input_size)
+        if xs.ndim != 4 or xs.shape[1:] != expected:
+            raise ShapeError(f"expected a chunk [N, {', '.join(map(str, expected))}], "
+                             f"got {xs.shape}")
+        if not 1 <= layer <= len(self.convs):
+            raise ShapeError(f"layer {layer} outside 1..{len(self.convs)}")
+        a = xs.transpose(1, 0, 2, 3)
+        for conv in self.convs[:layer]:
+            a = maxpool_values(relu_forward(conv.forward(a)))
+        return a.transpose(1, 0, 2, 3)
 
     # ---------------------------------------------------------- backward
 

@@ -204,3 +204,141 @@ def reachable_pixels(unit_value_fn, input_shape: tuple[int, int, int],
             mask[i, j] = unit_value_fn(img) != ref
             img[0, i, j] = base
     return mask
+
+
+# Earlier per-image and per-line implementations, kept as references:
+# the chunked harvest, the separable resize and the column-wise DB parse
+# must reproduce them exactly. harvest_per_image drives the library's
+# per-image forward_trace, which keeps switches, as the earlier loop did.
+
+
+def bilinear_sample_masked(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Bilinear samples of img [H,W] at full coordinate grids by boolean-mask gathers."""
+    h, w = img.shape
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    fy = ys - y0
+    fx = xs - x0
+    out = np.zeros(ys.shape, dtype=np.float64)
+    for dy in (0, 1):
+        wy = np.where(dy == 0, 1.0 - fy, fy)
+        yy = y0 + dy
+        inside_y = (yy >= 0) & (yy < h)
+        for dx in (0, 1):
+            wx = np.where(dx == 0, 1.0 - fx, fx)
+            xx = x0 + dx
+            inside = inside_y & (xx >= 0) & (xx < w)
+            vals = np.zeros(ys.shape, dtype=np.float64)
+            vals[inside] = img[yy[inside], xx[inside]]
+            out += wy * wx * vals
+    return out
+
+
+def resize_meshgrid(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Half-pixel-center bilinear resize sampled at a full meshgrid."""
+    h, w = img.shape
+    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
+    grid_y, grid_x = np.meshgrid(np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1), indexing="ij")
+    return bilinear_sample_masked(np.asarray(img, dtype=np.float64), grid_y, grid_x)
+
+
+def harvest_per_image(net, manifest, layer: int):
+    """(values, rows, cols) of every image's per-map peaks, one image at a time.
+
+    Runs each image through forward_trace, which keeps switches; raises
+    NumericError for the first non-finite peak in image, then map order.
+    """
+    from auprobe import data
+    from auprobe.model import NumericError
+
+    size, dtype = net.config.input_size, net.config.np_dtype
+    results = []
+    for i in range(len(manifest)):
+        x = data.eval_transform(data.load_image(manifest, i), size, dtype=dtype)
+        fmap = net.forward_trace(x).stages[layer - 1].pool_out
+        num_maps = fmap.shape[0]
+        flat = fmap.reshape(num_maps, -1)
+        arg = flat.argmax(axis=1)
+        vals = flat[np.arange(num_maps), arg]
+        if not np.isfinite(vals).all():
+            j = int(np.flatnonzero(~np.isfinite(vals))[0])
+            raise NumericError(
+                f"non-finite activation {vals[j]} in layer {layer} map {j} "
+                f"of image {i} ({manifest.image_path(i)})"
+            )
+        r, c = np.unravel_index(arg, fmap.shape[1:])
+        results.append((vals.astype(np.float64), r.astype(np.int32), c.astype(np.int32)))
+    return tuple(np.stack([res[k] for res in results]) for k in range(3))
+
+
+def load_activation_db(path):
+    """(image ids, values, rows, cols, layer, provenance) by the per-line parse.
+
+    The earlier ActivationDB.load: a dict of dicts filled line by line
+    through int() and float(); raises the same DataError messages.
+    """
+    from pathlib import Path
+
+    from auprobe.data import DataError
+
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or not lines[0].startswith("# auprobe-activation-db"):
+        raise DataError(f"{path}: not an activation db")
+    tokens = lines[0].split()[2:]
+    meta = dict(t.split("=", 1) for t in tokens if "=" in t)
+    try:
+        layer = int(meta.pop("layer", "0"))
+    except ValueError as exc:
+        raise DataError(f"{path} line 1: {exc}") from exc
+    meta.pop("v", None)
+    if len(lines) < 2 or lines[1] != "image_id,map,value,row,col":
+        raise DataError(f"{path}: missing column header")
+    by_image: dict[int, dict[int, tuple[float, int, int]]] = {}
+    for ln, line in enumerate(lines[2:], start=3):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise DataError(f"{path} line {ln}: expected 5 fields")
+        try:
+            img, j = int(parts[0]), int(parts[1])
+            entry = (float(parts[2]), int(parts[3]), int(parts[4]))
+        except ValueError as exc:
+            raise DataError(f"{path} line {ln}: {exc}") from exc
+        by_image.setdefault(img, {})[j] = entry
+    if not by_image:
+        raise DataError(f"{path}: empty activation db")
+    if len(lines) - 2 - lines[2:].count("") != sum(map(len, by_image.values())):
+        seen = set()
+        for ln, line in enumerate(lines[2:], start=3):
+            if not line:
+                continue
+            key = tuple(int(f) for f in line.split(",")[:2])
+            if key in seen:
+                raise DataError(f"{path} line {ln}: repeats image {key[0]} map {key[1]}")
+            seen.add(key)
+    image_ids = sorted(by_image)
+    maps = sorted(by_image[image_ids[0]])
+    num_maps = len(maps)
+    if maps != list(range(num_maps)):
+        raise DataError(f"{path}: map indices are not dense")
+    values = np.zeros((len(image_ids), num_maps))
+    rows = np.zeros((len(image_ids), num_maps), dtype=np.int32)
+    cols = np.zeros((len(image_ids), num_maps), dtype=np.int32)
+    for i, img in enumerate(image_ids):
+        if sorted(by_image[img]) != maps:
+            raise DataError(f"{path}: image {img} has a different map set")
+        for j in maps:
+            values[i, j], rows[i, j], cols[i, j] = by_image[img][j]
+    if not ((values >= 0) & (values < np.inf)).all():
+        for ln, line in enumerate(lines[2:], start=3):
+            field = line.split(",")[2] if line else "0"
+            value = float(field)
+            if not math.isfinite(value):
+                raise DataError(f"{path} line {ln}: non-finite value {field!r}")
+            if value < 0:
+                raise DataError(f"{path} line {ln}: negative peak {field!r}; "
+                                "peaks are maxima of ReLU outputs")
+    return image_ids, values, rows, cols, layer, meta

@@ -133,6 +133,17 @@ def test_associate_non_numeric_db_field_exits_2(tmp_path, dataset, capsys):
     assert err.startswith("error: ") and "db.csv line 3" in err
 
 
+def test_associate_non_utf8_db_exits_2(tmp_path, dataset, capsys):
+    db_path = tmp_path / "db.csv"
+    db_path.write_bytes(b"\xff\xfe\x00# auprobe-activation-db v=1 layer=3\n")
+    rc = main(["associate", "--db", str(db_path), "--manifest", str(dataset),
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "db.csv: not UTF-8 text" in err
+
+
 def test_associate_nan_db_value_exits_2(tmp_path, dataset, capsys):
     manifest_hash = data.load_manifest(dataset).content_hash()
     db_path = tmp_path / "db.csv"

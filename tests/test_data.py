@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auprobe import data, imageio
+from auprobe import association, cli, data, imageio
 from auprobe.data import (
     DataError,
     DatasetManifest,
@@ -18,6 +18,9 @@ from auprobe.data import (
     save_synthetic_spec,
     split,
 )
+from auprobe.harvest import ActivationDB
+
+from oracles import bilinear_sample_masked, resize_meshgrid
 
 
 @pytest.fixture
@@ -150,6 +153,38 @@ def test_eval_coordinate_map_tracks_bright_pixel():
     cx = (view * xx).sum() / view.sum()
     assert abs(cy - (scale * 30 + offset)) < 0.2
     assert abs(cx - (scale * 12 + offset)) < 0.2
+
+
+@pytest.mark.parametrize("h, w", [(48, 48), (8, 8), (13, 40), (120, 33), (96, 96)])
+def test_separable_resize_equals_meshgrid_sampling(h, w):
+    rng = np.random.default_rng(h * w)
+    img = rng.integers(0, 256, (h, w)).astype(np.uint8)
+    for out_h, out_w in [(51, 51), (99, 99), (7, 30), (200, 5), (h, w)]:
+        assert np.array_equal(data.resize(img, out_h, out_w), resize_meshgrid(img, out_h, out_w))
+    for size in (8, 45, 96):
+        view = resize_meshgrid(img, size + 3, size + 3)[1 : 1 + size, 1 : 1 + size]
+        assert np.array_equal(eval_transform(img, size), data.standardize(view)[None])
+        assert np.array_equal(data.eval_view(img, size),
+                              np.clip(np.rint(view), 0, 255).astype(np.uint8))
+
+
+def test_bilinear_sample_equals_masked_gathers_out_of_range():
+    # rotate's coordinates fall outside the image near the corners
+    rng = np.random.default_rng(3)
+    img = rng.normal(size=(10, 12))
+    img[2, 3], img[5, 5], img[0, 11] = np.nan, np.inf, -np.inf
+    ys, xs = rng.uniform(-3, 14, (20, 17)), rng.uniform(-3, 15, (20, 17))
+    ys[0, :5] = [-1.0, 9.0, 10.0, 0.0, 9.5]
+    got = data._bilinear_sample(img, ys, xs)
+    assert got.tobytes() == bilinear_sample_masked(img, ys, xs).tobytes()
+    square = rng.integers(0, 256, (33, 33)).astype(np.float64)
+    yy, xx = np.meshgrid(np.arange(33.0), np.arange(33.0), indexing="ij")
+    for degrees in (-15.0, 7.3, 90.0, 180.0):
+        theta = np.deg2rad(degrees)
+        src_y = 16 + (yy - 16) * np.cos(theta) - (xx - 16) * np.sin(theta)
+        src_x = 16 + (yy - 16) * np.sin(theta) + (xx - 16) * np.cos(theta)
+        assert np.array_equal(data.rotate(square, degrees),
+                              bilinear_sample_masked(square, src_y, src_x))
 
 
 # ----------------------------------------------------------- synthetic
@@ -300,3 +335,21 @@ def test_split_too_large():
     rows = [ManifestRow("a.pgm", "joy", frozenset(), "s", "q")]
     with pytest.raises(DataError):
         split(DatasetManifest(rows=rows), 1, seed=0)
+
+
+# ------------------------------------------------------------ encodings
+
+
+@pytest.mark.parametrize("reader", [
+    ActivationDB.load,
+    load_manifest,
+    association.load_profile_csv,
+    cli.parse_config_file,
+    load_synthetic_spec,
+])
+def test_non_utf8_file_is_data_error_naming_it(tmp_path, reader):
+    # a UTF-16 byte-order mark and a NUL: not UTF-8 from the first byte
+    p = tmp_path / "input.txt"
+    p.write_bytes(b"\xff\xfe\x00" + "# auprobe-activation-db v=1\n".encode("utf-16-le"))
+    with pytest.raises(DataError, match=r"input\.txt: not UTF-8"):
+        reader(p)

@@ -169,7 +169,7 @@ def test_receptive_field_matches_perturbation_oracle():
         conv.bias[...] = 0.0
     for layer, loc in [(1, (5, 7)), (2, (2, 3)), (3, (1, 1)), (3, (0, 0))]:
         def unit(img, layer=layer, loc=loc):
-            return float(net.stage_outputs(img)[layer - 1][(0,) + loc])
+            return float(net.stage_outputs(img[None], layer)[(0, 0) + loc])
 
         mask = reachable_pixels(unit, (1, 24, 24))
         ys, xs = np.where(mask)

@@ -3,9 +3,9 @@ import pytest
 
 from auprobe import data, model
 from auprobe.data import DataError
-from auprobe.harvest import ActivationDB, harvest, partition_by_au, top_n
+from auprobe.harvest import ActivationDB, chunk_images, harvest, partition_by_au, top_n
 
-from oracles import top_n_records
+from oracles import harvest_per_image, load_activation_db, top_n_records
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def test_record_location_attains_value(setup):
     net, manifest = setup
     db = harvest(net, manifest)
     x = data.eval_transform(data.load_image(manifest, 3), net.config.input_size)
-    fmap = net.stage_outputs(x)[db.layer - 1]
+    fmap = net.stage_outputs(x[None], db.layer)[0]
     for j in (0, 7, 31):
         rec = db.record(3, j)
         assert fmap[j].max() == rec.value
@@ -136,6 +136,127 @@ def test_db_repeated_image_map_is_data_error(tmp_path, first):
                  f"0,0,{first},0,0\n\n1,0,1.0,0,0\n\n0,0,5.0,0,0\n")
     with pytest.raises(DataError, match=r"db\.csv line 7: repeats image 0 map 0"):
         ActivationDB.load(p)
+
+
+def test_chunk_size_from_patch_matrix_budget():
+    # conv2's patch matrix is 0.92 MB per image in reduced_config and
+    # 29.5 MB in ModelConfig(), against a 4 MiB budget
+    assert chunk_images(model.reduced_config(), 3) == 4
+    assert chunk_images(model.reduced_config(), 1) == 9
+    assert chunk_images(model.ModelConfig(), 3) == 1
+
+
+def _subset(manifest, n, crops=None):
+    rows = manifest.rows[:n]
+    if crops is not None:
+        rows = [data.ManifestRow(r.path, r.label, r.au_set, r.subject, r.sequence, crop)
+                for r, crop in zip(rows, crops)]
+    return data.DatasetManifest(rows=rows, base_dir=manifest.base_dir)
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 12])
+def test_harvest_equals_per_image_loop(setup, n):
+    # chunks of 4 images: one, a whole chunk, a chunk and one, three chunks
+    net, manifest = setup
+    subset = _subset(manifest, n)
+    for layer in (1, 2, 3):
+        db = harvest(net, subset, layer)
+        values, rows, cols = harvest_per_image(net, subset, layer)
+        assert db.values.tobytes() == values.tobytes()
+        np.testing.assert_array_equal(db.rows, rows)
+        np.testing.assert_array_equal(db.cols, cols)
+        assert db.rows.dtype == db.cols.dtype == np.int32
+
+
+def test_harvest_mixed_image_sizes_equal_per_image_loop(setup):
+    net, manifest = setup
+    crops = [(0, 0, 48, 48), (3, 5, 40, 31), (10, 2, 18, 47), (0, 0, 9, 8),
+             (20, 20, 48, 48), (1, 1, 47, 12)]
+    subset = _subset(manifest, len(crops), crops)
+    db = harvest(net, subset)
+    values, rows, cols = harvest_per_image(net, subset, 3)
+    assert db.values.tobytes() == values.tobytes()
+    np.testing.assert_array_equal(db.rows, rows)
+    np.testing.assert_array_equal(db.cols, cols)
+
+
+@pytest.mark.parametrize("bad_image", [0, 5, 11])
+def test_harvest_nan_image_names_that_image(setup, monkeypatch, bad_image):
+    # a NaN pixel in one image, in the first, second or third chunk
+    net, manifest = setup
+    transform, calls = data.eval_transform, []
+
+    def nan_at_bad_image(image, *args, **kwargs):
+        x = transform(image, *args, **kwargs)
+        if len(calls) % len(manifest) == bad_image:
+            x[0, 20, 30] = np.nan
+        calls.append(1)
+        return x
+
+    monkeypatch.setattr(data, "eval_transform", nan_at_bad_image)
+    with pytest.raises(model.NumericError) as expected:
+        harvest_per_image(net, manifest, 3)
+    assert f"of image {bad_image} (" in str(expected.value)
+    calls.clear()
+    with pytest.raises(model.NumericError) as got:
+        harvest(net, manifest)
+    assert str(got.value) == str(expected.value)
+
+
+def _random_db_lines(rng):
+    images, maps = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+    ids = rng.choice(50, images, replace=False) - 5  # negative ids parse too
+    values = ["-0.0", "0.0", "1.5", "2", "1e-300", "0.30000000000000004", "7e2"]
+    lines = [f"{i},{j},{rng.choice(values)},{rng.integers(0, 9)},{rng.integers(0, 9)}"
+             for i in ids for j in range(maps)]
+    rng.shuffle(lines)
+    corrupt = [
+        lambda t: "1,2,3,4", lambda t: t + ",5", lambda t: t.replace(",", ",x", 1),
+        lambda t: t.split(",", 1)[0] + ",1.0," + t.split(",", 2)[2],
+        lambda t: ",".join(t.split(",")[:2] + ["nan"] + t.split(",")[3:]),
+        lambda t: ",".join(t.split(",")[:2] + ["-inf"] + t.split(",")[3:]),
+        lambda t: ",".join(t.split(",")[:2] + ["-3.5"] + t.split(",")[3:]),
+        lambda t: ",".join(t.split(",")[:1] + [str(maps + 1)] + t.split(",")[2:]),
+        lambda t: ",".join(t.split(",")[:4] + [" 7"]),
+        lambda t: ",".join(t.split(",")[:4] + ["1_0"]),
+    ]
+    for _ in range(int(rng.integers(0, 3))):
+        k = int(rng.integers(len(lines)))
+        lines[k] = corrupt[int(rng.integers(len(corrupt)))](lines[k])
+    if rng.random() < 0.3:
+        lines.insert(int(rng.integers(len(lines) + 1)), lines[int(rng.integers(len(lines)))])
+    if rng.random() < 0.2:
+        lines = [t for t in lines if not t.startswith(f"{ids[-1]},")] or lines
+    for _ in range(int(rng.integers(0, 3))):
+        lines.insert(int(rng.integers(len(lines) + 1)), "")
+    if rng.random() < 0.05:
+        lines = [""]
+    return lines
+
+
+def test_db_load_equals_per_line_parse(tmp_path):
+    rng = np.random.default_rng(11)
+    p = tmp_path / "db.csv"
+    outcomes = set()
+    for _ in range(400):
+        lines = _random_db_lines(rng)
+        p.write_text("# auprobe-activation-db v=1 layer=2 checkpoint=abc\n"
+                     "image_id,map,value,row,col\n" + "\n".join(lines) + "\n")
+        try:
+            expected = load_activation_db(p)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                ActivationDB.load(p)
+            assert str(got.value) == str(exc)
+            outcomes.add(str(exc).split(": ", 1)[1].split(" ")[0])
+            continue
+        db = ActivationDB.load(p)
+        image_ids, values, rows, cols, layer, meta = expected
+        assert db.image_ids == image_ids and (db.layer, db.provenance) == (layer, meta)
+        assert db.values.tobytes() == values.tobytes()  # -0.0 stays -0.0
+        assert db.rows.tobytes() == rows.tobytes() and db.cols.tobytes() == cols.tobytes()
+        outcomes.add("loaded")
+    assert len(outcomes) >= 6  # loads and several kinds of error
 
 
 def test_harvest_empty_manifest_rejected(setup):

@@ -14,6 +14,7 @@ from auprobe.layers import (
     im2col,
     maxpool_backward,
     maxpool_forward,
+    maxpool_values,
     relu_backward,
     relu_forward,
     softmax_cross_entropy,
@@ -72,6 +73,10 @@ def test_conv_zero_kernels_bias_only():
 def test_conv_channel_mismatch():
     with pytest.raises(ShapeError):
         make_conv(3, 4).forward(np.zeros((2, 6, 6)))
+    with pytest.raises(ShapeError):
+        make_conv(3, 4).forward(np.zeros((2, 2, 6, 6)))
+    with pytest.raises(ShapeError):
+        make_conv(3, 4).forward(np.zeros((3, 1, 2, 6, 6)))
 
 
 @pytest.mark.parametrize("in_c,out_c,h,w,k", [(1, 1, 3, 3, 5), (2, 3, 5, 4, 5), (3, 2, 4, 6, 3)])
@@ -182,6 +187,13 @@ def test_im2col_col2im_equal_transposed_layout(dtype, geometry):
     patches = rng.normal(size=cols.shape).astype(dtype)
     np.testing.assert_array_equal(col2im(patches, x.shape, k, k // 2),
                                   col2im_transposed(patches.T, x.shape, k, k // 2))
+    # a chunk [C,N,H,W] gives each image's patch matrix in turn
+    xs = np.stack([x, rng.normal(size=x.shape).astype(dtype)], axis=1)
+    chunk = im2col(xs, k, k // 2)
+    assert chunk.flags.c_contiguous and chunk.shape == (len(cols), 2 * h * w)
+    for i in range(2):
+        np.testing.assert_array_equal(chunk.reshape(len(cols), 2, -1)[:, i],
+                                      im2col(xs[:, i], k, k // 2))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -192,6 +204,20 @@ def test_conv_forward_equals_transposed_layout(dtype, geometry):
     assert out.dtype == dtype
     np.testing.assert_array_equal(out, _forward_reference(layer, kmat, x))
     np.testing.assert_array_equal(layer.forward(x), out)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("geometry", MODEL_GEOMETRIES + ODD_GEOMETRIES)
+def test_conv_chunk_forward_equals_stacked_images(dtype, geometry):
+    # one GEMM over the whole chunk sums odd extents in another order on
+    # OpenBLAS; the chunk must still give every image its own bits
+    layer, _, x, _ = _conv_case(dtype, *geometry)
+    xs = np.stack([x, -x[:, ::-1]], axis=1)
+    out, cols = layer.forward(xs, return_cols=True)
+    assert out.shape == (layer.out_channels,) + xs.shape[1:] and out.dtype == dtype
+    np.testing.assert_array_equal(cols, im2col(xs, layer.kernel_size, layer.pad))
+    for i in range(xs.shape[1]):
+        np.testing.assert_array_equal(out[:, i], layer.forward(xs[:, i]))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -302,6 +328,7 @@ def _assert_pool_equals_argmax(x):
     ref, rows, cols = maxpool_argmax(x)
     assert out.dtype == x.dtype
     np.testing.assert_array_equal(out, ref)
+    assert maxpool_values(x).tobytes() == out.tobytes()
     np.testing.assert_array_equal(sw.rows, rows)
     np.testing.assert_array_equal(sw.cols, cols)
     assert sw.rows.dtype == rows.dtype and sw.cols.dtype == cols.dtype
@@ -329,6 +356,29 @@ def test_maxpool_equals_argmax_reference(dtype, shape):
 @settings(max_examples=150)
 def test_maxpool_ties_and_infinities_equal_argmax_reference(x):
     _assert_pool_equals_argmax(x)
+
+
+@given(
+    st.sampled_from([np.float64, np.float32]).flatmap(
+        lambda dtype: hnp.arrays(
+            dtype,
+            st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 9),
+                      st.integers(1, 9)),
+            elements=st.sampled_from([np.nan, -np.nan, -np.inf, -1.0, -0.0, 0.0, 2.5,
+                                      np.inf]),
+        )
+    )
+)
+@settings(max_examples=150)
+def test_maxpool_values_are_maxpool_forward_bits(xs):
+    # a chunk [C,N,H,W] pools each image as maxpool_forward does, NaN
+    # payloads and signed zeros included, odd extents padded alike
+    pooled = maxpool_values(xs)
+    assert pooled.dtype == xs.dtype
+    for i in range(xs.shape[1]):
+        image = np.ascontiguousarray(xs[:, i])
+        assert pooled[:, i].tobytes() == maxpool_forward(image)[0].tobytes()
+        assert maxpool_values(image).tobytes() == pooled[:, i].tobytes()
 
 
 def test_maxpool_backward_routes_single_value():
