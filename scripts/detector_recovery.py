@@ -32,7 +32,7 @@ def evaluate_recovery(net, manifest, spec, db, n=9):
         ratio = prof.argmax_distance / max(float(np.median(prof.distances)), 1e-12)
         rec = harvest.top_n(db, prof.argmax_map, range(db.num_images), 1)[0]
         img = data.load_image(manifest, rec.image_id)
-        x = data.eval_transform(img, net.config.input_size, dtype=net.config.np_dtype)
+        x = data.eval_transform(img, net.config.input_size)
         trace = net.forward_trace(x, image_id=rec.image_id)
         proj = deconv.project(trace, net, db.layer, prof.argmax_map, (rec.row, rec.col))
         box = data.region_in_model_coords(unit.region, spec.canvas_size,

@@ -199,7 +199,7 @@ def cmd_deconv(args) -> int:
     records = harvest_mod.top_n(db, args.map, range(db.num_images), args.top)
     for rank, rec in enumerate(records, start=1):
         img = data.load_image(manifest, rec.image_id)
-        x = data.eval_transform(img, net.config.input_size, dtype=net.config.np_dtype)
+        x = data.eval_transform(img, net.config.input_size)
         trace = net.forward_trace(x, image_id=rec.image_id)
         proj = project(trace, net, db.layer, args.map, (rec.row, rec.col))
         box = receptive_field(net.config, db.layer, (rec.row, rec.col))

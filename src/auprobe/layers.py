@@ -30,9 +30,9 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible or do not match the data length."""
 
 
-# Elements in one block of the blocked FC weight-gradient and SGD update
-# loops (512 KB in float64): small next to a weight matrix, large enough
-# that the Python cost per block is noise.
+# Elements in one block of the blocked weight init, FC weight-gradient
+# and SGD update loops (512 KB in float64): small next to a weight
+# matrix, large enough that the Python cost per block is noise.
 BLOCK_ELEMENTS = 1 << 16
 # Output rows per tile of the FC weight gradient: a tile reuses one column
 # slab of the stacked inputs for this many rows.
@@ -88,6 +88,23 @@ def _init_std(mode: str, fan_in: int) -> float:
     raise ValueError(f"unknown init_mode {mode!r}")
 
 
+def _gaussian_init(rng: np.random.Generator, shape: tuple[int, ...], std: float,
+                   dtype) -> np.ndarray:
+    """(rng.standard_normal(shape) * std).astype(dtype), drawn in blocks.
+
+    The generator yields the same stream whether asked for one array or
+    for consecutive blocks, so filling the run-dtype array BLOCK_ELEMENTS
+    at a time gives the one-draw bits without its float64 temporary
+    (302 MB for fc1 of ModelConfig()).
+    """
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, BLOCK_ELEMENTS):
+        block = flat[start : start + BLOCK_ELEMENTS]
+        block[...] = rng.standard_normal(block.size) * std
+    return out
+
+
 class ConvLayer:
     """Same-size convolution: stride 1, zero padding of kernel_size//2.
 
@@ -113,7 +130,7 @@ class ConvLayer:
             self.kernels = np.zeros(shape, dtype=dtype)
         else:
             std = _init_std(init_mode, in_channels * kernel_size * kernel_size)
-            self.kernels = (rng.standard_normal(shape) * std).astype(dtype, copy=False)
+            self.kernels = _gaussian_init(rng, shape, std, dtype)
         self.bias = np.zeros(out_channels, dtype=dtype)
         self.grad_kernels = np.zeros(shape, dtype=dtype)
         self.grad_bias = np.zeros_like(self.bias)
@@ -215,8 +232,7 @@ class FCLayer:
             self.weights = np.zeros((out_features, in_features), dtype=dtype)
         else:
             std = _init_std(init_mode, in_features)
-            self.weights = (rng.standard_normal((out_features, in_features))
-                            * std).astype(dtype, copy=False)
+            self.weights = _gaussian_init(rng, (out_features, in_features), std, dtype)
         self.bias = np.zeros(out_features, dtype=dtype)
         self.grad_weights = np.zeros(self.weights.shape, dtype=dtype)
         self.grad_bias = np.zeros_like(self.bias)

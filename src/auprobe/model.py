@@ -51,7 +51,7 @@ class ModelConfig:
     num_classes: int = 8
     init_mode: str = "scaled"  # "paper" keeps the variance-1 Gaussian init
     seed: int = 0
-    dtype: str = "float64"
+    dtype: str = "float32"  # "float64" for the double-precision run
 
     def __post_init__(self):
         if self.input_size < 8:
@@ -184,10 +184,16 @@ class Network:
 
     # ----------------------------------------------------------- forward
 
-    def _check_input(self, x: np.ndarray) -> None:
+    def _input(self, x: np.ndarray) -> np.ndarray:
+        """x checked against [1, S, S] and cast to the network's dtype.
+
+        Without the cast a float64 image would promote every GEMM of a
+        float32 network to float64.
+        """
         expected = (1, self.config.input_size, self.config.input_size)
         if x.shape != expected:
             raise ShapeError(f"expected input {expected}, got {x.shape}")
+        return x.astype(self.config.np_dtype, copy=False)
 
     def _run_stages(self, x: np.ndarray, keep_cols: bool = False) -> list[StageTrace]:
         stages = []
@@ -211,7 +217,7 @@ class Network:
     def forward(self, x: np.ndarray, train: bool = False, dropout_p: float = 0.5,
                 dropout_rng: np.random.Generator | None = None):
         """Return logits; in train mode also the cache backward() needs."""
-        self._check_input(x)
+        x = self._input(x)
         stages = self._run_stages(x, keep_cols=train)
         flat = stages[-1].pool_out.reshape(-1)
         drop_mask = None
@@ -227,7 +233,7 @@ class Network:
 
     def forward_trace(self, x: np.ndarray, image_id: int | None = None) -> ForwardTrace:
         """Inference pass that keeps every intermediate activation."""
-        self._check_input(x)
+        x = self._input(x)
         stages = self._run_stages(x)
         flat = stages[-1].pool_out.reshape(-1)
         fc1_out, hidden, _, logits = self._head(flat, None)
@@ -239,7 +245,8 @@ class Network:
         The chunk runs through the conv stack once, stage by stage as
         [C, N, H, W] arrays, and stops at `layer`. It keeps no trace,
         patch matrix or switch and runs no classifier head; each image's
-        maps are the bits forward_trace gives it.
+        maps are the bits forward_trace gives it. xs is cast to the
+        network's dtype, as forward casts its input.
         """
         expected = (1, self.config.input_size, self.config.input_size)
         if xs.ndim != 4 or xs.shape[1:] != expected:
@@ -247,7 +254,7 @@ class Network:
                              f"got {xs.shape}")
         if not 1 <= layer <= len(self.convs):
             raise ShapeError(f"layer {layer} outside 1..{len(self.convs)}")
-        a = xs.transpose(1, 0, 2, 3)
+        a = xs.astype(self.config.np_dtype, copy=False).transpose(1, 0, 2, 3)
         for conv in self.convs[:layer]:
             a = maxpool_values(relu_forward(conv.forward(a)))
         return a.transpose(1, 0, 2, 3)
@@ -312,7 +319,7 @@ def sgd_step(net: Network, velocity: dict[str, np.ndarray], cfg: TrainConfig,
     Per element, in this order: step = grad * grad_scale + weight_decay *
     value, velocity = velocity * momentum - learning_rate * step, value +=
     velocity. Whole-array expressions would build weight-sized
-    temporaries (fc1 of ModelConfig() holds 302 MB in float64), so the
+    temporaries (fc1 of ModelConfig() holds 151 MB in float32), so the
     update runs in place, BLOCK_ELEMENTS at a time through two block-sized
     scratch rows; the arithmetic is the same, so the weights are too.
     Raises NumericError naming the parameter when a block is left with a
@@ -355,7 +362,7 @@ def evaluate(net: Network, manifest: data_mod.DatasetManifest) -> tuple[float, f
     correct = 0
     for i in range(len(manifest)):
         img = data_mod.load_image(manifest, i)
-        x = data_mod.eval_transform(img, net.config.input_size, dtype=net.config.np_dtype)
+        x = data_mod.eval_transform(img, net.config.input_size)
         logits = net.forward(x)
         loss, _ = softmax_cross_entropy(logits, labels[i])
         total_loss += loss

@@ -131,7 +131,7 @@ def montage(db: ActivationDB, net: Network, manifest: data_mod.DatasetManifest,
     deconv_cells: list[np.ndarray] = []
     for rec in records:
         img = data_mod.load_image(manifest, rec.image_id)
-        x = data_mod.eval_transform(img, config.input_size, dtype=config.np_dtype)
+        x = data_mod.eval_transform(img, config.input_size)
         view = data_mod.eval_view(img, config.input_size)
         trace = net.forward_trace(x, image_id=rec.image_id)
         proj = project(trace, net, layer, map_index, (rec.row, rec.col))

@@ -106,6 +106,12 @@ def sgd_step_reference(params, velocity, cfg, grad_scale: float) -> None:
         value += vel
 
 
+def gaussian_init_one_draw(rng: np.random.Generator, shape, std: float,
+                           dtype) -> np.ndarray:
+    """The Gaussian weight init as one float64 draw of the whole shape, then cast."""
+    return (rng.standard_normal(shape) * std).astype(dtype)
+
+
 def softmax_ce_direct(logits, label: int) -> tuple[float, list[float]]:
     """Softmax cross-entropy straight from the definition (math module)."""
     exps = [math.exp(float(v)) for v in logits]

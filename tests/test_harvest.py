@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from auprobe import data, model
+from auprobe import data, harvest as harvest_mod, model
 from auprobe.data import DataError
 from auprobe.harvest import ActivationDB, chunk_images, harvest, partition_by_au, top_n
 
@@ -139,11 +141,25 @@ def test_db_repeated_image_map_is_data_error(tmp_path, first):
 
 
 def test_chunk_size_from_patch_matrix_budget():
-    # conv2's patch matrix is 0.92 MB per image in reduced_config and
-    # 29.5 MB in ModelConfig(), against a 4 MiB budget
-    assert chunk_images(model.reduced_config(), 3) == 4
-    assert chunk_images(model.reduced_config(), 1) == 9
-    assert chunk_images(model.ModelConfig(), 3) == 1
+    # conv2's patch matrix per image is 0.46 MB in reduced_config and
+    # 14.7 MB in ModelConfig() in float32, twice that in float64, against
+    # a 4 MiB budget
+    reduced, paper = model.reduced_config(), model.ModelConfig()
+    assert reduced.dtype == paper.dtype == "float32"
+    assert [chunk_images(reduced, layer) for layer in (1, 2, 3)] == [18, 9, 9]
+    assert [chunk_images(paper, layer) for layer in (1, 2, 3)] == [4, 1, 1]
+    reduced64 = dataclasses.replace(reduced, dtype="float64")
+    paper64 = dataclasses.replace(paper, dtype="float64")
+    assert [chunk_images(reduced64, layer) for layer in (1, 2, 3)] == [9, 4, 4]
+    assert [chunk_images(paper64, layer) for layer in (1, 2, 3)] == [2, 1, 1]
+
+
+@pytest.fixture()
+def four_image_chunks(monkeypatch):
+    # half the budget: float32 harvests these tests' 12 images in the
+    # chunks float64 takes at the full budget, 4 at a time from layer 2 on
+    monkeypatch.setattr(harvest_mod, "CHUNK_BYTES", harvest_mod.CHUNK_BYTES // 2)
+    assert [chunk_images(model.reduced_config(), layer) for layer in (1, 2, 3)] == [9, 4, 4]
 
 
 def _subset(manifest, n, crops=None):
@@ -155,7 +171,7 @@ def _subset(manifest, n, crops=None):
 
 
 @pytest.mark.parametrize("n", [1, 4, 5, 12])
-def test_harvest_equals_per_image_loop(setup, n):
+def test_harvest_equals_per_image_loop(setup, four_image_chunks, n):
     # chunks of 4 images: one, a whole chunk, a chunk and one, three chunks
     net, manifest = setup
     subset = _subset(manifest, n)
@@ -181,7 +197,7 @@ def test_harvest_mixed_image_sizes_equal_per_image_loop(setup):
 
 
 @pytest.mark.parametrize("bad_image", [0, 5, 11])
-def test_harvest_nan_image_names_that_image(setup, monkeypatch, bad_image):
+def test_harvest_nan_image_names_that_image(setup, four_image_chunks, monkeypatch, bad_image):
     # a NaN pixel in one image, in the first, second or third chunk
     net, manifest = setup
     transform, calls = data.eval_transform, []

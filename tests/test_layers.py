@@ -25,6 +25,7 @@ from oracles import (
     central_difference,
     col2im_transposed,
     conv_direct,
+    gaussian_init_one_draw,
     im2col_transposed,
     inner_product,
     maxpool_argmax,
@@ -39,6 +40,25 @@ def make_conv(in_c, out_c, k=5, seed=0):
 
 
 # ---------------------------------------------------------------- conv
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_equals_one_draw(dtype):
+    # fc holds 3 x 30000 = 90000 weights: one full draw block and a partial one
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    conv = ConvLayer(3, 4, 5, rng=rng, dtype=dtype)
+    fc = FCLayer(30000, 3, rng=rng, dtype=dtype)
+    paper = FCLayer(7, 2, rng=rng, init_mode="paper", dtype=dtype)
+    expected = [
+        (conv.kernels, gaussian_init_one_draw(ref, (4, 3, 5, 5), 1.0 / np.sqrt(75), dtype)),
+        (fc.weights, gaussian_init_one_draw(ref, (3, 30000), 1.0 / np.sqrt(30000), dtype)),
+        (paper.weights, gaussian_init_one_draw(ref, (2, 7), 1.0, dtype)),
+    ]
+    for got, want in expected:
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+    # the generator is left where the one-draw init leaves it
+    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("k,corner", [(3, 4), (5, 9)])

@@ -21,7 +21,7 @@ LIMIT = 0.25
 def net():
     # fc1: 1024 x (64 * 4 * 4) float64 weights, 8 MiB
     net = build_network(ModelConfig(input_size=32, conv_channels=(2, 4, 64),
-                                    fc_hidden=1024, num_classes=4))
+                                    fc_hidden=1024, num_classes=4, dtype="float64"))
     assert net.fc1.weights.nbytes >= 8 * 2**20
     return net
 
@@ -56,3 +56,15 @@ def test_fc1_batch_weight_gradient_allocates_no_weight_sized_temporary(net):
         lambda: net.fc1.backward(grad_rows, input_rows, input_grad=False))
     assert extra < LIMIT * net.fc1.weights.nbytes, extra
     assert net.fc1.grad_weights.any()
+
+
+def test_float32_init_builds_no_float64_weight_copy():
+    # fc1: 1024 x 1024 float32 weights, 4 MiB. Drawn in one piece, its
+    # float64 temporary (8 MiB) and the cast copy were live at once.
+    config = ModelConfig(input_size=32, conv_channels=(2, 4, 64), fc_hidden=1024,
+                         num_classes=4)
+    built = []
+    extra = peak_extra_bytes(lambda: built.append(build_network(config)))
+    held = sum(value.nbytes + grad.nbytes for _, value, grad in built[0].parameters())
+    assert built[0].fc1.weights.dtype == np.float32
+    assert extra < held + LIMIT * built[0].fc1.weights.nbytes, extra

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -234,8 +236,10 @@ def test_sgd_step_non_finite_weight_names_parameter():
 
 def test_train_batch_gradients_match_per_sample_loop(tiny_manifest, monkeypatch):
     """The first batch's gradients, fc1's from one GEMM over the batch, equal
-    those of a loop that runs the one-sample Network.backward on each image."""
-    net = build_network(model.reduced_config(seed=4))
+    those of a loop that runs the one-sample Network.backward on each image.
+    In float64, where the two summation orders agree to 1e-12."""
+    config = dataclasses.replace(model.reduced_config(seed=4), dtype="float64")
+    net = build_network(config)
     initial = serialize_network(net)
     cfg = TrainConfig(batch_size=8, epochs=1, seed=9, augment=False)
     seen = {}
@@ -251,7 +255,7 @@ def test_train_batch_gradients_match_per_sample_loop(tiny_manifest, monkeypatch)
     with pytest.raises(FirstStep):
         train(net, tiny_manifest, cfg)
 
-    ref = build_network(model.reduced_config(seed=4))
+    ref = build_network(config)
     assert serialize_network(ref) == initial
     labels = model._label_indices(tiny_manifest, ref.config.num_classes)
     order = np.random.default_rng([cfg.seed, 1, 0]).permutation(len(tiny_manifest))
@@ -268,6 +272,30 @@ def test_train_batch_gradients_match_per_sample_loop(tiny_manifest, monkeypatch)
         assert got.any(), name
         np.testing.assert_allclose(got, expected, rtol=1e-12,
                                    atol=1e-12 * np.abs(expected).max(), err_msg=name)
+
+
+def test_float64_input_runs_in_network_dtype():
+    # a float64 image would otherwise promote every GEMM of a float32 network
+    net = build_network(small_config())
+    assert net.config.np_dtype == np.float32
+    x64 = np.random.default_rng(12).normal(size=(1, 16, 16))
+    x32 = x64.astype(np.float32)
+
+    def arrays(trace):
+        for stage in trace.stages:
+            yield from (stage.conv_in, stage.conv_out, stage.relu_out, stage.pool_out)
+        yield from (trace.flat, trace.fc1_out, trace.hidden, trace.logits)
+
+    pairs = [(net.forward(x64), net.forward(x32)),
+             (net.stage_outputs(x64[None], 2), net.stage_outputs(x32[None], 2))]
+    pairs += zip(arrays(net.forward_trace(x64)), arrays(net.forward_trace(x32)))
+    train_pass = [net.forward(x, train=True, dropout_rng=np.random.default_rng(1))
+                  for x in (x64, x32)]
+    pairs += [(train_pass[0][0], train_pass[1][0]),
+              (train_pass[0][1].stages[0].cols, train_pass[1][1].stages[0].cols)]
+    for got, want in pairs:
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want)
 
 
 def test_empty_dataset_rejected():
@@ -347,6 +375,19 @@ def test_checkpoint_float32_roundtrip(tmp_path):
     loaded = load_checkpoint(p)
     assert loaded.config.dtype == "float32"
     assert loaded.convs[0].kernels.dtype == np.float32
+
+
+def test_float64_checkpoint_loads_as_float64(tmp_path):
+    # as every checkpoint written before float32 became the default
+    net = build_network(small_config(seed=10, dtype="float64"))
+    p = tmp_path / "f64.ckpt"
+    save_checkpoint(net, p)
+    assert b'"dtype": "float64"' in p.read_bytes().split(b"\n")[1]
+    loaded = load_checkpoint(p)
+    assert loaded.config.dtype == "float64"
+    for (name, va, _), (_, vb, _) in zip(net.parameters(), loaded.parameters()):
+        assert vb.dtype == np.float64, name
+        assert np.array_equal(va, vb), name
 
 
 def test_checkpoint_truncated(tmp_path):
