@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, DatasetManifest, read_text
+from .data import DataError, DatasetManifest, read_text, write_atomic
 from .harvest import ActivationDB, partition_by_au
 
 EPSILON = 1e-8
@@ -124,7 +123,7 @@ def save_profile_csv(prof: AUDistanceProfile, path) -> None:
     for j, d in enumerate(prof.distances):
         lines.append(f"{j},{repr(float(d))}")
     lines.append(f"argmax,{prof.argmax_map},{repr(prof.argmax_distance)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_profile_csv(path) -> tuple[np.ndarray, int]:

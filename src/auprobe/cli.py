@@ -119,7 +119,7 @@ def write_resolved_config(model_cfg: ModelConfig, train_cfg: TrainConfig, path) 
     for prefix, cfg in (("model", model_cfg), ("train", train_cfg)):
         for f in dataclasses.fields(cfg):
             lines.append(f"{prefix}.{f.name}={_format_value(getattr(cfg, f.name))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data.write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _env_seed() -> int | None:

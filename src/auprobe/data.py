@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +36,28 @@ def read_text(path) -> str:
         return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def write_atomic(path, content: str | bytes) -> None:
+    """Write content (str as UTF-8) to path whole or not at all.
+
+    The bytes go to a temporary file in path's directory, which then
+    replaces path in one rename. A write that fails midway, or a process
+    killed during it, leaves an earlier file at path as it was, so no
+    later stage loads a truncated artifact; the temporary file is removed
+    on failure. Nothing is fsynced, so this does not cover a crash of the
+    machine.
+    """
+    path = Path(path)
+    data = content.encode("utf-8") if isinstance(content, str) else content
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ------------------------------------------------------------- manifest
@@ -73,7 +96,7 @@ class DatasetManifest:
         return self.base_dir / self.rows[index].path
 
     def save(self, path) -> None:
-        Path(path).write_bytes(self.to_csv_bytes())
+        write_atomic(path, self.to_csv_bytes())
 
     def to_csv_bytes(self) -> bytes:
         buf = io.StringIO()
@@ -489,7 +512,7 @@ def save_synthetic_spec(spec: SyntheticSpec, path) -> None:
         ],
         "class_rules": {k: sorted(v) for k, v in spec.class_rules.items()},
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _regions_overlap(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,22 +82,18 @@ def project(trace: ForwardTrace, net: Network, layer: int, map_index: int,
     return project_stages(stages, top)
 
 
-def project_max(trace: ForwardTrace, net: Network, layer: int, map_index: int):
-    """Project the spatial argmax of one map; ties go to the first
-    row-major position. Returns (projection, (row, col), value)."""
-    _check_trace(trace, net)
-    if not 1 <= layer <= len(trace.stages):
-        raise ShapeError(f"layer {layer} outside 1..{len(trace.stages)}")
-    pool_out = trace.stages[layer - 1].pool_out
-    if not 0 <= map_index < pool_out.shape[0]:
-        raise ShapeError(f"map {map_index} outside 0..{pool_out.shape[0] - 1}")
-    fmap = pool_out[map_index]
-    row, col = np.unravel_index(int(np.argmax(fmap)), fmap.shape)
-    value = float(fmap[row, col])
-    return project(trace, net, layer, map_index, (row, col)), (int(row), int(col)), value
+class Geometry(NamedTuple):
+    """What receptive fields depend on: input size, conv channels, kernel size.
+
+    A ModelConfig carries the same three attributes and serves as well.
+    """
+
+    input_size: int
+    conv_channels: tuple[int, ...]
+    kernel_size: int
 
 
-def receptive_field(config: ModelConfig, layer: int, location: tuple[int, int],
+def receptive_field(geometry: Geometry | ModelConfig, layer: int, location: tuple[int, int],
                     after_pool: bool = True) -> tuple[int, int, int, int]:
     """Input rectangle (x0, y0, x1, y1), inclusive, that can reach a unit.
 
@@ -105,15 +102,16 @@ def receptive_field(config: ModelConfig, layer: int, location: tuple[int, int],
     is composed from the stride/padding geometry and clipped to the
     image bounds.
     """
-    n_stages = len(config.conv_channels)
+    n_stages = len(geometry.conv_channels)
     if not 1 <= layer <= n_stages:
         raise ShapeError(f"layer {layer} outside 1..{n_stages}")
-    sizes = [config.input_size] + config.stage_sizes()
-    grid = sizes[layer] if after_pool else sizes[layer - 1]
+    grid = geometry.input_size
+    for _ in range(layer if after_pool else layer - 1):
+        grid = (grid + 1) // 2  # odd sizes round up, as the pools pad them
     row, col = location
     if not (0 <= row < grid and 0 <= col < grid):
         raise ShapeError(f"location {location} outside {grid}x{grid} grid of layer {layer}")
-    half = config.kernel_size // 2
+    half = geometry.kernel_size // 2
     r0, r1, c0, c1 = row, row, col, col
     for stage in range(layer, 0, -1):
         if after_pool or stage < layer:
@@ -121,15 +119,15 @@ def receptive_field(config: ModelConfig, layer: int, location: tuple[int, int],
             c0, c1 = 2 * c0, 2 * c1 + 1
         r0, r1 = r0 - half, r1 + half
         c0, c1 = c0 - half, c1 + half
-    size = config.input_size
+    size = geometry.input_size
     return (max(c0, 0), max(r0, 0), min(c1, size - 1), min(r1, size - 1))
 
 
-def receptive_field_span(config: ModelConfig, layer: int) -> int:
+def receptive_field_span(geometry: Geometry | ModelConfig, layer: int) -> int:
     """Unclipped width of a layer's receptive field."""
     span = 1
     for _ in range(layer):
-        span = 2 * span + (config.kernel_size - 1)
+        span = 2 * span + (geometry.kernel_size - 1)
     return span
 
 

@@ -71,7 +71,7 @@ class ActivationDB:
                     f"{img},{j},{repr(float(self.values[i, j]))},"
                     f"{int(self.rows[i, j])},{int(self.cols[i, j])}"
                 )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        data_mod.write_atomic(path, "\n".join(lines) + "\n")
 
     def _header_line(self) -> str:
         fields = " ".join(f"{k}={v}" for k, v in sorted(self.provenance.items()))

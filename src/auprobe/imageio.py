@@ -76,7 +76,7 @@ def _decode_pgm(data: bytes, path) -> np.ndarray:
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         token = data[start:pos]
-        if not token.isdigit():
+        if not token.isdigit() or len(token) > 9:  # no extent has 10 digits; int() rejects 4300+
             raise ImageFormatError(f"{path}: malformed PGM header near byte {start}")
         fields.append(int(token))
     pos += 1  # single whitespace after maxval
@@ -147,9 +147,18 @@ def _decode_png(data: bytes, path) -> np.ndarray:
     idat = bytearray()
     while pos + 8 <= len(data):
         (length,), tag = struct.unpack(">I", data[pos : pos + 4]), data[pos + 4 : pos + 8]
+        name = tag.decode("latin-1")
+        if pos + 12 + length > len(data):
+            raise ImageFormatError(f"{path}: PNG chunk {name!r} of {length} bytes "
+                                   "runs past the end of the file")
         payload = data[pos + 8 : pos + 8 + length]
+        (crc,) = struct.unpack(">I", data[pos + 8 + length : pos + 12 + length])
+        if zlib.crc32(payload, zlib.crc32(tag)) != crc:
+            raise ImageFormatError(f"{path}: PNG chunk {name!r} fails its CRC check")
         pos += 12 + length
         if tag == b"IHDR":
+            if length != 13:
+                raise ImageFormatError(f"{path}: PNG chunk 'IHDR' has {length} bytes, not 13")
             width, height, depth, color, comp, filt, interlace = struct.unpack(">IIBBBBB", payload)
             if depth != 8 or color != 0:
                 raise ImageFormatError(

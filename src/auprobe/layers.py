@@ -11,16 +11,19 @@ convolution, so the backward/deconvolution path is literally its
 transpose: `transpose_apply` and `backward` share one col2im scatter-add
 that is the exact adjoint of the im2col gather.
 
-Spatial ops take single images shaped [channels, height, width]. im2col,
-ConvLayer.forward and maxpool_values also take a chunk of images shaped
-[channels, images, height, width], which inference (harvest) runs in one
-pass; training, backward, col2im and the switch-keeping maxpool_forward
-stay per image. The FC backward also takes stacked rows, so that the
-trainer can form a weight gradient once per batch.
+Spatial ops take single images shaped [channels, height, width] or a
+chunk of images shaped [channels, images, height, width], which training
+and inference run in one pass: im2col, col2im, ConvLayer.forward and
+backward, maxpool_forward, maxpool_values and maxpool_backward. A chunk's
+patch matrix is [C*k*k, N*H*W], each image's H*W columns in turn, so the
+kernel gradient is one GEMM per chunk. FCLayer takes one sample or N
+stacked rows. Calls given a Scratch compute into buffers it keeps, so a
+loop over chunks allocates its large arrays once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +42,49 @@ BLOCK_ELEMENTS = 1 << 16
 _FC_TILE_ROWS = 16
 
 
+class Scratch:
+    """Buffers that repeated calls of one layer reuse, one per role.
+
+    A call asks for an array of a role by shape. The first request
+    allocates the role's buffer and later requests that fit take a view
+    of it, so a loop over chunks of one size allocates nothing after its
+    first chunk. Fresh arrays of a few MB land on newly mapped pages
+    whenever the allocator hands them out by mmap, and every page then
+    costs a fault. An array taken from a role is valid until the next
+    request for that role; a larger request replaces the buffer.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def empty(self, role: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialized C-contiguous array of `shape`."""
+        size = math.prod(shape)
+        buf = self._buffers.get(role)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[role] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+    def canvas(self, role: str, shape: tuple[int, int, int, int], dtype) -> np.ndarray:
+        """A zero-filled chunk [C,N,H,W] whose elements callers never write stay zero.
+
+        Requests that differ only in N share the buffer, as views of its
+        first N images, so every image keeps its place and its border.
+        """
+        buf = self._buffers.get(role)
+        if (buf is None or buf.dtype != dtype or buf.shape[0] != shape[0]
+                or buf.shape[1] < shape[1] or buf.shape[2:] != tuple(shape[2:])):
+            buf = self._buffers[role] = np.zeros(shape, dtype=dtype)
+        return buf[:, : shape[1]]
+
+
 def _overlap(extent: int, shift: int) -> tuple[int, int]:
     """Output positions [lo, hi) whose input position (+ shift) is in range."""
     return max(0, -shift), min(extent, extent - shift)
 
 
-def im2col(x: np.ndarray, kernel_size: int, pad: int) -> np.ndarray:
+def im2col(x: np.ndarray, kernel_size: int, pad: int,
+           scratch: Scratch | None = None) -> np.ndarray:
     """Unroll x [C,H,W] into the patch matrix [C*k*k, H*W], zero padded.
 
     A chunk x [C,N,H,W] gives [C*k*k, N*H*W]: each image's H*W columns
@@ -52,31 +92,38 @@ def im2col(x: np.ndarray, kernel_size: int, pad: int) -> np.ndarray:
     canvas, so each of the k*k slabs of the patch matrix is written by
     one whole-slab copy and never zero-filled first.
     """
-    c, h, w = x.shape[0], x.shape[-2], x.shape[-1]
+    scratch = scratch or Scratch()
+    xs = x if x.ndim == 4 else x[:, None]
+    c, n, h, w = xs.shape
     k = kernel_size
-    canvas = np.zeros(x.shape[:-2] + (h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    canvas[..., pad : pad + h, pad : pad + w] = x
-    cols = np.empty((c, k, k) + x.shape[1:], dtype=x.dtype)
+    canvas = scratch.canvas("canvas", (c, n, h + 2 * pad, w + 2 * pad), x.dtype)
+    cols = scratch.empty("cols", (c, k, k, n, h, w), x.dtype)
+    canvas[:, :, pad : pad + h, pad : pad + w] = xs
     for u in range(k):
         for v in range(k):
-            cols[:, u, v] = canvas[..., u : u + h, v : v + w]
-    return cols.reshape(c * k * k, -1)
+            cols[:, u, v] = canvas[:, :, u : u + h, v : v + w]
+    return cols.reshape(c * k * k, n * h * w)
 
 
-def col2im(cols: np.ndarray, shape: tuple[int, int, int], kernel_size: int,
-           pad: int) -> np.ndarray:
-    """Adjoint of im2col: scatter-add a [C*k*k, H*W] patch matrix to [C,H,W]."""
-    c, h, w = shape
+def col2im(cols: np.ndarray, shape: tuple[int, ...], kernel_size: int, pad: int,
+           scratch: Scratch | None = None) -> np.ndarray:
+    """Adjoint of im2col: scatter-add a patch matrix to `shape`, [C,H,W] or [C,N,H,W].
+
+    The k*k slabs are added in one order into zeros, so every element
+    sums its terms alike whether its image comes alone or in a chunk.
+    """
+    c, h, w = shape[0], shape[-2], shape[-1]
     k = kernel_size
-    acc = np.zeros((c, h, w), dtype=cols.dtype)
-    colsr = cols.reshape(c, k, k, h, w)
+    acc = (scratch or Scratch()).empty("col2im", shape, cols.dtype)
+    acc.fill(0)
+    colsr = cols.reshape((c, k, k) + tuple(shape[1:]))
     for u in range(k):
         i0, i1 = _overlap(h, u - pad)
         for v in range(k):
             j0, j1 = _overlap(w, v - pad)
             if i0 < i1 and j0 < j1:
-                acc[:, i0 + u - pad : i1 + u - pad,
-                    j0 + v - pad : j1 + v - pad] += colsr[:, u, v, i0:i1, j0:j1]
+                acc[..., i0 + u - pad : i1 + u - pad,
+                    j0 + v - pad : j1 + v - pad] += colsr[:, u, v, ..., i0:i1, j0:j1]
     return acc
 
 
@@ -115,7 +162,9 @@ class ConvLayer:
     multiplied; handing it to backward(cols=...) spares backward the
     second im2col of the same input. backward(input_grad=False) skips
     the input-gradient GEMM and its col2im, which the first conv of a
-    network needs (nothing reads the gradient wrt the image).
+    network needs (nothing reads the gradient wrt the image). Given a
+    Scratch, both compute into its buffers: backward then forms the input
+    gradient's patch matrix in the buffer of forward's, which it has read.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 5,
@@ -143,8 +192,8 @@ class ConvLayer:
         self.grad_kernels[...] = 0
         self.grad_bias[...] = 0
 
-    def forward(self, x: np.ndarray, *,
-                return_cols: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    def forward(self, x: np.ndarray, *, return_cols: bool = False,
+                scratch: Scratch | None = None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Return the output [out_channels,H,W], and the patch matrix if asked.
 
         A chunk x [C,N,H,W] gives [out_channels,N,H,W]. Its product is one
@@ -158,13 +207,15 @@ class ConvLayer:
                 f"expected input [{self.in_channels},H,W] or [{self.in_channels},N,H,W], "
                 f"got {x.shape}"
             )
-        cols = im2col(x, self.kernel_size, self.pad)
+        scratch = scratch or Scratch()
+        cols = im2col(x, self.kernel_size, self.pad, scratch)
         kmat = self._kernel_matrix
+        out = scratch.empty("out", (self.out_channels, cols.shape[1]),
+                            np.result_type(kmat, cols))
         if x.ndim == 3:
-            out = kmat @ cols
+            np.matmul(kmat, cols, out=out)
         else:
             n = x.shape[1]
-            out = np.empty((self.out_channels, cols.shape[1]), dtype=np.result_type(kmat, cols))
             np.matmul(kmat, cols.reshape(len(cols), n, -1).transpose(1, 0, 2),
                       out=out.reshape(self.out_channels, n, -1).transpose(1, 0, 2))
         out += self.bias[:, None]
@@ -172,27 +223,32 @@ class ConvLayer:
         return (out, cols) if return_cols else out
 
     def backward(self, grad_out: np.ndarray, saved_input: np.ndarray, *,
-                 cols: np.ndarray | None = None, input_grad: bool = True) -> np.ndarray | None:
+                 cols: np.ndarray | None = None, input_grad: bool = True,
+                 scratch: Scratch | None = None) -> np.ndarray | None:
         """Accumulate parameter gradients, return gradient wrt input.
 
-        cols: the patch matrix forward built from saved_input (rebuilt
-        when None). With input_grad=False nothing is returned.
+        saved_input is [C,H,W] or a chunk [C,N,H,W]; a chunk's kernel
+        gradient is one GEMM over all its columns. cols: the patch matrix
+        forward built from saved_input (rebuilt when None). With
+        input_grad=False nothing is returned.
         """
-        _, h, w = saved_input.shape
-        if grad_out.shape != (self.out_channels, h, w):
+        expected = (self.out_channels,) + saved_input.shape[1:]
+        if grad_out.shape != expected:
             raise ShapeError(
-                f"grad_out {grad_out.shape} does not match forward output "
-                f"{(self.out_channels, h, w)}"
+                f"grad_out {grad_out.shape} does not match forward output {expected}"
             )
+        scratch = scratch or Scratch()
         grad_mat = grad_out.reshape(self.out_channels, -1)
         if cols is None:
-            cols = im2col(saved_input, self.kernel_size, self.pad)
+            cols = im2col(saved_input, self.kernel_size, self.pad, scratch)
         self.grad_kernels += (grad_mat @ cols.T).reshape(self.kernels.shape)
-        self.grad_bias += grad_out.sum(axis=(1, 2))
+        self.grad_bias += grad_out.sum(axis=tuple(range(1, grad_out.ndim)))
         if not input_grad:
             return None
-        grad_cols = self._kernel_matrix.T @ grad_mat
-        return col2im(grad_cols, saved_input.shape, self.kernel_size, self.pad)
+        kt = self._kernel_matrix.T
+        grad_cols = np.matmul(kt, grad_mat, out=scratch.empty(
+            "cols", (len(kt), grad_mat.shape[1]), np.result_type(kt, grad_mat)))
+        return col2im(grad_cols, saved_input.shape, self.kernel_size, self.pad, scratch)
 
     def transpose_apply(self, y: np.ndarray) -> np.ndarray:
         """Pure operator transpose (no bias, no gradient accumulation).
@@ -212,15 +268,16 @@ class ConvLayer:
 class FCLayer:
     """Fully connected layer: y = W x + b.
 
-    forward takes one sample [in]. backward takes one sample ([out]
-    gradient, [in] input) or N stacked rows ([N, out], [N, in]), whose
-    weight gradient is the one GEMM grad_out.T @ saved_input. It is added
-    into grad_weights tile by tile, about BLOCK_ELEMENTS at a time, so no
+    forward and backward take one sample ([in] input, [out] gradient) or
+    N stacked rows ([N, in], [N, out]): rows run as one GEMM each, the
+    forward x @ W.T, the input gradient grad_out @ W and the weight
+    gradient grad_out.T @ saved_input. The weight gradient is added into
+    grad_weights tile by tile, about BLOCK_ELEMENTS at a time, so no
     temporary the size of the weights is built. param_grads=False leaves
     out the weight and bias gradients, input_grad=False the input
-    gradient: the trainer takes fc1's input gradient per sample and its
-    parameter gradients once per batch from the stacked rows, because per
-    sample they cost a pass over a weight-sized outer product.
+    gradient: the trainer takes fc1's input gradient per chunk and its
+    parameter gradients once per batch from the stacked rows, because
+    per chunk they cost a pass over the weights.
     """
 
     def __init__(self, in_features: int, out_features: int,
@@ -242,9 +299,12 @@ class FCLayer:
         self.grad_bias[...] = 0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.in_features,):
-            raise ShapeError(f"expected [{self.in_features}] input, got {x.shape}")
-        return self.weights @ x + self.bias
+        if x.ndim not in (1, 2) or x.shape[-1] != self.in_features:
+            raise ShapeError(f"expected [{self.in_features}] input or N rows of it, "
+                             f"got {x.shape}")
+        if x.ndim == 1:
+            return self.weights @ x + self.bias
+        return x @ self.weights.T + self.bias
 
     def backward(self, grad_out: np.ndarray, saved_input: np.ndarray, *,
                  param_grads: bool = True, input_grad: bool = True) -> np.ndarray | None:
@@ -276,8 +336,8 @@ class FCLayer:
         return grad_out @ self.weights
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(grad_out: np.ndarray, saved_input: np.ndarray) -> np.ndarray:
@@ -287,19 +347,29 @@ def relu_backward(grad_out: np.ndarray, saved_input: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SwitchRecord:
-    """Per-window argmax coordinates recorded by maxpool_forward.
+    """Where each 2x2 window's maximum sits, recorded by maxpool_forward.
 
-    rows/cols index into the pre-pool activation; ties are broken toward
-    the smallest row-major index so unpooling is reproducible.
+    index holds, per pooled position, the flat index of the window's
+    argmax into the pre-pool activation of shape input_shape; ties are
+    broken toward the smallest row-major index so unpooling is
+    reproducible. rows/cols give the same switches as coordinates.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
-    input_shape: tuple[int, int, int]
+    index: np.ndarray
+    input_shape: tuple[int, ...]
 
     @property
-    def pooled_shape(self) -> tuple[int, int, int]:
-        return self.rows.shape
+    def pooled_shape(self) -> tuple[int, ...]:
+        return self.index.shape
+
+    @property
+    def rows(self) -> np.ndarray:
+        h, w = self.input_shape[-2:]
+        return (self.index // w % h).astype(np.int32)
+
+    @property
+    def cols(self) -> np.ndarray:
+        return (self.index % self.input_shape[-1]).astype(np.int32)
 
 
 def _window_corners(x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -329,23 +399,41 @@ def maxpool_values(x: np.ndarray) -> np.ndarray:
     return np.maximum(out, np.maximum(bottom_left, bottom_right), out=out)
 
 
-def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, SwitchRecord]:
-    """2x2 max pool of x [C,H,W]; odd extents are padded with -inf (never selected).
+def maxpool_forward(x: np.ndarray,
+                    scratch: Scratch | None = None) -> tuple[np.ndarray, SwitchRecord]:
+    """2x2 max pool of x [C,H,W] or [C,N,H,W]; odd extents are padded with -inf (never selected).
 
     The maximum is taken over the four strided views of the window
     corners; the switch is the first corner, in row-major order, that
     holds it.
     """
     top_left, top_right, bottom_left, bottom_right = _window_corners(x)
-    top = np.maximum(top_left, top_right)
-    bottom = np.maximum(bottom_left, bottom_right)
-    out = np.maximum(top, bottom)
-    _, oh, ow = out.shape
-    in_bottom = top < out
-    in_right = np.where(in_bottom, bottom_left < bottom, top_left < top)
-    rows = 2 * np.arange(oh, dtype=np.int32)[None, :, None] + in_bottom
-    cols = 2 * np.arange(ow, dtype=np.int32)[None, None, :] + in_right
-    return out, SwitchRecord(rows=rows, cols=cols, input_shape=x.shape)
+    shape = top_left.shape
+    scratch = scratch or Scratch()
+
+    def take(role, dtype):
+        return scratch.empty(role, shape, dtype)
+
+    top = np.maximum(top_left, top_right, out=take("pool_top", x.dtype))
+    bottom = np.maximum(bottom_left, bottom_right, out=take("pool_bottom", x.dtype))
+    out = np.maximum(top, bottom, out=take("pooled", x.dtype))
+    in_bottom = np.less(top, out, out=take("in_bottom", bool))
+    # in_right = the right corner holds its row's maximum, in the row in_bottom picks;
+    # whole-array boolean ops, as masked ufuncs and np.where run several times slower
+    in_right = np.less(top_left, top, out=take("in_right", bool))
+    right_below = np.less(bottom_left, bottom, out=take("right_below", bool))
+    right_below ^= in_right
+    right_below &= in_bottom
+    in_right ^= right_below
+    # flat index of (2i + in_bottom, 2j + in_right), plus its [H,W] plane's offset
+    h, w = x.shape[-2:]
+    oh, ow = shape[-2:]
+    index = np.multiply(in_bottom, w, out=take("switch", np.intp))
+    index += in_right
+    index += (np.arange(oh, dtype=np.intp) * (2 * w))[:, None] + np.arange(0, 2 * ow, 2)
+    planes = index.reshape(-1, oh * ow)
+    planes += (np.arange(len(planes), dtype=np.intp) * (h * w))[:, None]
+    return out, SwitchRecord(index, x.shape)
 
 
 def unpool(values: np.ndarray, switches: SwitchRecord) -> np.ndarray:
@@ -355,16 +443,33 @@ def unpool(values: np.ndarray, switches: SwitchRecord) -> np.ndarray:
             f"values shape {values.shape} does not match switch record "
             f"{switches.pooled_shape}"
         )
-    c, h, w = switches.input_shape
-    out = np.zeros((c, h, w), dtype=values.dtype)
-    chan = np.arange(c)[:, None, None]
-    out[chan, switches.rows, switches.cols] = values
+    out = np.zeros(switches.input_shape, dtype=values.dtype)
+    out.reshape(-1)[switches.index] = values
     return out
 
 
-def maxpool_backward(grad_out: np.ndarray, switches: SwitchRecord) -> np.ndarray:
-    """Route each output gradient to its argmax location; zeros elsewhere."""
-    return unpool(grad_out, switches)
+def maxpool_backward(grad_out: np.ndarray, switches: SwitchRecord,
+                     pooled: np.ndarray | None = None,
+                     scratch: Scratch | None = None) -> np.ndarray:
+    """Route each output gradient to its argmax location; zeros elsewhere.
+
+    With `pooled`, this pool's output, it is also the backward of a ReLU
+    in front of the pool: only gradients whose pooled value is > 0 pass.
+    The pooled value is the ReLU's output at the switch, so this equals
+    relu_backward(maxpool_backward(grad_out), relu_input) bit for bit, at
+    pooled resolution.
+    """
+    if grad_out.shape != switches.pooled_shape:
+        raise ShapeError(
+            f"gradient shape {grad_out.shape} does not match switch record "
+            f"{switches.pooled_shape}"
+        )
+    if pooled is not None:
+        grad_out = np.where(pooled > 0, grad_out, 0)
+    out = (scratch or Scratch()).empty("pool_grad", switches.input_shape, grad_out.dtype)
+    out.fill(0)
+    out.reshape(-1)[switches.index] = grad_out
+    return out
 
 
 def softmax_cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:

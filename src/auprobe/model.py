@@ -21,6 +21,7 @@ from .layers import (
     BLOCK_ELEMENTS,
     ConvLayer,
     FCLayer,
+    Scratch,
     ShapeError,
     SwitchRecord,
     dropout_mask,
@@ -117,7 +118,6 @@ class StageTrace:
     relu_out: np.ndarray
     pool_out: np.ndarray
     switches: SwitchRecord
-    cols: np.ndarray | None = None  # the conv's im2col patch matrix, kept for training
 
 
 @dataclass
@@ -133,13 +133,28 @@ class ForwardTrace:
 
 
 @dataclass
-class _Cache:
-    stages: list[StageTrace]
-    flat: np.ndarray
-    fc1_out: np.ndarray
-    hidden: np.ndarray
-    fc2_in: np.ndarray
-    drop_mask: np.ndarray | None
+class _KeptStage:
+    conv_in: np.ndarray  # the chunk [C,N,H,W] the conv read
+    cols: np.ndarray  # its patch matrix, the operand of the kernel gradient
+    pooled: np.ndarray  # the pool's output, whose sign masks the ReLU gradient
+    switches: SwitchRecord
+
+
+class TrainBuffers:
+    """What a training forward keeps for backward, for one chunk of images.
+
+    forward(keep=...) fills it and backward reads it. Per conv stage it
+    keeps the stage's input and, in the stage's Scratch, its patch
+    matrix, pooled output and switches; for the head, the fc rows. The
+    arrays of one chunk stay valid until the next training forward, and
+    each Scratch hands every chunk of a train call the buffers the first
+    chunk allocated.
+    """
+
+    def __init__(self, num_stages: int):
+        self.scratch = [Scratch() for _ in range(num_stages)]
+        self.stages: list[_KeptStage] = []
+        self.flat = self.fc1_out = self.fc2_in = self.drop_mask = None
 
 
 class Network:
@@ -195,49 +210,74 @@ class Network:
             raise ShapeError(f"expected input {expected}, got {x.shape}")
         return x.astype(self.config.np_dtype, copy=False)
 
-    def _run_stages(self, x: np.ndarray, keep_cols: bool = False) -> list[StageTrace]:
+    def _chunk(self, xs: np.ndarray) -> np.ndarray:
+        """xs [N, 1, S, S] checked, cast to the network's dtype, as the chunk [1, N, S, S]."""
+        expected = (1, self.config.input_size, self.config.input_size)
+        if xs.ndim != 4 or xs.shape[1:] != expected:
+            raise ShapeError(f"expected a chunk [N, {', '.join(map(str, expected))}], "
+                             f"got {xs.shape}")
+        return xs.astype(self.config.np_dtype, copy=False).transpose(1, 0, 2, 3)
+
+    def _run_stages(self, x: np.ndarray) -> list[StageTrace]:
         stages = []
         a = x
         for conv in self.convs:
-            conv_out, cols = conv.forward(a, return_cols=True)
+            conv_out = conv.forward(a)
             relu_out = relu_forward(conv_out)
             pool_out, switches = maxpool_forward(relu_out)
-            stages.append(StageTrace(a, conv_out, relu_out, pool_out, switches,
-                                     cols if keep_cols else None))
+            stages.append(StageTrace(a, conv_out, relu_out, pool_out, switches))
             a = pool_out
         return stages
 
-    def _head(self, flat: np.ndarray, drop_mask: np.ndarray | None):
+    def _conv_stack(self, a: np.ndarray, depth: int,
+                    keep: TrainBuffers | None = None) -> np.ndarray:
+        """Pooled maps [C, N, h, w] of stage `depth` for the chunk a [1, N, S, S].
+
+        Without `keep` no switch or patch matrix is formed. With it, each
+        stage computes in its Scratch and keeps what backward needs.
+        """
+        if keep is not None:
+            keep.stages = []
+        for i, conv in enumerate(self.convs[:depth]):
+            if keep is None:
+                a = maxpool_values(relu_forward(conv.forward(a)))
+                continue
+            conv_out, cols = conv.forward(a, return_cols=True, scratch=keep.scratch[i])
+            pooled, switches = maxpool_forward(relu_forward(conv_out, out=conv_out),
+                                               keep.scratch[i])
+            keep.stages.append(_KeptStage(a, cols, pooled, switches))
+            a = pooled
+        return a
+
+    def forward(self, x: np.ndarray, *, keep: TrainBuffers | None = None,
+                drop_mask: np.ndarray | None = None) -> np.ndarray:
+        """Logits [N, classes] of a chunk x [N, 1, S, S], or [classes] of one image x [1, S, S].
+
+        The chunk runs through the conv stack as [C, N, H, W] arrays and
+        through the head as N rows; one image runs as a chunk of one. With
+        `keep` this is the training forward: what backward needs is kept
+        in keep, and drop_mask [N, hidden], if given, scales the hidden
+        rows (dropout).
+        """
+        if x.ndim == 3:
+            return self.forward(self._input(x)[None], keep=keep, drop_mask=drop_mask)[0]
+        pooled = self._conv_stack(self._chunk(x), len(self.convs), keep)
+        flat = pooled.transpose(1, 0, 2, 3).reshape(pooled.shape[1], -1)
         fc1_out = self.fc1.forward(flat)
         hidden = relu_forward(fc1_out)
         fc2_in = hidden * drop_mask if drop_mask is not None else hidden
-        logits = self.fc2.forward(fc2_in)
-        return fc1_out, hidden, fc2_in, logits
-
-    def forward(self, x: np.ndarray, train: bool = False, dropout_p: float = 0.5,
-                dropout_rng: np.random.Generator | None = None):
-        """Return logits; in train mode also the cache backward() needs."""
-        x = self._input(x)
-        stages = self._run_stages(x, keep_cols=train)
-        flat = stages[-1].pool_out.reshape(-1)
-        drop_mask = None
-        if train and dropout_p > 0:
-            if dropout_rng is None:
-                raise ValueError("training forward needs a dropout rng")
-            drop_mask = dropout_mask((self.config.fc_hidden,), dropout_p,
-                                     dropout_rng, dtype=x.dtype)
-        fc1_out, hidden, fc2_in, logits = self._head(flat, drop_mask)
-        if not train:
-            return logits
-        return logits, _Cache(stages, flat, fc1_out, hidden, fc2_in, drop_mask)
+        if keep is not None:
+            keep.flat, keep.fc1_out, keep.fc2_in, keep.drop_mask = flat, fc1_out, fc2_in, drop_mask
+        return self.fc2.forward(fc2_in)
 
     def forward_trace(self, x: np.ndarray, image_id: int | None = None) -> ForwardTrace:
         """Inference pass that keeps every intermediate activation."""
         x = self._input(x)
         stages = self._run_stages(x)
         flat = stages[-1].pool_out.reshape(-1)
-        fc1_out, hidden, _, logits = self._head(flat, None)
-        return ForwardTrace(image_id, stages, flat, fc1_out, hidden, logits)
+        fc1_out = self.fc1.forward(flat)
+        hidden = relu_forward(fc1_out)
+        return ForwardTrace(image_id, stages, flat, fc1_out, hidden, self.fc2.forward(hidden))
 
     def stage_outputs(self, xs: np.ndarray, layer: int) -> np.ndarray:
         """Pooled feature maps [N, C, h, w] of stage `layer` (1-based) for xs [N, 1, S, S].
@@ -248,40 +288,35 @@ class Network:
         maps are the bits forward_trace gives it. xs is cast to the
         network's dtype, as forward casts its input.
         """
-        expected = (1, self.config.input_size, self.config.input_size)
-        if xs.ndim != 4 or xs.shape[1:] != expected:
-            raise ShapeError(f"expected a chunk [N, {', '.join(map(str, expected))}], "
-                             f"got {xs.shape}")
+        a = self._chunk(xs)
         if not 1 <= layer <= len(self.convs):
             raise ShapeError(f"layer {layer} outside 1..{len(self.convs)}")
-        a = xs.astype(self.config.np_dtype, copy=False).transpose(1, 0, 2, 3)
-        for conv in self.convs[:layer]:
-            a = maxpool_values(relu_forward(conv.forward(a)))
-        return a.transpose(1, 0, 2, 3)
+        return self._conv_stack(a, layer).transpose(1, 0, 2, 3)
 
     # ---------------------------------------------------------- backward
 
-    def backward(self, cache: _Cache, grad_logits: np.ndarray, *,
-                 fc1_params: bool = True) -> np.ndarray:
-        """Accumulate parameter gradients for one sample.
+    def backward(self, keep: TrainBuffers, grad_logits: np.ndarray) -> np.ndarray:
+        """Accumulate the gradients of the chunk forward(keep=keep) ran, but fc1's.
 
-        Each conv reuses the patch matrix its training forward kept; the
-        first conv computes no gradient wrt the input image. Returns the
-        gradient wrt fc1's output. With fc1_params=False fc1's weight and
-        bias gradients are left out: `train` stacks the returned rows and
-        cache.flat and forms them once per batch.
+        grad_logits: [N, classes]. Each conv's kernel gradient is one GEMM
+        over the chunk's patch matrix, kept from forward; the first conv
+        computes no gradient wrt the image. The ReLU and pool of a stage
+        go backward in one pass at pooled resolution. Returns the gradient
+        wrt fc1's output [N, hidden]: `train` stacks these rows and
+        keep.flat over a batch and forms fc1's weight and bias gradients
+        once per batch.
         """
-        g = self.fc2.backward(grad_logits, cache.fc2_in)
-        if cache.drop_mask is not None:
-            g = g * cache.drop_mask
-        fc1_grad = relu_backward(g, cache.fc1_out)
-        g = self.fc1.backward(fc1_grad, cache.flat, param_grads=fc1_params)
-        g = g.reshape(cache.stages[-1].pool_out.shape)
-        for stage, conv in zip(reversed(cache.stages), reversed(self.convs)):
-            g = maxpool_backward(g, stage.switches)
-            g = relu_backward(g, stage.conv_out)
+        g = self.fc2.backward(grad_logits, keep.fc2_in)
+        if keep.drop_mask is not None:
+            g *= keep.drop_mask
+        fc1_grad = relu_backward(g, keep.fc1_out)
+        g = self.fc1.backward(fc1_grad, keep.flat, param_grads=False)
+        c, n, h, w = keep.stages[-1].pooled.shape
+        g = g.reshape(n, c, h, w).transpose(1, 0, 2, 3)
+        for stage, conv, scratch in reversed(list(zip(keep.stages, self.convs, keep.scratch))):
+            g = maxpool_backward(g, stage.switches, stage.pooled, scratch)
             g = conv.backward(g, stage.conv_in, cols=stage.cols,
-                              input_grad=conv is not self.convs[0])
+                              input_grad=conv is not self.convs[0], scratch=scratch)
         return fc1_grad
 
 
@@ -309,7 +344,7 @@ def write_metrics_csv(metrics: list[EpochMetrics], path) -> None:
     for m in metrics:
         test = "" if m.test_acc is None else repr(m.test_acc)
         lines.append(f"{m.epoch},{repr(m.train_loss)},{repr(m.train_acc)},{test},{m.wallclock_s:.3f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data_mod.write_atomic(path, "\n".join(lines) + "\n")
 
 
 def sgd_step(net: Network, velocity: dict[str, np.ndarray], cfg: TrainConfig,
@@ -355,19 +390,70 @@ def _label_indices(manifest: data_mod.DatasetManifest, num_classes: int) -> list
     return [index[r.label] for r in manifest.rows]
 
 
+# Bytes of buffers a training chunk may hold. Each image of a chunk
+# takes train_chunk_bytes() of them, mostly patch matrices: 1.45 MB at
+# reduced_config() and 39 MB at ModelConfig() in float32, so reduced
+# chunks hold 2 images and paper-sized ones 1. Chunks of 4 trained about
+# 5% faster than 2 but raised the benchmark's peak RSS by 3 MB, and
+# training set the peak; at 2 the probe passes still set it.
+TRAIN_CHUNK_BYTES = 3 << 20
+
+
+def train_chunk_bytes(config: ModelConfig) -> int:
+    """Bytes of the buffers one image of a training chunk holds.
+
+    Per conv stage: the padded input canvas, the patch matrix (reused
+    for the input gradient's), the conv output and its gradient, the
+    input gradient (not at the first conv), the pool's two partial maxima
+    and its output, its three corner masks and its switch indices. For the
+    head: the fc rows.
+    """
+    itemsize = np.dtype(config.np_dtype).itemsize
+    k = config.kernel_size
+    sizes = [config.input_size] + config.stage_sizes()
+    in_channels = (1,) + tuple(config.conv_channels)
+    total = 0
+    for i, out_c in enumerate(config.conv_channels):
+        size, in_c = sizes[i], in_channels[i]
+        pooled = out_c * sizes[i + 1] ** 2
+        floats = (in_c * (size + k - 1) ** 2 + in_c * k * k * size ** 2
+                  + 2 * out_c * size ** 2 + (in_c * size ** 2 if i else 0) + 3 * pooled)
+        total += itemsize * floats + (3 + np.dtype(np.intp).itemsize) * pooled
+    return total + itemsize * (2 * config.flat_features + 6 * config.fc_hidden
+                               + 2 * config.num_classes)
+
+
+def train_chunk_images(config: ModelConfig) -> int:
+    """Images per training chunk: TRAIN_CHUNK_BYTES over train_chunk_bytes(); at least 1."""
+    return max(1, TRAIN_CHUNK_BYTES // train_chunk_bytes(config))
+
+
+def _chunks(indices: np.ndarray, chunk: int) -> list[np.ndarray]:
+    """indices in consecutive parts of at most `chunk`, as equal as can be."""
+    return np.array_split(indices, -(-len(indices) // chunk))
+
+
 def evaluate(net: Network, manifest: data_mod.DatasetManifest) -> tuple[float, float]:
-    """Mean loss and accuracy under the deterministic eval transform."""
+    """Mean loss and accuracy under the deterministic eval transform.
+
+    Images run through the network train_chunk_images() at a time.
+    """
     labels = _label_indices(manifest, net.config.num_classes)
+    size = net.config.input_size
+    dtype = net.config.np_dtype
+    n = len(manifest)
+    xs = np.empty((min(n, train_chunk_images(net.config)), 1, size, size), dtype=dtype)
     total_loss = 0.0
     correct = 0
-    for i in range(len(manifest)):
-        img = data_mod.load_image(manifest, i)
-        x = data_mod.eval_transform(img, net.config.input_size)
-        logits = net.forward(x)
-        loss, _ = softmax_cross_entropy(logits, labels[i])
-        total_loss += loss
-        correct += int(np.argmax(logits) == labels[i])
-    n = len(manifest)
+    for part in _chunks(np.arange(n), len(xs)):
+        for k, i in enumerate(part):
+            xs[k] = data_mod.eval_transform(data_mod.load_image(manifest, int(i)), size,
+                                            dtype=dtype)
+        logits = net.forward(xs[: len(part)])
+        for k, i in enumerate(part):
+            loss, _ = softmax_cross_entropy(logits[k], labels[i])
+            total_loss += loss
+            correct += int(np.argmax(logits[k]) == labels[i])
     return total_loss / n, correct / n
 
 
@@ -379,14 +465,20 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
     the held-out accuracy is logged each epoch. Stops early once the
     train loss has improved by less than 1e-4 for 5 consecutive epochs.
 
-    fc1's weight and bias gradients are deferred to the end of each
-    batch: every sample's gradient wrt fc1's output and its fc1 input are
-    kept as rows of two [batch, features] buffers, and one FCLayer.backward
-    call on them forms the weight gradient as a single GEMM, tiled into
-    the buffer zero_grads cleared. Per sample it would be a weight-sized
-    outer product and a pass over the weights; with sgd_step's in-place
-    update no step of training allocates anything the size of a weight
-    matrix. Without augmentation the eval tensors are one stacked array.
+    Each batch runs as chunks of at most train_chunk_images() images,
+    split as evenly as they go; a chunk never spans two batches. A chunk
+    makes one forward and one backward pass, in buffers that the first
+    chunk allocates and every later one of the call reuses. Each image
+    keeps its own augmentation, dropout and loss draws, so a chunk's
+    gradients are the sum of its images' up to the order of float
+    additions. fc1's weight and bias gradients are deferred to the end of
+    each batch: every image's gradient wrt fc1's output and its fc1 input
+    are kept as rows of two [batch, features] buffers, and one
+    FCLayer.backward call on them forms the weight gradient as a single
+    GEMM, tiled into the buffer zero_grads cleared. With sgd_step's
+    in-place update no step of training allocates anything the size of a
+    weight matrix. Without augmentation the eval tensors are one stacked
+    array.
     """
     if len(manifest) == 0:
         raise data_mod.DataError("training manifest is empty")
@@ -408,6 +500,11 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
     rows = min(cfg.batch_size, n)
     fc1_grads = np.empty((rows, net.fc1.out_features), dtype=dtype)
     fc1_inputs = np.empty((rows, net.fc1.in_features), dtype=dtype)
+    chunk = min(rows, train_chunk_images(net.config))
+    xs = np.empty((chunk, 1, size, size), dtype=dtype)
+    drop_masks = np.empty((chunk, net.config.fc_hidden), dtype=dtype)
+    grad_logits = np.empty((chunk, net.config.num_classes), dtype=dtype)
+    keep = TrainBuffers(len(net.convs))
 
     velocity = {name: np.zeros_like(value) for name, value, _ in net.parameters()}
     metrics: list[EpochMetrics] = []
@@ -422,30 +519,35 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
         for batch_start in range(0, n, cfg.batch_size):
             batch = order[batch_start : batch_start + cfg.batch_size]
             net.zero_grads()
-            for k, idx in enumerate(batch):
-                idx = int(idx)
-                if cfg.augment:
-                    aug_rng = np.random.default_rng([cfg.seed, epoch, 1, idx])
-                    x = data_mod.augment(images[idx], aug_rng, size, dtype=dtype)
-                else:
-                    x = eval_tensors[idx]
-                drop_rng = np.random.default_rng([cfg.seed, epoch, 2, idx])
-                logits, cache = net.forward(x, train=True, dropout_p=cfg.dropout_p,
-                                            dropout_rng=drop_rng)
-                loss, grad = softmax_cross_entropy(logits, labels[idx])
-                if not np.isfinite(loss):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}, image index {idx} "
-                        f"({train_manifest.rows[idx].path})"
-                    )
-                epoch_loss += loss
-                epoch_correct += int(np.argmax(logits) == labels[idx])
-                fc1_grads[k] = net.backward(cache, grad, fc1_params=False)
-                fc1_inputs[k] = cache.flat
-                del cache  # free this sample's patch matrices before the next forward
-            net.fc1.backward(fc1_grads[: len(batch)], fc1_inputs[: len(batch)],
-                             input_grad=False)
-            sgd_step(net, velocity, cfg, 1.0 / len(batch))
+            done = 0
+            for part in _chunks(batch, chunk):
+                m = len(part)
+                for k, idx in enumerate(part.tolist()):
+                    if cfg.augment:
+                        aug_rng = np.random.default_rng([cfg.seed, epoch, 1, idx])
+                        xs[k] = data_mod.augment(images[idx], aug_rng, size, dtype=dtype)
+                    else:
+                        xs[k] = eval_tensors[idx]
+                    if cfg.dropout_p > 0:
+                        drop_rng = np.random.default_rng([cfg.seed, epoch, 2, idx])
+                        drop_masks[k] = dropout_mask((net.config.fc_hidden,), cfg.dropout_p,
+                                                     drop_rng, dtype=dtype)
+                logits = net.forward(xs[:m], keep=keep,
+                                     drop_mask=drop_masks[:m] if cfg.dropout_p > 0 else None)
+                for k, idx in enumerate(part.tolist()):
+                    loss, grad_logits[k] = softmax_cross_entropy(logits[k], labels[idx])
+                    if not np.isfinite(loss):
+                        raise NumericError(
+                            f"non-finite loss at epoch {epoch}, image index {idx} "
+                            f"({train_manifest.rows[idx].path})"
+                        )
+                    epoch_loss += loss
+                    epoch_correct += int(np.argmax(logits[k]) == labels[idx])
+                fc1_grads[done : done + m] = net.backward(keep, grad_logits[:m])
+                fc1_inputs[done : done + m] = keep.flat
+                done += m
+            net.fc1.backward(fc1_grads[:done], fc1_inputs[:done], input_grad=False)
+            sgd_step(net, velocity, cfg, 1.0 / done)
         train_loss = epoch_loss / n
         test_acc = None
         if test_manifest is not None:
@@ -488,7 +590,7 @@ def serialize_network(net: Network) -> bytes:
 
 
 def save_checkpoint(net: Network, path) -> None:
-    Path(path).write_bytes(serialize_network(net))
+    data_mod.write_atomic(path, serialize_network(net))
 
 
 def _config_from_header(raw: dict) -> ModelConfig:
@@ -588,6 +690,7 @@ __all__ = [
     "Network",
     "NumericError",
     "StageTrace",
+    "TrainBuffers",
     "TrainConfig",
     "build_network",
     "checkpoint_hash",
@@ -599,5 +702,6 @@ __all__ = [
     "serialize_network",
     "sgd_step",
     "train",
+    "train_chunk_images",
     "write_metrics_csv",
 ]

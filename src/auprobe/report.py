@@ -13,6 +13,7 @@ plotting dependency. Layout on disk:
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import data as data_mod
 from . import imageio
 from .association import AUDistanceProfile, save_profile_csv
-from .deconv import project, receptive_field, receptive_field_span
+from .deconv import Geometry, project, receptive_field, receptive_field_span
 from .harvest import ActivationDB, partition_by_au, top_n
 from .model import ModelConfig, Network
 
@@ -154,14 +155,12 @@ def montage(db: ActivationDB, net: Network, manifest: data_mod.DatasetManifest,
     return orig_path, deconv_path
 
 
-def _geometry_from_db(db: ActivationDB) -> ModelConfig:
+def _geometry_from_db(db: ActivationDB) -> Geometry:
     try:
-        return ModelConfig(
+        return Geometry(
             input_size=int(db.provenance["input_size"]),
             conv_channels=tuple(int(c) for c in db.provenance["conv_channels"].split(";")),
             kernel_size=int(db.provenance["kernel_size"]),
-            fc_hidden=1,
-            num_classes=2,
         )
     except (KeyError, ValueError) as exc:
         raise data_mod.DataError(f"activation db lacks geometry provenance: {exc}") from exc
@@ -208,13 +207,14 @@ def au_summary(profiles: list[AUDistanceProfile], db: ActivationDB,
             }
         )
     index_path = out_dir / "summary" / "index.csv"
-    with open(index_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["au", "argmax_map", "distance", "profile_csv", "profile_png",
-                        "montage_orig", "montage_deconv", "exemplar"],
-            lineterminator="\n",
-        )
-        writer.writeheader()
-        writer.writerows(index_rows)
+    buf = io.StringIO()
+    writer = csv.DictWriter(
+        buf,
+        fieldnames=["au", "argmax_map", "distance", "profile_csv", "profile_png",
+                    "montage_orig", "montage_deconv", "exemplar"],
+        lineterminator="\n",
+    )
+    writer.writeheader()
+    writer.writerows(index_rows)
+    data_mod.write_atomic(index_path, buf.getvalue())
     return index_path

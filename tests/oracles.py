@@ -348,3 +348,38 @@ def load_activation_db(path):
                 raise DataError(f"{path} line {ln}: negative peak {field!r}; "
                                 "peaks are maxima of ReLU outputs")
     return image_ids, values, rows, cols, layer, meta
+
+
+def sample_gradients(net, x: np.ndarray, label: int, drop_mask: np.ndarray | None):
+    """One sample's forward and backward, added into net's gradient buffers.
+
+    The earlier per-sample Network.forward(train=True) and
+    Network.backward: every layer runs on the single image x [1,S,S],
+    ReLU and pool go backward as two steps at full resolution, every conv
+    rebuilds its patch matrix, and fc1's parameter gradients are formed
+    per sample. Returns (loss, logits).
+    """
+    from auprobe.layers import (maxpool_backward, maxpool_forward, relu_backward,
+                                relu_forward, softmax_cross_entropy)
+
+    a = x.astype(net.config.np_dtype)
+    stages = []
+    for conv in net.convs:
+        conv_out = conv.forward(a)
+        pooled, switches = maxpool_forward(relu_forward(conv_out))
+        stages.append((a, conv_out, switches))
+        a = pooled
+    flat = a.reshape(-1)
+    fc1_out = net.fc1.forward(flat)
+    hidden = relu_forward(fc1_out)
+    fc2_in = hidden * drop_mask if drop_mask is not None else hidden
+    logits = net.fc2.forward(fc2_in)
+    loss, grad = softmax_cross_entropy(logits, label)
+    g = net.fc2.backward(grad, fc2_in)
+    if drop_mask is not None:
+        g = g * drop_mask
+    g = net.fc1.backward(relu_backward(g, fc1_out), flat).reshape(a.shape)
+    for (conv_in, conv_out, switches), conv in zip(reversed(stages), reversed(net.convs)):
+        g = relu_backward(maxpool_backward(g, switches), conv_out)
+        g = conv.backward(g, conv_in, input_grad=conv is not net.convs[0])
+    return loss, logits

@@ -353,3 +353,80 @@ def test_non_utf8_file_is_data_error_naming_it(tmp_path, reader):
     p.write_bytes(b"\xff\xfe\x00" + "# auprobe-activation-db v=1\n".encode("utf-16-le"))
     with pytest.raises(DataError, match=r"input\.txt: not UTF-8"):
         reader(p)
+
+
+# -------------------------------------------------------- atomic writes
+
+
+def _fail_writes_midway(monkeypatch):
+    """Make write_atomic's file writes stop halfway with a full disk."""
+    import builtins
+    import errno
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+            return False
+
+        def write(self, payload):
+            self.fh.write(payload[: len(payload) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(data, "open", lambda path, mode: HalfWriter(builtins.open(path, mode)),
+                        raising=False)
+
+
+def test_write_atomic_failure_midway_keeps_earlier_file(tmp_path, monkeypatch):
+    target = tmp_path / "artifact.csv"
+    data.write_atomic(target, "first\n")
+    data.write_atomic(target, b"second\n")
+    assert target.read_bytes() == b"second\n"
+    with monkeypatch.context() as patch:
+        _fail_writes_midway(patch)
+        with pytest.raises(OSError, match="No space"):
+            data.write_atomic(target, "third, and longer\n" * 100)
+
+    def busy(src, dst):
+        raise OSError("busy")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(data.os, "replace", busy)
+        with pytest.raises(OSError, match="busy"):
+            data.write_atomic(target, "fourth\n")
+    assert target.read_bytes() == b"second\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
+
+
+def test_artifact_writers_keep_earlier_file_on_failure(tmp_path, monkeypatch):
+    from auprobe import model
+
+    net = model.build_network(model.ModelConfig(input_size=16, conv_channels=(2, 3),
+                                                fc_hidden=4, num_classes=2))
+    db = ActivationDB([0, 1], np.array([[1.0, 2.0], [3.0, 0.5]]), np.zeros((2, 2), np.int32),
+                      np.ones((2, 2), np.int32), 2, {"checkpoint": "c"})
+    prof = association.AUDistanceProfile(au_id=1, distances=np.array([0.5, 2.0]),
+                                         argmax_map=1, n=3, provenance={})
+    metrics = [model.EpochMetrics(1, 0.5, 0.25, None, 1.0)]
+    writers = {
+        "net.ckpt": lambda path: model.save_checkpoint(net, path),
+        "db.csv": db.save,
+        "au_1.csv": lambda path: association.save_profile_csv(prof, path),
+        "metrics.csv": lambda path: model.write_metrics_csv(metrics, path),
+    }
+    for name, write in writers.items():
+        path = tmp_path / name
+        write(path)
+        earlier = path.read_bytes()
+        with monkeypatch.context() as patch:
+            _fail_writes_midway(patch)
+            with pytest.raises(OSError):
+                write(path)
+        assert path.read_bytes() == earlier, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)

@@ -4,7 +4,6 @@ import pytest
 from auprobe.deconv import (
     DeconvStage,
     project,
-    project_max,
     project_stages,
     receptive_field,
     receptive_field_span,
@@ -15,6 +14,15 @@ from auprobe.layers import ConvLayer, ShapeError
 from auprobe.model import ModelConfig, Network
 
 from oracles import reachable_pixels
+
+
+def project_max(trace, net, layer, map_index):
+    """Project the spatial argmax of one map; ties go to the first
+    row-major position. Returns (projection, (row, col), value)."""
+    fmap = trace.stages[layer - 1].pool_out[map_index]
+    row, col = np.unravel_index(int(np.argmax(fmap)), fmap.shape)
+    return (project(trace, net, layer, map_index, (row, col)), (int(row), int(col)),
+            float(fmap[row, col]))
 
 
 def small_net(seed=0, input_size=16):

@@ -3,6 +3,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auprobe.imageio import (
     PNG_SIGNATURE,
@@ -104,15 +106,93 @@ def test_png_rejects_rgb(tmp_path):
         read_image(p)
 
 
+def _idat_bounds(png: bytes) -> tuple[int, int]:
+    """Start and end of the IDAT chunk, length field to CRC."""
+    start = png.index(b"IDAT") - 4
+    (length,) = struct.unpack(">I", png[start : start + 4])
+    return start, start + 12 + length
+
+
 def test_png_corrupt_image_data_rejected(tmp_path, gradient):
     p = tmp_path / "corrupt.png"
     write_png(p, gradient)
-    data = bytearray(p.read_bytes())
-    idat = data.index(b"IDAT") + 4
-    data[idat + 2] = 0xFF  # first deflate block header after the zlib header: invalid type
-    p.write_bytes(bytes(data))
+    data = p.read_bytes()
+    start, end = _idat_bounds(data)
+    payload = bytearray(data[start + 8 : end - 4])
+    payload[2] = 0xFF  # first deflate block header after the zlib header: invalid type
+    # a matching CRC, so that the deflate stream itself is what fails
+    p.write_bytes(data[:start] + _png_chunk(b"IDAT", bytes(payload)) + data[end:])
     with pytest.raises(ImageFormatError, match="corrupt.png: corrupt PNG image data"):
         read_image(p)
+
+
+def test_png_crc_mismatch_names_chunk(tmp_path, gradient):
+    p = tmp_path / "flipped.png"
+    write_png(p, gradient)
+    data = bytearray(p.read_bytes())
+    start, end = _idat_bounds(bytes(data))
+    data[end - 1] ^= 0x01  # the stored CRC
+    p.write_bytes(bytes(data))
+    with pytest.raises(ImageFormatError, match="flipped.png: PNG chunk 'IDAT' fails its CRC"):
+        read_image(p)
+
+
+def test_png_chunk_past_end_of_file_names_chunk(tmp_path, gradient):
+    p = tmp_path / "short.png"
+    write_png(p, gradient)
+    data = p.read_bytes()
+    start, end = _idat_bounds(data)
+    p.write_bytes(data[: end - 5])  # cut inside the IDAT payload
+    with pytest.raises(ImageFormatError, match="short.png: PNG chunk 'IDAT' of .* runs past"):
+        read_image(p)
+    header = struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0)
+    p.write_bytes(PNG_SIGNATURE + _png_chunk(b"IHDR", header + b"\0"))
+    with pytest.raises(ImageFormatError, match="'IHDR' has 14 bytes"):
+        read_image(p)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _read_or_format_error(directory, payload: bytes) -> None:
+    """read_image on payload returns a uint8 image or raises ImageFormatError, nothing else."""
+    path = directory / "fuzz.img"
+    path.write_bytes(payload)
+    try:
+        img = read_image(path)
+    except ImageFormatError:
+        return
+    assert img.dtype == np.uint8 and img.ndim == 2
+
+
+@given(st.one_of(st.binary(max_size=200),
+                 st.binary(max_size=200).map(lambda b: PNG_SIGNATURE + b),
+                 st.binary(max_size=200).map(lambda b: b"P5" + b)))
+@settings(max_examples=300)
+def test_read_image_on_arbitrary_bytes(fuzz_dir, payload):
+    _read_or_format_error(fuzz_dir, payload)
+
+
+# 5 x 3 pixels, rows filtered by none, sub and paeth
+_VALID_PNG = (PNG_SIGNATURE
+              + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", 5, 3, 8, 0, 0, 0, 0))
+              + _png_chunk(b"IDAT", zlib.compress(bytes([0, 9, 8, 7, 6, 5, 1, 10, 20, 30, 40, 50,
+                                                        4, 7, 8, 9, 10, 11]), 6))
+              + _png_chunk(b"IEND", b""))
+
+
+@given(st.lists(st.integers(0, 8 * len(_VALID_PNG) - 1), min_size=1, max_size=4))
+@settings(max_examples=300)
+def test_read_image_on_bit_flipped_png(fuzz_dir, bits):
+    path = fuzz_dir / "valid.png"
+    path.write_bytes(_VALID_PNG)
+    assert read_image(path).shape == (3, 5)
+    data = bytearray(_VALID_PNG)
+    for bit in bits:
+        data[bit // 8] ^= 1 << (bit % 8)
+    _read_or_format_error(fuzz_dir, bytes(data))
 
 
 def test_unknown_format_rejected(tmp_path):

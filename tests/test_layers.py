@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from auprobe.layers import (
     ConvLayer,
     FCLayer,
+    Scratch,
     ShapeError,
     SwitchRecord,
     col2im,
@@ -277,6 +278,69 @@ def test_conv_gradients_equal_transposed_layout(dtype, geometry):
     assert layer.backward(g, x, cols=cols, input_grad=False) is None
     np.testing.assert_array_equal(layer.grad_kernels, ref_kernels)
     np.testing.assert_array_equal(layer.grad_bias, ref_bias)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("geometry", MODEL_GEOMETRIES + ODD_GEOMETRIES)
+def test_chunk_col2im_equals_per_image(dtype, geometry):
+    # a chunk [C,N,H,W] sums each element's k*k terms in a single image's order
+    in_c, _, h, w, k = geometry
+    rng = np.random.default_rng(h * w + 1)
+    patches = rng.normal(size=(in_c * k * k, 2 * h * w)).astype(dtype)
+    scratch = Scratch()
+    chunk = col2im(patches, (in_c, 2, h, w), k, k // 2, scratch)
+    assert chunk.shape == (in_c, 2, h, w) and chunk.dtype == dtype
+    images = [np.ascontiguousarray(patches.reshape(len(patches), 2, -1)[:, i]) for i in range(2)]
+    for i, image in enumerate(images):
+        assert chunk[:, i].tobytes() == col2im(image, (in_c, h, w), k, k // 2).tobytes()
+    # a shorter chunk from the same scratch reuses its buffer and starts from zeros again
+    second = chunk[:, 1].tobytes()
+    again = col2im(images[1], (in_c, 1, h, w), k, k // 2, scratch)
+    assert np.shares_memory(again, chunk) and again[:, 0].tobytes() == second
+
+
+def _assert_fused_backward_equals_two_steps(conv_out, grad):
+    """maxpool_backward with the pooled values equals relu then pool backward, per image."""
+    pooled, switches = maxpool_forward(relu_forward(conv_out), Scratch())
+    fused = maxpool_backward(grad, switches, pooled, Scratch())
+    assert fused.shape == conv_out.shape and fused.dtype == conv_out.dtype
+    for i in range(conv_out.shape[1]):
+        image = np.ascontiguousarray(conv_out[:, i])
+        image_pooled, image_switches = maxpool_forward(relu_forward(image))
+        assert pooled[:, i].tobytes() == image_pooled.tobytes()
+        np.testing.assert_array_equal(switches.rows[:, i], image_switches.rows)
+        np.testing.assert_array_equal(switches.cols[:, i], image_switches.cols)
+        two_steps = relu_backward(maxpool_backward(grad[:, i], image_switches), image)
+        assert fused[:, i].tobytes() == two_steps.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("geometry", MODEL_GEOMETRIES + ODD_GEOMETRIES)
+def test_fused_relu_pool_backward_equals_two_steps(dtype, geometry):
+    _, out_c, h, w, _ = geometry
+    rng = np.random.default_rng(out_c + h)
+    # one decimal: ties inside windows; clipped: zeros and whole windows at zero
+    conv_out = np.round(np.maximum(rng.normal(size=(out_c, 2, h, w)), -0.3), 1).astype(dtype)
+    grad = rng.normal(size=(out_c, 2, (h + 1) // 2, (w + 1) // 2)).astype(dtype)
+    grad[rng.random(grad.shape) < 0.1] = -0.0
+    _assert_fused_backward_equals_two_steps(conv_out, grad)
+
+
+@given(
+    st.sampled_from([np.float64, np.float32]).flatmap(
+        lambda dtype: st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 9),
+                                st.integers(1, 9)).flatmap(
+            lambda shape: st.tuples(
+                hnp.arrays(dtype, shape, elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])),
+                hnp.arrays(dtype, shape[:2] + ((shape[2] + 1) // 2, (shape[3] + 1) // 2),
+                           elements=st.sampled_from([-2.0, -0.0, 0.0, 3.0])),
+            )
+        )
+    )
+)
+@settings(max_examples=150)
+def test_fused_relu_pool_backward_ties_and_zeros(case):
+    _assert_fused_backward_equals_two_steps(*case)
 
 
 # ---------------------------------------------------------------- relu

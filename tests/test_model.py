@@ -6,6 +6,7 @@ import pytest
 from auprobe import data, layers, model
 from auprobe.data import DataError
 from auprobe.layers import (
+    dropout_mask,
     maxpool_backward,
     maxpool_forward,
     relu_backward,
@@ -16,6 +17,7 @@ from auprobe.model import (
     ModelConfig,
     Network,
     NumericError,
+    TrainBuffers,
     TrainConfig,
     build_network,
     load_checkpoint,
@@ -25,7 +27,7 @@ from auprobe.model import (
     train,
 )
 
-from oracles import sgd_step_reference
+from oracles import sample_gradients, sgd_step_reference
 
 
 @pytest.fixture(scope="module")
@@ -126,10 +128,10 @@ def test_inference_deterministic():
 
 def test_dropout_inactive_at_inference():
     net = build_network(small_config(seed=7))
-    x = np.random.default_rng(2).normal(size=(1, 16, 16))
-    plain = net.forward(x)
-    # train mode with p=0 must agree with inference exactly
-    logits, _ = net.forward(x, train=True, dropout_p=0.0)
+    xs = np.random.default_rng(2).normal(size=(3, 1, 16, 16))
+    plain = net.forward(xs)
+    # a training forward without a dropout mask must agree with inference exactly
+    logits = net.forward(xs, keep=TrainBuffers(len(net.convs)))
     np.testing.assert_array_equal(plain, logits)
 
 
@@ -167,28 +169,32 @@ def _count_calls(monkeypatch, module, names):
 
 def test_training_sample_builds_each_patch_matrix_once(monkeypatch):
     net = build_network(model.reduced_config(seed=4))
-    x = np.random.default_rng(0).random((1, 48, 48))
+    xs = np.random.default_rng(0).random((3, 1, 48, 48))
+    masks = np.stack([dropout_mask((net.config.fc_hidden,), 0.5, np.random.default_rng(i),
+                                   dtype=np.float32) for i in range(3)])
     calls = _count_calls(monkeypatch, layers, ["im2col", "col2im"])
-    logits, cache = net.forward(x, train=True, dropout_p=0.5,
-                                dropout_rng=np.random.default_rng(1))
-    _, grad_logits = softmax_cross_entropy(logits, 2)
+    keep = TrainBuffers(len(net.convs))
+    logits = net.forward(xs, keep=keep, drop_mask=masks)
+    grad_logits = np.stack([softmax_cross_entropy(row, label)[1]
+                            for row, label in zip(logits, [2, 0, 3])])
     net.zero_grads()
-    net.backward(cache, grad_logits)
-    # one im2col per conv, kept for backward; no col2im into the image
+    net.backward(keep, grad_logits)
+    # one im2col per conv for the whole chunk, kept for backward; no col2im into the image
     assert calls == {"im2col": 3, "col2im": 2}
     cached = [grad.copy() for _, _, grad in net.parameters()]
 
     # reference: every conv rebuilds its patch matrix and returns an input gradient
     net.zero_grads()
-    g = net.fc2.backward(grad_logits, cache.fc2_in) * cache.drop_mask
-    g = net.fc1.backward(relu_backward(g, cache.fc1_out), cache.flat)
-    g = g.reshape(cache.stages[-1].pool_out.shape)
-    for stage, conv in zip(reversed(cache.stages), reversed(net.convs)):
-        g = relu_backward(maxpool_backward(g, stage.switches), stage.conv_out)
-        g = conv.backward(g, stage.conv_in)
+    g = net.fc2.backward(grad_logits, keep.fc2_in) * keep.drop_mask
+    g = net.fc1.backward(relu_backward(g, keep.fc1_out), keep.flat)
+    c, n, h, w = keep.stages[-1].pooled.shape
+    g = g.reshape(n, c, h, w).transpose(1, 0, 2, 3)
+    for stage, conv in zip(reversed(keep.stages), reversed(net.convs)):
+        g = conv.backward(maxpool_backward(g, stage.switches, stage.pooled), stage.conv_in)
     assert calls == {"im2col": 6, "col2im": 5}
     for (name, _, grad), expected in zip(net.parameters(), cached):
-        assert np.array_equal(grad, expected), name
+        if not name.startswith("fc1"):  # backward leaves fc1's parameters to the batch
+            assert np.array_equal(grad, expected), name
 
 
 def test_weight_decay_alone_shrinks_norms():
@@ -235,43 +241,50 @@ def test_sgd_step_non_finite_weight_names_parameter():
 
 
 def test_train_batch_gradients_match_per_sample_loop(tiny_manifest, monkeypatch):
-    """The first batch's gradients, fc1's from one GEMM over the batch, equal
-    those of a loop that runs the one-sample Network.backward on each image.
-    In float64, where the two summation orders agree to 1e-12."""
+    """The first batch's gradients, each batch run as chunks and fc1's from one
+    GEMM over the batch, equal those of the earlier loop that ran every layer
+    on one image at a time (oracles.sample_gradients). In float64, where the
+    two summation orders agree to 1e-12. Chunks of 1, a whole batch, and
+    batches that are not a multiple of the chunk, so the last chunk is short."""
     config = dataclasses.replace(model.reduced_config(seed=4), dtype="float64")
-    net = build_network(config)
-    initial = serialize_network(net)
-    cfg = TrainConfig(batch_size=8, epochs=1, seed=9, augment=False)
-    seen = {}
+    labels = model._label_indices(tiny_manifest, config.num_classes)
 
     class FirstStep(Exception):
         pass
 
-    def capture(net_, velocity, cfg_, grad_scale):
-        seen.update((name, grad.copy()) for name, _, grad in net_.parameters())
-        raise FirstStep
+    for batch_size, chunk in ((8, 1), (8, 8), (8, 3), (12, 5)):
+        monkeypatch.setattr(model, "TRAIN_CHUNK_BYTES", chunk * model.train_chunk_bytes(config))
+        assert model.train_chunk_images(config) == chunk
+        net = build_network(config)
+        initial = serialize_network(net)
+        cfg = TrainConfig(batch_size=batch_size, epochs=1, seed=9, augment=False)
+        seen = {}
 
-    monkeypatch.setattr(model, "sgd_step", capture)
-    with pytest.raises(FirstStep):
-        train(net, tiny_manifest, cfg)
+        def capture(net_, velocity, cfg_, grad_scale):
+            seen.update((name, grad.copy()) for name, _, grad in net_.parameters())
+            raise FirstStep
 
-    ref = build_network(config)
-    assert serialize_network(ref) == initial
-    labels = model._label_indices(tiny_manifest, ref.config.num_classes)
-    order = np.random.default_rng([cfg.seed, 1, 0]).permutation(len(tiny_manifest))
-    ref.zero_grads()
-    for idx in order[: cfg.batch_size]:
-        idx = int(idx)
-        x = data.eval_transform(data.load_image(tiny_manifest, idx), ref.config.input_size)
-        logits, cache = ref.forward(x, train=True, dropout_p=cfg.dropout_p,
-                                    dropout_rng=np.random.default_rng([cfg.seed, 1, 2, idx]))
-        _, grad = softmax_cross_entropy(logits, labels[idx])
-        ref.backward(cache, grad)
-    for name, _, expected in ref.parameters():
-        got = seen[name]
-        assert got.any(), name
-        np.testing.assert_allclose(got, expected, rtol=1e-12,
-                                   atol=1e-12 * np.abs(expected).max(), err_msg=name)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "sgd_step", capture)
+            with pytest.raises(FirstStep):
+                train(net, tiny_manifest, cfg)
+
+        ref = build_network(config)
+        assert serialize_network(ref) == initial
+        order = np.random.default_rng([cfg.seed, 1, 0]).permutation(len(tiny_manifest))
+        ref.zero_grads()
+        for idx in order[:batch_size]:
+            idx = int(idx)
+            x = data.eval_transform(data.load_image(tiny_manifest, idx), ref.config.input_size)
+            mask = dropout_mask((config.fc_hidden,), cfg.dropout_p,
+                                np.random.default_rng([cfg.seed, 1, 2, idx]))
+            sample_gradients(ref, x, labels[idx], mask)
+        for name, _, expected in ref.parameters():
+            got = seen[name]
+            assert got.any(), name
+            np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max(),
+                                       err_msg=f"{name}, batch {batch_size}, chunk {chunk}")
 
 
 def test_float64_input_runs_in_network_dtype():
@@ -289,10 +302,10 @@ def test_float64_input_runs_in_network_dtype():
     pairs = [(net.forward(x64), net.forward(x32)),
              (net.stage_outputs(x64[None], 2), net.stage_outputs(x32[None], 2))]
     pairs += zip(arrays(net.forward_trace(x64)), arrays(net.forward_trace(x32)))
-    train_pass = [net.forward(x, train=True, dropout_rng=np.random.default_rng(1))
-                  for x in (x64, x32)]
-    pairs += [(train_pass[0][0], train_pass[1][0]),
-              (train_pass[0][1].stages[0].cols, train_pass[1][1].stages[0].cols)]
+    kept = [TrainBuffers(len(net.convs)) for _ in range(2)]
+    train_logits = [net.forward(x[None], keep=keep) for x, keep in zip((x64, x32), kept)]
+    pairs += [(train_logits[0], train_logits[1]),
+              (kept[0].stages[0].cols, kept[1].stages[0].cols)]
     for got, want in pairs:
         assert got.dtype == want.dtype == np.float32
         assert np.array_equal(got, want)
@@ -339,17 +352,21 @@ def test_test_split_accuracy_logged(tmp_path, tiny_manifest):
 
 
 def test_dropout_fraction_during_training():
-    # expected zeroed fraction of hidden units is p over many trials
+    # expected zeroed fraction of the hidden units the ReLU passes is p over many trials
     net = build_network(small_config(seed=9, fc_hidden=64))
-    x = np.random.default_rng(3).normal(size=(1, 16, 16))
+    x = np.random.default_rng(3).normal(size=(1, 1, 16, 16))
+    keep = TrainBuffers(len(net.convs))
     zeroed = 0
-    trials = 10000 // 64 + 1
     total = 0
-    for t in range(trials):
-        _, cache = net.forward(x, train=True, dropout_p=0.5,
-                               dropout_rng=np.random.default_rng(t))
-        zeroed += int((cache.drop_mask == 0).sum())
-        total += cache.drop_mask.size
+    trial = 0
+    while total < 10000:
+        mask = dropout_mask((1, 64), 0.5, np.random.default_rng(trial), dtype=np.float32)
+        net.forward(x, keep=keep, drop_mask=mask)
+        live = keep.fc1_out > 0
+        assert live.any()
+        zeroed += int((keep.fc2_in[live] == 0).sum())
+        total += int(live.sum())
+        trial += 1
     assert abs(zeroed / total - 0.5) < 0.02
 
 
