@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from auprobe import association, data, deconv, harvest, model
+from auprobe import association, data, deconv, harvest, model, report
 
 
 def evaluate_recovery(net, manifest, spec, db, n=9):
@@ -30,11 +30,7 @@ def evaluate_recovery(net, manifest, spec, db, n=9):
     for unit in spec.units:
         prof = association.profile(db, manifest, unit.unit_id, n=n)
         ratio = prof.argmax_distance / max(float(np.median(prof.distances)), 1e-12)
-        rec = harvest.top_n(db, prof.argmax_map, range(db.num_images), 1)[0]
-        img = data.load_image(manifest, rec.image_id)
-        x = data.eval_transform(img, net.config.input_size)
-        trace = net.forward_trace(x, image_id=rec.image_id)
-        proj = deconv.project(trace, net, db.layer, prof.argmax_map, (rec.row, rec.col))
+        [(_, _, proj, _)] = report.map_responses(db, net, manifest, prof.argmax_map, 1)
         box = data.region_in_model_coords(unit.region, spec.canvas_size,
                                           net.config.input_size)
         energy = deconv.projection_energy_fraction(proj, box)

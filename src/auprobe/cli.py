@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import association, data, harvest as harvest_mod, model, report
 from .data import DataError
-from .deconv import project, receptive_field, render_response
+from .deconv import render_response
 from .imageio import ImageFormatError
 from .model import ModelConfig, NumericError, TrainConfig
 
@@ -127,9 +127,12 @@ def _env_seed() -> int | None:
     if raw is None or raw == "":
         return None
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise DataError(f"{ENV_SEED} must be an integer, got {raw!r}") from exc
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise DataError(f"{ENV_SEED} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _apply_seed_overrides(model_cfg: ModelConfig, train_cfg: TrainConfig):
@@ -190,25 +193,18 @@ def cmd_harvest(args) -> int:
 def cmd_deconv(args) -> int:
     net = model.load_checkpoint(args.checkpoint)
     manifest = data.load_manifest(args.manifest)
+    num_maps = net.config.conv_channels[-1]
+    if not 0 <= args.map < num_maps:
+        raise DataError(f"--map {args.map} outside 0..{num_maps - 1}")
     db = harvest_mod.harvest(net, manifest)
-    if not 0 <= args.map < db.num_maps:
-        raise DataError(f"--map {args.map} outside 0..{db.num_maps - 1}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report.montage(db, net, manifest, args.map, n=args.top, out_prefix=out / f"map_{args.map}")
-    records = harvest_mod.top_n(db, args.map, range(db.num_images), args.top)
-    for rank, rec in enumerate(records, start=1):
-        img = data.load_image(manifest, rec.image_id)
-        x = data.eval_transform(img, net.config.input_size)
-        trace = net.forward_trace(x, image_id=rec.image_id)
-        proj = project(trace, net, db.layer, args.map, (rec.row, rec.col))
-        box = receptive_field(net.config, db.layer, (rec.row, rec.col))
-        view = data.eval_view(img, net.config.input_size)
-        render_response(
-            proj, box, view,
-            out / f"img{rec.image_id}_L{db.layer}_m{args.map}_r{rank}.png",
-        )
-    print(f"deconv: map {args.map}, {len(records)} responses -> {out}")
+    responses = list(report.map_responses(db, net, manifest, args.map, args.top))
+    report.write_montage(responses, net.config, db.layer, out / f"map_{args.map}")
+    for rank, (rec, view, proj, box) in enumerate(responses, start=1):
+        render_response(proj, box, view,
+                        out / f"img{rec.image_id}_L{db.layer}_m{args.map}_r{rank}.png")
+    print(f"deconv: map {args.map}, {len(responses)} responses -> {out}")
     return 0
 
 

@@ -112,6 +112,14 @@ class DatasetManifest:
         return hashlib.sha256(self.to_csv_bytes()).hexdigest()
 
 
+def _integer(text: str) -> int | None:
+    """text as an int if it is decimal digits after an optional '-', else None."""
+    try:
+        return int(text) if text.removeprefix("-").isdecimal() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def _parse_row(raw: dict, line: int) -> ManifestRow:
     path = (raw.get("path") or "").strip()
     label = (raw.get("label") or "").strip()
@@ -122,16 +130,16 @@ def _parse_row(raw: dict, line: int) -> ManifestRow:
         token = token.strip()
         if not token:
             continue
-        if not token.isdigit() or int(token) <= 0:
+        au = _integer(token)
+        if au is None or au <= 0:
             raise DataError(f"manifest line {line}: bad action-unit id {token!r}")
-        aus.add(int(token))
+        aus.add(au)
     crop_text = (raw.get("crop") or "").strip()
     crop_box = None
     if crop_text:
-        parts = crop_text.split(";")
-        if len(parts) != 4 or not all(p.strip().lstrip("-").isdigit() for p in parts):
+        crop_box = tuple(_integer(p.strip()) for p in crop_text.split(";"))
+        if len(crop_box) != 4 or None in crop_box:
             raise DataError(f"manifest line {line}: crop must be x0;y0;x1;y1, got {crop_text!r}")
-        crop_box = tuple(int(p) for p in parts)
     return ManifestRow(
         path=path,
         label=label,
@@ -410,6 +418,8 @@ class SyntheticSpec:
         for u in self.units:
             if u.glyph not in GLYPHS:
                 raise DataError(f"unknown glyph {u.glyph!r} (have {sorted(GLYPHS)})")
+            if len(u.region) != 4:
+                raise DataError(f"unit {u.unit_id} region {u.region} is not x0, y0, x1, y1")
             x0, y0, x1, y1 = u.region
             if not (0 <= x0 < x1 <= self.canvas_size and 0 <= y0 < y1 <= self.canvas_size):
                 raise DataError(f"unit {u.unit_id} region {u.region} outside canvas")
@@ -420,8 +430,8 @@ class SyntheticSpec:
             missing = set(rule) - ids
             if missing:
                 raise DataError(f"class {cls!r} references undefined units {sorted(missing)}")
-        if self.samples_per_class < 1:
-            raise DataError("samples_per_class must be >= 1")
+        if self.samples_per_class < 1 or self.seed < 0:
+            raise DataError("samples_per_class must be >= 1 and seed >= 0")
 
     def unit_by_id(self, unit_id: int) -> UnitSpec:
         for u in self.units:
@@ -472,7 +482,7 @@ def default_synthetic_spec(canvas_size: int = 48, samples_per_class: int = 100,
 def load_synthetic_spec(path) -> SyntheticSpec:
     try:
         raw = json.loads(read_text(path))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DataError(f"cannot read synthetic spec {path}: {exc}") from exc
     try:
         units = tuple(
@@ -491,7 +501,7 @@ def load_synthetic_spec(path) -> SyntheticSpec:
             background=float(raw.get("background", 32.0)),
             seed=int(raw.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataError(f"malformed synthetic spec {path}: {exc}") from exc
     spec.validate()
     return spec

@@ -48,38 +48,39 @@ def _check_trace(trace: ForwardTrace, net: Network) -> None:
             f"trace has {len(trace.stages)} stages, network {len(net.convs)}"
         )
     for i, (st, conv) in enumerate(zip(trace.stages, net.convs), start=1):
-        if st.conv_in.shape[0] != conv.in_channels or st.pool_out.shape[0] != conv.out_channels:
+        if st.conv_in.shape[0] != conv.in_channels or st.pooled.shape[0] != conv.out_channels:
             raise ShapeError(
-                f"trace stage {i} channels {st.conv_in.shape[0]}->{st.pool_out.shape[0]} "
+                f"trace stage {i} channels {st.conv_in.shape[0]}->{st.pooled.shape[0]} "
                 f"do not match network {conv.in_channels}->{conv.out_channels}"
             )
 
 
 def project(trace: ForwardTrace, net: Network, layer: int, map_index: int,
             location: tuple[int, int]) -> np.ndarray:
-    """Pixel-space response of one pooled activation at `layer`.
+    """Pixel-space response [1, S, S] of one pooled activation at `layer`.
 
     The chosen activation (map_index, location) keeps its traced value,
     every other activation in that layer is zeroed, and the result is
-    carried down through unpool / rectify / transposed convolution.
+    carried down through unpool / rectify / transposed convolution as the
+    trace's chunk of one image.
     """
     _check_trace(trace, net)
     if not 1 <= layer <= len(trace.stages):
         raise ShapeError(f"layer {layer} outside 1..{len(trace.stages)}")
-    pool_out = trace.stages[layer - 1].pool_out
-    c, h, w = pool_out.shape
+    pooled = trace.stages[layer - 1].pooled
+    c, _, h, w = pooled.shape
     row, col = location
     if not (0 <= map_index < c and 0 <= row < h and 0 <= col < w):
         raise ShapeError(
-            f"(map {map_index}, location {location}) outside feature maps {pool_out.shape}"
+            f"(map {map_index}, location {location}) outside feature maps {(c, h, w)}"
         )
-    top = np.zeros_like(pool_out)
-    top[map_index, row, col] = pool_out[map_index, row, col]
+    top = np.zeros_like(pooled)
+    top[map_index, 0, row, col] = pooled[map_index, 0, row, col]
     stages = [
         DeconvStage(conv=net.convs[i], switches=trace.stages[i].switches, relu=True)
         for i in range(layer)
     ]
-    return project_stages(stages, top)
+    return project_stages(stages, top)[:, 0]
 
 
 class Geometry(NamedTuple):
@@ -143,6 +144,18 @@ def projection_energy_fraction(projection: np.ndarray,
     return inside / total
 
 
+def normalized_crop(arr: np.ndarray, box: tuple[int, int, int, int]) -> np.ndarray:
+    """arr's crop to box (x0, y0, x1, y1), inclusive, min-max scaled to uint8."""
+    x0, y0, x1, y1 = box
+    crop = arr[y0 : y1 + 1, x0 : x1 + 1].astype(np.float64)
+    lo, hi = crop.min(), crop.max()
+    if hi > lo:
+        crop = (crop - lo) / (hi - lo) * 255.0
+    else:
+        crop = np.zeros_like(crop)
+    return crop.astype(np.uint8)
+
+
 def render_response(projection: np.ndarray, rf: tuple[int, int, int, int],
                     source_image: np.ndarray, out_path) -> tuple[Path, Path]:
     """Write the receptive-field crop and its deconvolution response.
@@ -156,14 +169,8 @@ def render_response(projection: np.ndarray, rf: tuple[int, int, int, int],
     x0, y0, x1, y1 = rf
     crop = np.asarray(source_image)[y0 : y1 + 1, x0 : x1 + 1]
     proj = projection[0] if projection.ndim == 3 else projection
-    resp = proj[y0 : y1 + 1, x0 : x1 + 1].astype(np.float64)
-    lo, hi = resp.min(), resp.max()
-    if hi > lo:
-        resp = (resp - lo) / (hi - lo) * 255.0
-    else:
-        resp = np.zeros_like(resp)
     orig_path = stem.parent / (stem.name + "_orig" + suffix)
     deconv_path = stem.parent / (stem.name + "_deconv" + suffix)
     imageio.write_image(orig_path, crop)
-    imageio.write_image(deconv_path, resp.astype(np.uint8))
+    imageio.write_image(deconv_path, normalized_crop(proj, rf))
     return orig_path, deconv_path

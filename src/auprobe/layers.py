@@ -12,13 +12,14 @@ transpose: `transpose_apply` and `backward` share one col2im scatter-add
 that is the exact adjoint of the im2col gather.
 
 Spatial ops take single images shaped [channels, height, width] or a
-chunk of images shaped [channels, images, height, width], which training
-and inference run in one pass: im2col, col2im, ConvLayer.forward and
-backward, maxpool_forward, maxpool_values and maxpool_backward. A chunk's
-patch matrix is [C*k*k, N*H*W], each image's H*W columns in turn, so the
-kernel gradient is one GEMM per chunk. FCLayer takes one sample or N
-stacked rows. Calls given a Scratch compute into buffers it keeps, so a
-loop over chunks allocates its large arrays once.
+chunk of images shaped [channels, images, height, width], which training,
+inference and deconvolution run in one pass: im2col, col2im,
+ConvLayer.forward, backward and transpose_apply, maxpool_forward,
+maxpool_values, maxpool_backward and unpool. A chunk's patch matrix is
+[C*k*k, N*H*W], each image's H*W columns in turn, so the kernel gradient
+is one GEMM per chunk. FCLayer takes one sample or N stacked rows. Calls
+given a Scratch compute into buffers it keeps, so a loop over chunks
+allocates its large arrays once.
 """
 
 from __future__ import annotations
@@ -196,11 +197,11 @@ class ConvLayer:
                 scratch: Scratch | None = None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Return the output [out_channels,H,W], and the patch matrix if asked.
 
-        A chunk x [C,N,H,W] gives [out_channels,N,H,W]. Its product is one
-        GEMM per image, each of the shape a single-image call multiplies:
-        one GEMM over all N*H*W columns can sum in another order where an
-        image's columns do not start on a BLAS kernel block, and then an
-        image would not get its single-image bits.
+        A chunk x [C,N,H,W] gives [out_channels,N,H,W]; a single image runs
+        as a chunk of one. The product is one GEMM per image: one GEMM over
+        all N*H*W columns can sum in another order where an image's columns
+        do not start on a BLAS kernel block, and then an image's bits would
+        depend on the chunk it came in.
         """
         if x.ndim not in (3, 4) or x.shape[0] != self.in_channels:
             raise ShapeError(
@@ -212,12 +213,9 @@ class ConvLayer:
         kmat = self._kernel_matrix
         out = scratch.empty("out", (self.out_channels, cols.shape[1]),
                             np.result_type(kmat, cols))
-        if x.ndim == 3:
-            np.matmul(kmat, cols, out=out)
-        else:
-            n = x.shape[1]
-            np.matmul(kmat, cols.reshape(len(cols), n, -1).transpose(1, 0, 2),
-                      out=out.reshape(self.out_channels, n, -1).transpose(1, 0, 2))
+        n = x.shape[1] if x.ndim == 4 else 1
+        np.matmul(kmat, cols.reshape(len(cols), n, -1).transpose(1, 0, 2),
+                  out=out.reshape(self.out_channels, n, -1).transpose(1, 0, 2))
         out += self.bias[:, None]
         out = out.reshape((self.out_channels,) + x.shape[1:])
         return (out, cols) if return_cols else out
@@ -253,16 +251,17 @@ class ConvLayer:
     def transpose_apply(self, y: np.ndarray) -> np.ndarray:
         """Pure operator transpose (no bias, no gradient accumulation).
 
-        Maps an output-shaped signal [out_channels,H,W] back to input
-        space [in_channels,H,W]; the deconvolution building block.
+        Maps an output-shaped signal [out_channels,H,W], or a chunk
+        [out_channels,N,H,W], back to input space [in_channels,H,W] or
+        [in_channels,N,H,W]; the deconvolution building block.
         """
-        if y.ndim != 3 or y.shape[0] != self.out_channels:
+        if y.ndim not in (3, 4) or y.shape[0] != self.out_channels:
             raise ShapeError(
-                f"expected output-shaped signal [{self.out_channels},H,W], got {y.shape}"
+                f"expected output-shaped signal [{self.out_channels},H,W] or "
+                f"[{self.out_channels},N,H,W], got {y.shape}"
             )
-        _, h, w = y.shape
         grad_cols = self._kernel_matrix.T @ y.reshape(self.out_channels, -1)
-        return col2im(grad_cols, (self.in_channels, h, w), self.kernel_size, self.pad)
+        return col2im(grad_cols, (self.in_channels,) + y.shape[1:], self.kernel_size, self.pad)
 
 
 class FCLayer:

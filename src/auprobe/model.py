@@ -55,13 +55,17 @@ class ModelConfig:
     dtype: str = "float32"  # "float64" for the double-precision run
 
     def __post_init__(self):
+        counts = (self.input_size, self.kernel_size, self.fc_hidden, self.num_classes, self.seed,
+                  *self.conv_channels)
+        if not self.conv_channels or not all(isinstance(v, (int, np.integer)) for v in counts):
+            raise ValueError(f"need integer sizes and seed, and a conv stage: {self}")
         if self.input_size < 8:
             raise ValueError(f"input_size {self.input_size} too small")
-        if not self.conv_channels:
-            raise ValueError("need at least one conv stage")
+        if self.conv_channels[0] < 1 or self.seed < 0:
+            raise ValueError("conv_channels must be positive and seed non-negative")
         if any(b <= a for a, b in zip(self.conv_channels, self.conv_channels[1:])):
             raise ValueError(f"conv_channels must increase strictly: {self.conv_channels}")
-        if self.kernel_size % 2 != 1:
+        if self.kernel_size < 1 or self.kernel_size % 2 != 1:
             raise ValueError("kernel_size must be odd for same-size convolution")
         if self.num_classes < 2 or self.fc_hidden < 1:
             raise ValueError("num_classes >= 2 and fc_hidden >= 1 required")
@@ -87,6 +91,13 @@ class ModelConfig:
     def flat_features(self) -> int:
         return self.conv_channels[-1] * self.stage_sizes()[-1] ** 2
 
+    def parameter_count(self) -> int:
+        """Weights and biases of the network this config builds."""
+        ins = (1,) + tuple(self.conv_channels[:-1])
+        convs = sum(o * (i * self.kernel_size ** 2 + 1) for i, o in zip(ins, self.conv_channels))
+        return (convs + self.fc_hidden * (self.flat_features + 1)
+                + self.num_classes * (self.fc_hidden + 1))
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -107,29 +118,8 @@ class TrainConfig:
             raise ValueError(f"dropout_p {self.dropout_p} outside [0, 1)")
         if self.learning_rate < 0 or self.weight_decay < 0:
             raise ValueError("learning_rate and weight_decay must be >= 0")
-        if self.batch_size < 1 or self.epochs < 1 or self.test_count < 0:
-            raise ValueError("batch_size/epochs must be >= 1, test_count >= 0")
-
-
-@dataclass
-class StageTrace:
-    conv_in: np.ndarray
-    conv_out: np.ndarray
-    relu_out: np.ndarray
-    pool_out: np.ndarray
-    switches: SwitchRecord
-
-
-@dataclass
-class ForwardTrace:
-    """Everything one inference pass computed, for replay and deconvolution."""
-
-    image_id: int | None
-    stages: list[StageTrace]
-    flat: np.ndarray
-    fc1_out: np.ndarray
-    hidden: np.ndarray
-    logits: np.ndarray
+        if self.batch_size < 1 or self.epochs < 1 or min(self.test_count, self.seed) < 0:
+            raise ValueError("batch_size/epochs must be >= 1, test_count and seed >= 0")
 
 
 @dataclass
@@ -138,6 +128,18 @@ class _KeptStage:
     cols: np.ndarray  # its patch matrix, the operand of the kernel gradient
     pooled: np.ndarray  # the pool's output, whose sign masks the ReLU gradient
     switches: SwitchRecord
+
+
+@dataclass
+class ForwardTrace:
+    """The conv stages of one image's inference pass, for deconvolution.
+
+    Each stage is kept as training keeps it, for a chunk of one image:
+    arrays [C, 1, H, W] and switches into them.
+    """
+
+    image_id: int | None
+    stages: list[_KeptStage]
 
 
 class TrainBuffers:
@@ -199,35 +201,17 @@ class Network:
 
     # ----------------------------------------------------------- forward
 
-    def _input(self, x: np.ndarray) -> np.ndarray:
-        """x checked against [1, S, S] and cast to the network's dtype.
+    def _chunk(self, xs: np.ndarray) -> np.ndarray:
+        """xs [N, 1, S, S] checked, cast to the network's dtype, as the chunk [1, N, S, S].
 
         Without the cast a float64 image would promote every GEMM of a
         float32 network to float64.
         """
         expected = (1, self.config.input_size, self.config.input_size)
-        if x.shape != expected:
-            raise ShapeError(f"expected input {expected}, got {x.shape}")
-        return x.astype(self.config.np_dtype, copy=False)
-
-    def _chunk(self, xs: np.ndarray) -> np.ndarray:
-        """xs [N, 1, S, S] checked, cast to the network's dtype, as the chunk [1, N, S, S]."""
-        expected = (1, self.config.input_size, self.config.input_size)
         if xs.ndim != 4 or xs.shape[1:] != expected:
-            raise ShapeError(f"expected a chunk [N, {', '.join(map(str, expected))}], "
-                             f"got {xs.shape}")
+            raise ShapeError(f"expected a chunk [N, {', '.join(map(str, expected))}] "
+                             f"(an image runs as a chunk of one), got {xs.shape}")
         return xs.astype(self.config.np_dtype, copy=False).transpose(1, 0, 2, 3)
-
-    def _run_stages(self, x: np.ndarray) -> list[StageTrace]:
-        stages = []
-        a = x
-        for conv in self.convs:
-            conv_out = conv.forward(a)
-            relu_out = relu_forward(conv_out)
-            pool_out, switches = maxpool_forward(relu_out)
-            stages.append(StageTrace(a, conv_out, relu_out, pool_out, switches))
-            a = pool_out
-        return stages
 
     def _conv_stack(self, a: np.ndarray, depth: int,
                     keep: TrainBuffers | None = None) -> np.ndarray:
@@ -260,7 +244,7 @@ class Network:
         rows (dropout).
         """
         if x.ndim == 3:
-            return self.forward(self._input(x)[None], keep=keep, drop_mask=drop_mask)[0]
+            return self.forward(x[None], keep=keep, drop_mask=drop_mask)[0]
         pooled = self._conv_stack(self._chunk(x), len(self.convs), keep)
         flat = pooled.transpose(1, 0, 2, 3).reshape(pooled.shape[1], -1)
         fc1_out = self.fc1.forward(flat)
@@ -271,13 +255,15 @@ class Network:
         return self.fc2.forward(fc2_in)
 
     def forward_trace(self, x: np.ndarray, image_id: int | None = None) -> ForwardTrace:
-        """Inference pass that keeps every intermediate activation."""
-        x = self._input(x)
-        stages = self._run_stages(x)
-        flat = stages[-1].pool_out.reshape(-1)
-        fc1_out = self.fc1.forward(flat)
-        hidden = relu_forward(fc1_out)
-        return ForwardTrace(image_id, stages, flat, fc1_out, hidden, self.fc2.forward(hidden))
+        """The conv stages of one image x [1, S, S], run as a chunk of one.
+
+        The stack runs as in training, into buffers of this trace's own,
+        and keeps each stage's input, patch matrix, pooled maps and
+        switches; the classifier head does not run.
+        """
+        keep = TrainBuffers(len(self.convs))
+        self._conv_stack(self._chunk(x[None]), len(self.convs), keep)
+        return ForwardTrace(image_id, keep.stages)
 
     def stage_outputs(self, xs: np.ndarray, layer: int) -> np.ndarray:
         """Pooled feature maps [N, C, h, w] of stage `layer` (1-based) for xs [N, 1, S, S].
@@ -285,7 +271,7 @@ class Network:
         The chunk runs through the conv stack once, stage by stage as
         [C, N, H, W] arrays, and stops at `layer`. It keeps no trace,
         patch matrix or switch and runs no classifier head; each image's
-        maps are the bits forward_trace gives it. xs is cast to the
+        maps are the bits forward_trace keeps for it. xs is cast to the
         network's dtype, as forward casts its input.
         """
         a = self._chunk(xs)
@@ -614,9 +600,9 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Network
     try:
         header = json.loads(blob[len(CHECKPOINT_MAGIC) : end].decode("utf-8"))
         config = _config_from_header(header["config"])
-        declared = header["params"]
+        declared = [(spec["name"], tuple(spec["shape"])) for spec in header["params"]]
         version = header["version"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise data_mod.DataError(f"{path}: malformed checkpoint header: {exc}") from exc
     if version != 1:
         raise data_mod.DataError(f"{path}: unsupported checkpoint version {version}")
@@ -627,31 +613,26 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Network
             if getattr(config, key) != getattr(expected_config, key)
         ]
         raise data_mod.DataError(f"{path}: config mismatch ({'; '.join(diffs)})")
+    little = "<f4" if config.dtype == "float32" else "<f8"
+    offset = end + 1
+    # checked before the network is built, so its size is bounded by the file's
+    have, need = len(blob) - offset, config.parameter_count() * np.dtype(little).itemsize
+    if have < need:
+        raise data_mod.DataError(f"{path}: truncated data: {have} bytes, the config needs {need}")
+    if have > need:
+        raise data_mod.DataError(f"{path}: {have - need} trailing bytes")
 
     net = Network(config)
     params = net.parameters()
-    if [p["name"] for p in declared] != [name for name, _, _ in params]:
+    if [name for name, _ in declared] != [name for name, _, _ in params]:
         raise data_mod.DataError(f"{path}: parameter list does not match architecture")
-    little = "<f4" if config.dtype == "float32" else "<f8"
-    itemsize = np.dtype(little).itemsize
-    offset = end + 1
-    loaded = {}
-    for spec, (name, value, _) in zip(declared, params):
-        shape = tuple(spec["shape"])
+    for (_, shape), (name, value, _) in zip(declared, params):
         if shape != value.shape:
             raise data_mod.DataError(
                 f"{path}: shape mismatch for {name}: checkpoint {shape}, model {value.shape}"
             )
-        count = int(np.prod(shape))
-        chunk = blob[offset : offset + count * itemsize]
-        if len(chunk) != count * itemsize:
-            raise data_mod.DataError(f"{path}: truncated data for {name}")
-        loaded[name] = np.frombuffer(chunk, dtype=little).reshape(shape).astype(config.np_dtype)
-        offset += count * itemsize
-    if offset != len(blob):
-        raise data_mod.DataError(f"{path}: {len(blob) - offset} trailing bytes")
-    for name, value, _ in params:
-        value[...] = loaded[name]
+        value[...] = np.frombuffer(blob, little, value.size, offset).reshape(value.shape)
+        offset += value.nbytes
     return net
 
 
@@ -689,7 +670,6 @@ __all__ = [
     "ModelConfig",
     "Network",
     "NumericError",
-    "StageTrace",
     "TrainBuffers",
     "TrainConfig",
     "build_network",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ import numpy as np
 from . import data as data_mod
 from . import imageio
 from .association import AUDistanceProfile, save_profile_csv
-from .deconv import Geometry, project, receptive_field, receptive_field_span
+from .deconv import (Geometry, normalized_crop, project, receptive_field,
+                     receptive_field_span)
 from .harvest import ActivationDB, partition_by_au, top_n
 from .model import ModelConfig, Network
 
@@ -90,17 +92,6 @@ def _grid(cells: list[np.ndarray], cols: int, cell_shape: tuple[int, int],
     return canvas
 
 
-def _normalized_crop(arr: np.ndarray, box: tuple[int, int, int, int]) -> np.ndarray:
-    x0, y0, x1, y1 = box
-    crop = arr[y0 : y1 + 1, x0 : x1 + 1].astype(np.float64)
-    lo, hi = crop.min(), crop.max()
-    if hi > lo:
-        crop = (crop - lo) / (hi - lo) * 255.0
-    else:
-        crop = np.zeros_like(crop)
-    return crop.astype(np.uint8)
-
-
 def _cell_anchor(box, row, col, config: ModelConfig, layer: int) -> tuple[int, int]:
     """Offset of the clipped crop inside its nominal receptive-field cell."""
     r0, c0 = row, col  # unclipped start of the field for this unit
@@ -110,42 +101,51 @@ def _cell_anchor(box, row, col, config: ModelConfig, layer: int) -> tuple[int, i
     return box[1] - r0, box[0] - c0
 
 
-def montage(db: ActivationDB, net: Network, manifest: data_mod.DatasetManifest,
-            map_index: int, n: int = 9, out_prefix=None) -> tuple[Path, Path]:
-    """Paired grids for one map: receptive-field crops and deconv responses.
+def map_responses(db: ActivationDB, net: Network, manifest: data_mod.DatasetManifest,
+                  map_index: int, n: int) -> Iterator[tuple]:
+    """(record, view, projection, box) of one map's top-n peaks, in rank order.
 
-    Cells are anchored to the unclipped receptive-field frame so border
-    units stay aligned. Writes <prefix>_orig.png and <prefix>_deconv.png.
+    Each peak's image is traced and projected once: view is the uint8
+    [S, S] image the network saw, projection the [1, S, S] deconvolution
+    response and box the receptive field (x0, y0, x1, y1), inclusive.
+    Warns when fewer than n images are available.
     """
-    if out_prefix is None:
-        raise ValueError("montage needs an output prefix")
     records = top_n(db, map_index, range(db.num_images), n)
     if len(records) < n:
         warnings.warn(
             f"map {map_index}: only {len(records)} images available, montage will be smaller",
             stacklevel=2,
         )
-    layer = db.layer
     config = net.config
+    for rec in records:
+        img = data_mod.load_image(manifest, rec.image_id)
+        x = data_mod.eval_transform(img, config.input_size, dtype=config.np_dtype)
+        trace = net.forward_trace(x, image_id=rec.image_id)
+        yield (rec, data_mod.eval_view(img, config.input_size),
+               project(trace, net, db.layer, map_index, (rec.row, rec.col)),
+               receptive_field(config, db.layer, (rec.row, rec.col)))
+
+
+def write_montage(responses: Iterable[tuple], config: ModelConfig, layer: int,
+                  out_prefix) -> tuple[Path, Path]:
+    """Paired grids of receptive-field crops and deconv responses at `layer`.
+
+    Cells are anchored to the unclipped receptive-field frame so border
+    units stay aligned. Writes <prefix>_orig.png and <prefix>_deconv.png.
+    """
     span = min(receptive_field_span(config, layer), config.input_size)
     orig_cells: list[np.ndarray] = []
     deconv_cells: list[np.ndarray] = []
-    for rec in records:
-        img = data_mod.load_image(manifest, rec.image_id)
-        x = data_mod.eval_transform(img, config.input_size)
-        view = data_mod.eval_view(img, config.input_size)
-        trace = net.forward_trace(x, image_id=rec.image_id)
-        proj = project(trace, net, layer, map_index, (rec.row, rec.col))
-        box = receptive_field(config, layer, (rec.row, rec.col))
+    for rec, view, proj, box in responses:
         dy, dx = _cell_anchor(box, rec.row, rec.col, config, layer)
         dy = min(max(dy, 0), span - (box[3] - box[1] + 1))
         dx = min(max(dx, 0), span - (box[2] - box[0] + 1))
         for cells, source in ((orig_cells, view), (deconv_cells, proj[0])):
             cell = np.zeros((span, span), dtype=np.uint8)
-            crop = _normalized_crop(source, box)
+            crop = normalized_crop(source, box)
             cell[dy : dy + crop.shape[0], dx : dx + crop.shape[1]] = crop
             cells.append(cell)
-    cols = int(np.ceil(np.sqrt(max(len(records), 1))))
+    cols = int(np.ceil(np.sqrt(max(len(orig_cells), 1))))
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     orig_path = prefix.parent / (prefix.name + "_orig.png")
@@ -153,6 +153,13 @@ def montage(db: ActivationDB, net: Network, manifest: data_mod.DatasetManifest,
     imageio.write_image(orig_path, _grid(orig_cells, cols, (span, span)))
     imageio.write_image(deconv_path, _grid(deconv_cells, cols, (span, span)))
     return orig_path, deconv_path
+
+
+def montage(db: ActivationDB, net: Network, manifest: data_mod.DatasetManifest,
+            map_index: int, n: int = 9, *, out_prefix) -> tuple[Path, Path]:
+    """write_montage of one map's top-n map_responses."""
+    return write_montage(map_responses(db, net, manifest, map_index, n), net.config,
+                         db.layer, out_prefix)
 
 
 def _geometry_from_db(db: ActivationDB) -> Geometry:

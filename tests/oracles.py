@@ -214,8 +214,9 @@ def reachable_pixels(unit_value_fn, input_shape: tuple[int, int, int],
 
 # Earlier per-image and per-line implementations, kept as references:
 # the chunked harvest, the separable resize and the column-wise DB parse
-# must reproduce them exactly. harvest_per_image drives the library's
-# per-image forward_trace, which keeps switches, as the earlier loop did.
+# must reproduce them exactly. harvest_per_image runs its own per-image
+# stage loop of single-image layer calls, so it does not share the
+# chunked stage runner it checks.
 
 
 def bilinear_sample_masked(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -252,17 +253,21 @@ def resize_meshgrid(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def harvest_per_image(net, manifest, layer: int):
     """(values, rows, cols) of every image's per-map peaks, one image at a time.
 
-    Runs each image through forward_trace, which keeps switches; raises
-    NumericError for the first non-finite peak in image, then map order.
+    Runs each image [1,S,S] through the convs up to `layer` as 3-D
+    ConvLayer.forward, relu_forward and maxpool_forward calls (the pool
+    keeps switches, as the earlier loop's did); raises NumericError for
+    the first non-finite peak in image, then map order.
     """
     from auprobe import data
+    from auprobe.layers import maxpool_forward, relu_forward
     from auprobe.model import NumericError
 
     size, dtype = net.config.input_size, net.config.np_dtype
     results = []
     for i in range(len(manifest)):
-        x = data.eval_transform(data.load_image(manifest, i), size, dtype=dtype)
-        fmap = net.forward_trace(x).stages[layer - 1].pool_out
+        fmap = data.eval_transform(data.load_image(manifest, i), size, dtype=dtype)
+        for conv in net.convs[:layer]:
+            fmap, _ = maxpool_forward(relu_forward(conv.forward(fmap)))
         num_maps = fmap.shape[0]
         flat = fmap.reshape(num_maps, -1)
         arg = flat.argmax(axis=1)

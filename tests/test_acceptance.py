@@ -153,7 +153,7 @@ def test_c3_deconvnet_reduction_and_support():
     for _ in range(5):
         img = rng.normal(size=(1, 96, 96))
         trace = net.forward_trace(img)
-        pool = trace.stages[2].pool_out
+        pool = trace.stages[2].pooled[:, 0]
         for _ in range(10):
             m = int(rng.integers(pool.shape[0]))
             r = int(rng.integers(pool.shape[1]))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from auprobe import cli, data, model
+from auprobe import harvest as harvest_mod
 from auprobe.cli import main, parse_config_file, write_resolved_config
 from auprobe.harvest import ActivationDB
 
@@ -201,10 +202,15 @@ def test_train_non_finite_weight_exits_3(tmp_path, dataset, config_file, capsys,
     assert not ckpt.exists()
 
 
-def test_deconv_writes_montage_and_responses(tmp_path, dataset, config_file):
+def test_deconv_writes_montage_and_responses(tmp_path, dataset, config_file, monkeypatch):
     ckpt = tmp_path / "run.ckpt"
     assert main(["train", "--manifest", str(dataset), "--config", str(config_file),
                  "--out", str(ckpt)]) == 0
+    traced = []
+    forward_trace = model.Network.forward_trace
+    monkeypatch.setattr(model.Network, "forward_trace",
+                        lambda net, x, image_id=None: traced.append(image_id)
+                        or forward_trace(net, x, image_id))
     out = tmp_path / "dec"
     assert main(["deconv", "--checkpoint", str(ckpt), "--manifest", str(dataset),
                  "--map", "1", "--top", "2", "--out", str(out)]) == 0
@@ -212,6 +218,23 @@ def test_deconv_writes_montage_and_responses(tmp_path, dataset, config_file):
     assert (out / "map_1_deconv.png").is_file()
     responses = sorted(p.name for p in out.glob("img*_L3_m1_r*_deconv.png"))
     assert len(responses) == 2
+    assert len(traced) == len(set(traced)) == 2  # one trace per record, for montage and files
+
+
+def test_deconv_map_out_of_range_exits_2_before_harvest(tmp_path, dataset, config_file,
+                                                       monkeypatch, capsys):
+    ckpt = tmp_path / "run.ckpt"
+    model.save_checkpoint(model.build_network(parse_config_file(config_file)[0]), ckpt)
+
+    def no_harvest(*args, **kwargs):
+        raise AssertionError("harvest ran for an out-of-range --map")
+
+    monkeypatch.setattr(harvest_mod, "harvest", no_harvest)
+    rc = main(["deconv", "--checkpoint", str(ckpt), "--manifest", str(dataset),
+               "--map", "32", "--out", str(tmp_path / "dec")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --map 32 outside 0..31\n"
+    assert not (tmp_path / "dec").exists()
 
 
 def test_env_seed_overrides(tmp_path, dataset, config_file, monkeypatch):

@@ -19,7 +19,7 @@ from oracles import reachable_pixels
 def project_max(trace, net, layer, map_index):
     """Project the spatial argmax of one map; ties go to the first
     row-major position. Returns (projection, (row, col), value)."""
-    fmap = trace.stages[layer - 1].pool_out[map_index]
+    fmap = trace.stages[layer - 1].pooled[map_index, 0]
     row, col = np.unravel_index(int(np.argmax(fmap)), fmap.shape)
     return (project(trace, net, layer, map_index, (row, col)), (int(row), int(col)),
             float(fmap[row, col]))
@@ -47,7 +47,7 @@ def test_zero_activation_projects_to_zero():
     net = small_net(seed=1)
     x = np.random.default_rng(0).normal(size=(1, 16, 16))
     trace = net.forward_trace(x)
-    pool = trace.stages[2].pool_out
+    pool = trace.stages[2].pooled[:, 0]
     zeros = np.argwhere(pool == 0)
     assert len(zeros), "ReLU should produce some zero activations"
     m, r, c = (int(v) for v in zeros[0])
@@ -82,7 +82,7 @@ def test_positive_homogeneity():
     net = small_net(seed=4)
     x = np.random.default_rng(2).normal(size=(1, 16, 16))
     trace = net.forward_trace(x)
-    top = np.random.default_rng(3).normal(size=trace.stages[2].pool_out.shape)
+    top = np.random.default_rng(3).normal(size=trace.stages[2].pooled.shape)
     stages = [
         DeconvStage(net.convs[i], trace.stages[i].switches, relu=True) for i in range(3)
     ]
@@ -98,7 +98,7 @@ def test_support_containment():
         x = rng.normal(size=(1, 16, 16))
         trace = net.forward_trace(x)
         layer = int(rng.integers(1, 4))
-        pool = trace.stages[layer - 1].pool_out
+        pool = trace.stages[layer - 1].pooled[:, 0]
         m = int(rng.integers(pool.shape[0]))
         r = int(rng.integers(pool.shape[1]))
         c = int(rng.integers(pool.shape[2]))
@@ -113,14 +113,14 @@ def test_project_max_finds_argmax_with_tie_rule():
     net = small_net(seed=7)
     x = np.random.default_rng(4).normal(size=(1, 16, 16))
     trace = net.forward_trace(x)
-    fmap = trace.stages[2].pool_out[2]
+    fmap = trace.stages[2].pooled[2, 0]
     _, loc, value = project_max(trace, net, 3, 2)
     assert value == fmap.max()
     expect = np.unravel_index(int(np.argmax(fmap)), fmap.shape)
     assert loc == tuple(int(v) for v in expect)
     # ties resolve to the first row-major position
-    tied = trace.stages[2].pool_out
-    tied[1, :, :] = 3.0
+    tied = trace.stages[2].pooled
+    tied[1, 0, :, :] = 3.0
     _, loc, _ = project_max(trace, net, 3, 1)
     assert loc == (0, 0)
 

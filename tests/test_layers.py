@@ -237,8 +237,13 @@ def test_conv_chunk_forward_equals_stacked_images(dtype, geometry):
     out, cols = layer.forward(xs, return_cols=True)
     assert out.shape == (layer.out_channels,) + xs.shape[1:] and out.dtype == dtype
     np.testing.assert_array_equal(cols, im2col(xs, layer.kernel_size, layer.pad))
+    kmat = layer.kernels.reshape(layer.out_channels, -1)
     for i in range(xs.shape[1]):
         np.testing.assert_array_equal(out[:, i], layer.forward(xs[:, i]))
+        # the bits of one plain 2-D GEMM over the image's own patch matrix
+        alone = kmat @ im2col(xs[:, i], layer.kernel_size, layer.pad)
+        alone += layer.bias[:, None]
+        np.testing.assert_array_equal(out[:, i], alone.reshape(out[:, i].shape))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

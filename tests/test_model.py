@@ -107,23 +107,30 @@ def test_forward_trace_replays_bit_identically():
     x = np.random.default_rng(0).normal(size=(1, 16, 16))
     tr = net.forward_trace(x, image_id=7)
     assert tr.image_id == 7
+    np.testing.assert_array_equal(tr.stages[0].conv_in[:, 0], x.astype(np.float32))
     for stage, conv in zip(tr.stages, net.convs):
-        np.testing.assert_array_equal(conv.forward(stage.conv_in), stage.conv_out)
-        np.testing.assert_array_equal(relu_forward(stage.conv_out), stage.relu_out)
-        pooled, switches = maxpool_forward(stage.relu_out)
-        np.testing.assert_array_equal(pooled, stage.pool_out)
-        np.testing.assert_array_equal(switches.rows, stage.switches.rows)
-        np.testing.assert_array_equal(switches.cols, stage.switches.cols)
+        # the chunk of one image replays through single-image layer calls
+        conv_in = stage.conv_in[:, 0]
+        pooled, switches = maxpool_forward(relu_forward(conv.forward(conv_in)))
+        np.testing.assert_array_equal(pooled, stage.pooled[:, 0])
+        np.testing.assert_array_equal(switches.rows, stage.switches.rows[:, 0])
+        np.testing.assert_array_equal(switches.cols, stage.switches.cols[:, 0])
+        np.testing.assert_array_equal(layers.im2col(conv_in, conv.kernel_size, conv.pad),
+                                      stage.cols)
+    for stage, following in zip(tr.stages, tr.stages[1:]):
+        np.testing.assert_array_equal(stage.pooled, following.conv_in)
 
 
 def test_inference_deterministic():
     net = build_network(small_config(seed=6))
     x = np.random.default_rng(1).normal(size=(1, 16, 16))
+    assert net.forward(x).tobytes() == net.forward(x).tobytes()
     a = net.forward_trace(x)
     b = net.forward_trace(x)
-    assert a.logits.tobytes() == b.logits.tobytes()
     for sa, sb in zip(a.stages, b.stages):
-        assert sa.pool_out.tobytes() == sb.pool_out.tobytes()
+        for field in ("conv_in", "cols", "pooled"):
+            assert getattr(sa, field).tobytes() == getattr(sb, field).tobytes(), field
+        assert sa.switches.index.tobytes() == sb.switches.index.tobytes()
 
 
 def test_dropout_inactive_at_inference():
@@ -296,8 +303,7 @@ def test_float64_input_runs_in_network_dtype():
 
     def arrays(trace):
         for stage in trace.stages:
-            yield from (stage.conv_in, stage.conv_out, stage.relu_out, stage.pool_out)
-        yield from (trace.flat, trace.fc1_out, trace.hidden, trace.logits)
+            yield from (stage.conv_in, stage.cols, stage.pooled)
 
     pairs = [(net.forward(x64), net.forward(x32)),
              (net.stage_outputs(x64[None], 2), net.stage_outputs(x32[None], 2))]
