@@ -256,6 +256,25 @@ def standardize(img: np.ndarray) -> np.ndarray:
     return (img - mean) / max(std, 1e-6)
 
 
+# Eval images are resized to S + _EVAL_MARGIN and cropped to S at the
+# centre; augment crops S from the same resize at a random offset.
+_EVAL_MARGIN = 3
+
+
+def _resized_crop(image: np.ndarray, out_size: int, top: int = _EVAL_MARGIN // 2,
+                  left: int = _EVAL_MARGIN // 2) -> np.ndarray:
+    """image resized to out_size + _EVAL_MARGIN, then its float64 out_size crop at (top, left)."""
+    img = np.asarray(image, dtype=np.float64)
+    if min(img.shape) < 8:
+        raise DataError(f"image too small to transform: {img.shape}")
+    big = out_size + _EVAL_MARGIN
+    return resize(img, big, big)[top : top + out_size, left : left + out_size]
+
+
+def _network_input(crop: np.ndarray, dtype) -> np.ndarray:
+    return standardize(crop)[None, :, :].astype(dtype)
+
+
 def augment(image: np.ndarray, rng: np.random.Generator, out_size: int = 96,
             dtype=np.float64) -> np.ndarray:
     """Stochastic training transform -> [1,out_size,out_size].
@@ -264,43 +283,34 @@ def augment(image: np.ndarray, rng: np.random.Generator, out_size: int = 96,
     probability 0.5, bilinear resize to out_size+3, random out_size crop,
     per-image standardization. Draws from rng in exactly that order.
     """
-    img = np.asarray(image, dtype=np.float64)
-    if min(img.shape) < 8:
-        raise DataError(f"image too small to augment: {img.shape}")
     angle = rng.uniform(-15.0, 15.0)
-    img = rotate(img, angle)
+    img = rotate(image, angle)
     if rng.random() < 0.5:
         img = img[:, ::-1]
-    big = out_size + 3
-    img = resize(img, big, big)
-    top = int(rng.integers(0, 4))
-    left = int(rng.integers(0, 4))
-    img = img[top : top + out_size, left : left + out_size]
-    return standardize(img)[None, :, :].astype(dtype)
+    top = int(rng.integers(0, _EVAL_MARGIN + 1))
+    left = int(rng.integers(0, _EVAL_MARGIN + 1))
+    return _network_input(_resized_crop(img, out_size, top, left), dtype)
 
 
 def eval_transform(image: np.ndarray, out_size: int = 96, dtype=np.float64) -> np.ndarray:
     """Deterministic test-time transform: resize, center crop, standardize."""
-    img = np.asarray(image, dtype=np.float64)
-    if min(img.shape) < 8:
-        raise DataError(f"image too small to transform: {img.shape}")
-    big = out_size + 3
-    img = resize(img, big, big)
-    off = (big - out_size) // 2
-    img = img[off : off + out_size, off : off + out_size]
-    return standardize(img)[None, :, :].astype(dtype)
+    return _network_input(_resized_crop(image, out_size), dtype)
+
+
+def eval_input_and_view(image: np.ndarray, out_size: int = 96,
+                        dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """eval_transform(image) and the same crop as a uint8 [S, S] view, from one resize.
+
+    The view is the image the network saw, kept in displayable range for
+    rendering.
+    """
+    crop = _resized_crop(image, out_size)
+    return _network_input(crop, dtype), np.clip(np.rint(crop), 0, 255).astype(np.uint8)
 
 
 def eval_view(image: np.ndarray, out_size: int = 96) -> np.ndarray:
-    """The eval_transform geometry without standardization, as uint8.
-
-    Used when rendering: this is the image the network actually saw,
-    kept in displayable range.
-    """
-    img = resize(np.asarray(image, dtype=np.float64), out_size + 3, out_size + 3)
-    off = 1  # (out_size+3 - out_size) // 2
-    img = img[off : off + out_size, off : off + out_size]
-    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+    """eval_input_and_view's uint8 view alone."""
+    return eval_input_and_view(image, out_size)[1]
 
 
 def eval_coordinate_map(src_size: int, out_size: int) -> tuple[float, float]:
@@ -309,10 +319,8 @@ def eval_coordinate_map(src_size: int, out_size: int) -> tuple[float, float]:
     model_coord = scale * src_coord + offset, matching the resize
     half-pixel convention and the center-crop offset.
     """
-    big = out_size + 3
-    scale = big / src_size
-    off = (big - out_size) // 2
-    return scale, (0.5 * scale - 0.5) - off
+    scale = (out_size + _EVAL_MARGIN) / src_size
+    return scale, (0.5 * scale - 0.5) - _EVAL_MARGIN // 2
 
 
 def region_in_model_coords(region: tuple[int, int, int, int], src_size: int,
@@ -590,11 +598,12 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> DatasetManifest:
             index += 1
     manifest = DatasetManifest(rows=rows, base_dir=out_dir)
     manifest.save(out_dir / "manifest.csv")
-    with open(out_dir / "placements.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path", "unit_id", "y", "x", "intensity"])
-        for rel, unit_id, y, x, intensity in placements:
-            writer.writerow([rel, unit_id, y, x, repr(intensity)])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["path", "unit_id", "y", "x", "intensity"])
+    for rel, unit_id, y, x, intensity in placements:
+        writer.writerow([rel, unit_id, y, x, repr(intensity)])
+    write_atomic(out_dir / "placements.csv", buf.getvalue())
     return manifest
 
 

@@ -94,42 +94,43 @@ class Geometry(NamedTuple):
     kernel_size: int
 
 
-def receptive_field(geometry: Geometry | ModelConfig, layer: int, location: tuple[int, int],
-                    after_pool: bool = True) -> tuple[int, int, int, int]:
-    """Input rectangle (x0, y0, x1, y1), inclusive, that can reach a unit.
+def unclipped_field(geometry: Geometry | ModelConfig, layer: int,
+                    location: tuple[int, int]) -> tuple[int, int, int, int]:
+    """Input rectangle (x0, y0, x1, y1), inclusive, that a pooled unit sees, unclipped.
 
-    `location` is (row, col) in the layer's pooled grid, or in the
-    pre-pool (post-convolution) grid when after_pool is False. The box
-    is composed from the stride/padding geometry and clipped to the
-    image bounds.
+    `location` is (row, col) in the layer's pooled grid. The box is
+    composed from the stride/padding geometry, stage by stage, and may
+    reach past the image.
     """
     n_stages = len(geometry.conv_channels)
     if not 1 <= layer <= n_stages:
         raise ShapeError(f"layer {layer} outside 1..{n_stages}")
     grid = geometry.input_size
-    for _ in range(layer if after_pool else layer - 1):
+    for _ in range(layer):
         grid = (grid + 1) // 2  # odd sizes round up, as the pools pad them
     row, col = location
     if not (0 <= row < grid and 0 <= col < grid):
         raise ShapeError(f"location {location} outside {grid}x{grid} grid of layer {layer}")
     half = geometry.kernel_size // 2
     r0, r1, c0, c1 = row, row, col, col
-    for stage in range(layer, 0, -1):
-        if after_pool or stage < layer:
-            r0, r1 = 2 * r0, 2 * r1 + 1
-            c0, c1 = 2 * c0, 2 * c1 + 1
-        r0, r1 = r0 - half, r1 + half
-        c0, c1 = c0 - half, c1 + half
-    size = geometry.input_size
-    return (max(c0, 0), max(r0, 0), min(c1, size - 1), min(r1, size - 1))
+    for _ in range(layer):  # the pool's 2x2 window, then the conv's kernel
+        r0, r1 = 2 * r0 - half, 2 * r1 + 1 + half
+        c0, c1 = 2 * c0 - half, 2 * c1 + 1 + half
+    return c0, r0, c1, r1
+
+
+def receptive_field(geometry: Geometry | ModelConfig, layer: int,
+                    location: tuple[int, int]) -> tuple[int, int, int, int]:
+    """unclipped_field clipped to the image: the input pixels that can reach the unit."""
+    x0, y0, x1, y1 = unclipped_field(geometry, layer, location)
+    last = geometry.input_size - 1
+    return (max(x0, 0), max(y0, 0), min(x1, last), min(y1, last))
 
 
 def receptive_field_span(geometry: Geometry | ModelConfig, layer: int) -> int:
     """Unclipped width of a layer's receptive field."""
-    span = 1
-    for _ in range(layer):
-        span = 2 * span + (geometry.kernel_size - 1)
-    return span
+    x0, _, x1, _ = unclipped_field(geometry, layer, (0, 0))
+    return x1 - x0 + 1
 
 
 def projection_energy_fraction(projection: np.ndarray,

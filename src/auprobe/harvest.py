@@ -178,22 +178,13 @@ def _first_malformed_line(path, numbers: list[int], body: list[str]) -> DataErro
 
 
 # Bytes of im2col patch matrix one harvest chunk may build at its largest
-# conv: chunks bigger than the caches made the GEMMs slower, and each
-# image's own patch matrix sets how many fit.
+# conv: chunks bigger than the caches made the GEMMs slower.
 CHUNK_BYTES = 4 << 20
 
 
 def chunk_images(config: model_mod.ModelConfig, layer: int) -> int:
-    """Images per harvest chunk: CHUNK_BYTES over the largest per-image patch matrix.
-
-    Counts the convs up to `layer`; at least one image.
-    """
-    sizes = [config.input_size] + config.stage_sizes()
-    in_channels = (1,) + tuple(config.conv_channels)
-    itemsize = np.dtype(config.np_dtype).itemsize
-    largest = max(in_channels[i] * config.kernel_size ** 2 * sizes[i] ** 2 * itemsize
-                  for i in range(layer))
-    return max(1, CHUNK_BYTES // largest)
+    """Images per harvest chunk: model.images_per_chunk at CHUNK_BYTES, convs 1..layer."""
+    return model_mod.images_per_chunk(config, CHUNK_BYTES, layer)
 
 
 def harvest(net: Network, manifest: DatasetManifest,

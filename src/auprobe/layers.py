@@ -436,15 +436,11 @@ def maxpool_forward(x: np.ndarray,
 
 
 def unpool(values: np.ndarray, switches: SwitchRecord) -> np.ndarray:
-    """Place each pooled-grid value at its recorded switch coordinate."""
-    if values.shape != switches.pooled_shape:
-        raise ShapeError(
-            f"values shape {values.shape} does not match switch record "
-            f"{switches.pooled_shape}"
-        )
-    out = np.zeros(switches.input_shape, dtype=values.dtype)
-    out.reshape(-1)[switches.index] = values
-    return out
+    """Place each pooled-grid value at its recorded switch coordinate; zeros elsewhere.
+
+    This is maxpool_backward without a ReLU mask.
+    """
+    return maxpool_backward(values, switches)
 
 
 def maxpool_backward(grad_out: np.ndarray, switches: SwitchRecord,
@@ -460,9 +456,7 @@ def maxpool_backward(grad_out: np.ndarray, switches: SwitchRecord,
     """
     if grad_out.shape != switches.pooled_shape:
         raise ShapeError(
-            f"gradient shape {grad_out.shape} does not match switch record "
-            f"{switches.pooled_shape}"
-        )
+            f"shape {grad_out.shape} does not match switch record {switches.pooled_shape}")
     if pooled is not None:
         grad_out = np.where(pooled > 0, grad_out, 0)
     out = (scratch or Scratch()).empty("pool_grad", switches.input_shape, grad_out.dtype)

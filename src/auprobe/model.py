@@ -376,42 +376,26 @@ def _label_indices(manifest: data_mod.DatasetManifest, num_classes: int) -> list
     return [index[r.label] for r in manifest.rows]
 
 
-# Bytes of buffers a training chunk may hold. Each image of a chunk
-# takes train_chunk_bytes() of them, mostly patch matrices: 1.45 MB at
-# reduced_config() and 39 MB at ModelConfig() in float32, so reduced
-# chunks hold 2 images and paper-sized ones 1. Chunks of 4 trained about
-# 5% faster than 2 but raised the benchmark's peak RSS by 3 MB, and
-# training set the peak; at 2 the probe passes still set it.
-TRAIN_CHUNK_BYTES = 3 << 20
+# Bytes of im2col patch matrix a training or evaluation chunk may build
+# at its largest conv: chunks of 2 images at reduced_config() and of 1 at
+# ModelConfig() in float32. Chunks of 4 trained about 5% faster than 2 but
+# raised the benchmark's peak RSS by 3 MB, and training set the peak; at 2
+# the probe passes still set it.
+TRAIN_CHUNK_BYTES = 1 << 20
 
 
-def train_chunk_bytes(config: ModelConfig) -> int:
-    """Bytes of the buffers one image of a training chunk holds.
+def images_per_chunk(config: ModelConfig, budget: int, depth: int | None = None) -> int:
+    """Images per conv-stack chunk: budget bytes over the largest per-image patch matrix.
 
-    Per conv stage: the padded input canvas, the patch matrix (reused
-    for the input gradient's), the conv output and its gradient, the
-    input gradient (not at the first conv), the pool's two partial maxima
-    and its output, its three corner masks and its switch indices. For the
-    head: the fc rows.
+    Counts the first `depth` convs, all of them by default; at least one
+    image. conv2's patch matrix is the largest at reduced_config() (0.46
+    MB per image in float32) and at ModelConfig() (14.7 MB).
     """
-    itemsize = np.dtype(config.np_dtype).itemsize
-    k = config.kernel_size
+    in_channels = (1,) + tuple(config.conv_channels[:-1])
     sizes = [config.input_size] + config.stage_sizes()
-    in_channels = (1,) + tuple(config.conv_channels)
-    total = 0
-    for i, out_c in enumerate(config.conv_channels):
-        size, in_c = sizes[i], in_channels[i]
-        pooled = out_c * sizes[i + 1] ** 2
-        floats = (in_c * (size + k - 1) ** 2 + in_c * k * k * size ** 2
-                  + 2 * out_c * size ** 2 + (in_c * size ** 2 if i else 0) + 3 * pooled)
-        total += itemsize * floats + (3 + np.dtype(np.intp).itemsize) * pooled
-    return total + itemsize * (2 * config.flat_features + 6 * config.fc_hidden
-                               + 2 * config.num_classes)
-
-
-def train_chunk_images(config: ModelConfig) -> int:
-    """Images per training chunk: TRAIN_CHUNK_BYTES over train_chunk_bytes(); at least 1."""
-    return max(1, TRAIN_CHUNK_BYTES // train_chunk_bytes(config))
+    largest = max(c * config.kernel_size ** 2 * size ** 2
+                  for c, size in zip(in_channels[:depth], sizes))
+    return max(1, budget // (largest * np.dtype(config.np_dtype).itemsize))
 
 
 def _chunks(indices: np.ndarray, chunk: int) -> list[np.ndarray]:
@@ -422,13 +406,15 @@ def _chunks(indices: np.ndarray, chunk: int) -> list[np.ndarray]:
 def evaluate(net: Network, manifest: data_mod.DatasetManifest) -> tuple[float, float]:
     """Mean loss and accuracy under the deterministic eval transform.
 
-    Images run through the network train_chunk_images() at a time.
+    Images run through the network in chunks of images_per_chunk() at
+    TRAIN_CHUNK_BYTES.
     """
     labels = _label_indices(manifest, net.config.num_classes)
     size = net.config.input_size
     dtype = net.config.np_dtype
     n = len(manifest)
-    xs = np.empty((min(n, train_chunk_images(net.config)), 1, size, size), dtype=dtype)
+    chunk = min(n, images_per_chunk(net.config, TRAIN_CHUNK_BYTES))
+    xs = np.empty((chunk, 1, size, size), dtype=dtype)
     total_loss = 0.0
     correct = 0
     for part in _chunks(np.arange(n), len(xs)):
@@ -451,10 +437,11 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
     the held-out accuracy is logged each epoch. Stops early once the
     train loss has improved by less than 1e-4 for 5 consecutive epochs.
 
-    Each batch runs as chunks of at most train_chunk_images() images,
-    split as evenly as they go; a chunk never spans two batches. A chunk
-    makes one forward and one backward pass, in buffers that the first
-    chunk allocates and every later one of the call reuses. Each image
+    Each batch runs as chunks of at most images_per_chunk() images at
+    TRAIN_CHUNK_BYTES, split as evenly as they go; a chunk never spans
+    two batches. A chunk makes one forward and one backward pass, in
+    buffers that the first chunk allocates and every later one of the
+    call reuses. Each image
     keeps its own augmentation, dropout and loss draws, so a chunk's
     gradients are the sum of its images' up to the order of float
     additions. fc1's weight and bias gradients are deferred to the end of
@@ -486,7 +473,7 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
     rows = min(cfg.batch_size, n)
     fc1_grads = np.empty((rows, net.fc1.out_features), dtype=dtype)
     fc1_inputs = np.empty((rows, net.fc1.in_features), dtype=dtype)
-    chunk = min(rows, train_chunk_images(net.config))
+    chunk = min(rows, images_per_chunk(net.config, TRAIN_CHUNK_BYTES))
     xs = np.empty((chunk, 1, size, size), dtype=dtype)
     drop_masks = np.empty((chunk, net.config.fc_hidden), dtype=dtype)
     grad_logits = np.empty((chunk, net.config.num_classes), dtype=dtype)
@@ -675,6 +662,7 @@ __all__ = [
     "build_network",
     "checkpoint_hash",
     "evaluate",
+    "images_per_chunk",
     "load_checkpoint",
     "reduced_config",
     "reduced_train_config",
@@ -682,6 +670,5 @@ __all__ = [
     "serialize_network",
     "sgd_step",
     "train",
-    "train_chunk_images",
     "write_metrics_csv",
 ]

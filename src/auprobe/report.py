@@ -24,7 +24,7 @@ from . import data as data_mod
 from . import imageio
 from .association import AUDistanceProfile, save_profile_csv
 from .deconv import (Geometry, normalized_crop, project, receptive_field,
-                     receptive_field_span)
+                     receptive_field_span, unclipped_field)
 from .harvest import ActivationDB, partition_by_au, top_n
 from .model import ModelConfig, Network
 
@@ -92,13 +92,11 @@ def _grid(cells: list[np.ndarray], cols: int, cell_shape: tuple[int, int],
     return canvas
 
 
-def _cell_anchor(box, row, col, config: ModelConfig, layer: int) -> tuple[int, int]:
-    """Offset of the clipped crop inside its nominal receptive-field cell."""
-    r0, c0 = row, col  # unclipped start of the field for this unit
-    half = config.kernel_size // 2
-    for _ in range(layer):
-        r0, c0 = 2 * r0 - half, 2 * c0 - half
-    return box[1] - r0, box[0] - c0
+def _cell_offset(config: ModelConfig, layer: int, location: tuple[int, int],
+                 box: tuple[int, int, int, int]) -> tuple[int, int]:
+    """(dy, dx) of a unit's clipped field `box` in its unclipped one: their starts' difference."""
+    x0, y0, _, _ = unclipped_field(config, layer, location)
+    return box[1] - y0, box[0] - x0
 
 
 def map_responses(db: ActivationDB, net: Network, manifest: data_mod.DatasetManifest,
@@ -119,10 +117,9 @@ def map_responses(db: ActivationDB, net: Network, manifest: data_mod.DatasetMani
     config = net.config
     for rec in records:
         img = data_mod.load_image(manifest, rec.image_id)
-        x = data_mod.eval_transform(img, config.input_size, dtype=config.np_dtype)
+        x, view = data_mod.eval_input_and_view(img, config.input_size, dtype=config.np_dtype)
         trace = net.forward_trace(x, image_id=rec.image_id)
-        yield (rec, data_mod.eval_view(img, config.input_size),
-               project(trace, net, db.layer, map_index, (rec.row, rec.col)),
+        yield (rec, view, project(trace, net, db.layer, map_index, (rec.row, rec.col)),
                receptive_field(config, db.layer, (rec.row, rec.col)))
 
 
@@ -137,9 +134,9 @@ def write_montage(responses: Iterable[tuple], config: ModelConfig, layer: int,
     orig_cells: list[np.ndarray] = []
     deconv_cells: list[np.ndarray] = []
     for rec, view, proj, box in responses:
-        dy, dx = _cell_anchor(box, rec.row, rec.col, config, layer)
-        dy = min(max(dy, 0), span - (box[3] - box[1] + 1))
-        dx = min(max(dx, 0), span - (box[2] - box[0] + 1))
+        dy, dx = _cell_offset(config, layer, (rec.row, rec.col), box)
+        dy = min(dy, span - (box[3] - box[1] + 1))  # a field wider than the image
+        dx = min(dx, span - (box[2] - box[0] + 1))
         for cells, source in ((orig_cells, view), (deconv_cells, proj[0])):
             cell = np.zeros((span, span), dtype=np.uint8)
             crop = normalized_crop(source, box)

@@ -212,6 +212,20 @@ def reachable_pixels(unit_value_fn, input_shape: tuple[int, int, int],
     return mask
 
 
+def cell_anchor(box, row: int, col: int, config, layer: int) -> tuple[int, int]:
+    """(dy, dx) of a clipped receptive-field box inside its unclipped cell.
+
+    The unclipped field start of a pooled unit is stepped down through
+    `layer` pool/conv stages on its own, then subtracted from the box's
+    start: the montage layout's original formula.
+    """
+    r0, c0 = row, col
+    half = config.kernel_size // 2
+    for _ in range(layer):
+        r0, c0 = 2 * r0 - half, 2 * c0 - half
+    return box[1] - r0, box[0] - c0
+
+
 # Earlier per-image and per-line implementations, kept as references:
 # the chunked harvest, the separable resize and the column-wise DB parse
 # must reproduce them exactly. harvest_per_image runs its own per-image

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -358,8 +360,8 @@ def test_non_utf8_file_is_data_error_naming_it(tmp_path, reader):
 # -------------------------------------------------------- atomic writes
 
 
-def _fail_writes_midway(monkeypatch):
-    """Make write_atomic's file writes stop halfway with a full disk."""
+def _fail_writes_midway(monkeypatch, name=""):
+    """Make write_atomic's writes to files named with `name` in them stop halfway, disk full."""
     import builtins
     import errno
 
@@ -379,8 +381,11 @@ def _fail_writes_midway(monkeypatch):
             self.fh.flush()
             raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(data, "open", lambda path, mode: HalfWriter(builtins.open(path, mode)),
-                        raising=False)
+    def half_open(path, mode):
+        fh = builtins.open(path, mode)
+        return HalfWriter(fh) if name in Path(path).name else fh
+
+    monkeypatch.setattr(data, "open", half_open, raising=False)
 
 
 def test_write_atomic_failure_midway_keeps_earlier_file(tmp_path, monkeypatch):
@@ -402,6 +407,22 @@ def test_write_atomic_failure_midway_keeps_earlier_file(tmp_path, monkeypatch):
             data.write_atomic(target, "fourth\n")
     assert target.read_bytes() == b"second\n"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
+
+
+def test_generate_synthetic_failure_midway_keeps_earlier_placements(tmp_path, monkeypatch):
+    spec = data.default_synthetic_spec(samples_per_class=2, seed=1)
+    generate_synthetic(spec, tmp_path)
+    earlier = (tmp_path / "placements.csv").read_bytes()
+    spec.seed = 2
+    with monkeypatch.context() as patch:
+        _fail_writes_midway(patch, "placements.csv")
+        with pytest.raises(OSError, match="No space"):
+            generate_synthetic(spec, tmp_path)
+    assert (tmp_path / "placements.csv").read_bytes() == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["images", "manifest.csv",
+                                                          "placements.csv"]
+    generate_synthetic(spec, tmp_path)
+    assert (tmp_path / "placements.csv").read_bytes() != earlier
 
 
 def test_artifact_writers_keep_earlier_file_on_failure(tmp_path, monkeypatch):

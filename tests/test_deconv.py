@@ -150,15 +150,6 @@ def test_out_of_range_indices_rejected():
 # ------------------------------------------------------ receptive field
 
 
-def test_layer1_prepool_rectangle():
-    cfg = ModelConfig(input_size=24, conv_channels=(2, 3, 4), fc_hidden=4,
-                      num_classes=2, seed=0)
-    # after the first conv, before pooling: a plain 5x5 neighborhood
-    assert receptive_field(cfg, 1, (7, 9), after_pool=False) == (7, 5, 11, 9)
-    # corner clips at (0, 0)
-    assert receptive_field(cfg, 1, (0, 0), after_pool=False) == (0, 0, 2, 2)
-
-
 def test_receptive_field_spans():
     cfg = ModelConfig(input_size=96, conv_channels=(64, 128, 256), seed=0)
     # frozen from the perturbation oracle: 6, 16, 36 for pooled units of

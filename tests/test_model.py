@@ -247,6 +247,17 @@ def test_sgd_step_non_finite_weight_names_parameter():
         sgd_step(net, velocity, TrainConfig(), 1.0)
 
 
+def test_train_chunk_from_patch_matrix_budget():
+    # the training and evaluation chunks at both benchmark geometries
+    chunks = [model.images_per_chunk(dataclasses.replace(config, dtype=dtype),
+                                     model.TRAIN_CHUNK_BYTES)
+              for config in (model.reduced_config(), ModelConfig())
+              for dtype in ("float32", "float64")]
+    assert chunks == [2, 1, 1, 1]
+    # depth counts the first convs only: conv1's patch matrix is half of conv2's
+    assert model.images_per_chunk(model.reduced_config(), model.TRAIN_CHUNK_BYTES, 1) == 4
+
+
 def test_train_batch_gradients_match_per_sample_loop(tiny_manifest, monkeypatch):
     """The first batch's gradients, each batch run as chunks and fc1's from one
     GEMM over the batch, equal those of the earlier loop that ran every layer
@@ -259,9 +270,10 @@ def test_train_batch_gradients_match_per_sample_loop(tiny_manifest, monkeypatch)
     class FirstStep(Exception):
         pass
 
+    conv2_patch_bytes = 8 * 5 * 5 * 24 * 24 * 8  # the largest patch matrix, per image
     for batch_size, chunk in ((8, 1), (8, 8), (8, 3), (12, 5)):
-        monkeypatch.setattr(model, "TRAIN_CHUNK_BYTES", chunk * model.train_chunk_bytes(config))
-        assert model.train_chunk_images(config) == chunk
+        monkeypatch.setattr(model, "TRAIN_CHUNK_BYTES", chunk * conv2_patch_bytes)
+        assert model.images_per_chunk(config, model.TRAIN_CHUNK_BYTES) == chunk
         net = build_network(config)
         initial = serialize_network(net)
         cfg = TrainConfig(batch_size=batch_size, epochs=1, seed=9, augment=False)

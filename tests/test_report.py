@@ -5,6 +5,7 @@ import pytest
 
 from auprobe import data, model, report
 from auprobe.association import AUDistanceProfile, load_profile_csv, profile_all
+from auprobe.deconv import receptive_field
 from auprobe.harvest import harvest
 from auprobe.imageio import read_image
 from auprobe.report import (
@@ -17,6 +18,8 @@ from auprobe.report import (
     plot_profile,
     render_bar_chart,
 )
+
+from oracles import cell_anchor
 
 
 def make_profile(values, au_id=1, n=9):
@@ -99,6 +102,38 @@ def test_montage_writes_paired_grids(tmp_path, trained_setup):
     assert a.shape == b.shape
     span = min(36, net.config.input_size)
     assert a.shape == (3 * span + 2 * 2, 3 * span + 2 * 2)
+
+
+def test_map_responses_resizes_each_image_once(trained_setup, monkeypatch):
+    net, manifest, db = trained_setup
+    calls = []
+    resize = data.resize
+
+    def counting_resize(*args):
+        calls.append(args)
+        return resize(*args)
+
+    monkeypatch.setattr(data, "resize", counting_resize)
+    assert len(list(report.map_responses(db, net, manifest, 0, 9))) == 9
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("config", [model.reduced_config(), model.ModelConfig()],
+                         ids=["48px", "96px"])
+def test_cell_offsets_match_unclipped_field_start(config):
+    for layer, grid in enumerate(config.stage_sizes(), start=1):
+        offsets = set()
+        for row in range(grid):
+            for col in range(grid):
+                box = receptive_field(config, layer, (row, col))
+                offset = report._cell_offset(config, layer, (row, col), box)
+                assert offset == cell_anchor(box, row, col, config, layer), (layer, row, col)
+                offsets.add(offset)
+        # border units are clipped at the top and left: 2 px per stage below them
+        first = 2 * (2 ** layer - 1)
+        assert report._cell_offset(config, layer, (0, 0),
+                                   receptive_field(config, layer, (0, 0))) == (first, first)
+        assert (0, 0) in offsets and (first, 0) in offsets and (0, first) in offsets
 
 
 def test_montage_warns_when_short(tmp_path, trained_setup):
