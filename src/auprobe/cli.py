@@ -1,7 +1,8 @@
 """Command-line driver for the whole workbench.
 
 Subcommands: synth, train, harvest, deconv, associate, pipeline.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error (an input or output
+file that cannot be read, parsed or written), 3 numeric failure.
 The AUPROBE_SEED environment variable overrides every configured seed
 so a whole run can be re-keyed from outside.
 
@@ -47,6 +48,13 @@ def _positive_int(raw: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
     return value
+
+
+def _file_path(raw: str) -> str:
+    """An output file path; "" and "." name a directory, not a file."""
+    if not Path(raw).name:
+        raise argparse.ArgumentTypeError(f"expected a file path, got {raw!r}")
+    return raw
 
 
 # ------------------------------------------------------------- config io
@@ -149,7 +157,7 @@ def _apply_seed_overrides(model_cfg: ModelConfig, train_cfg: TrainConfig):
 
 
 def cmd_synth(args) -> int:
-    if args.spec:
+    if args.spec is not None:
         spec = data.load_synthetic_spec(args.spec)
     else:
         spec = data.default_synthetic_spec()
@@ -223,7 +231,7 @@ def _parse_au_list(raw: str, manifest: data.DatasetManifest) -> list[int]:
 def cmd_associate(args) -> int:
     manifest = data.load_manifest(args.manifest)
     db = harvest_mod.ActivationDB.load(args.db, expect_manifest=manifest.content_hash())
-    net = model.load_checkpoint(args.checkpoint) if args.checkpoint else None
+    net = model.load_checkpoint(args.checkpoint) if args.checkpoint is not None else None
     if net is not None and db.provenance.get("checkpoint") != model.checkpoint_hash(net):
         raise DataError(f"{args.db}: produced by a different checkpoint")
     au_ids = _parse_au_list(args.au, manifest)
@@ -243,11 +251,12 @@ def cmd_pipeline(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stage = "synth"
     try:
-        if args.manifest:
+        if args.manifest is not None:
             manifest = data.load_manifest(args.manifest)
             canvas = None
         else:
-            spec = data.load_synthetic_spec(args.spec) if args.spec else data.default_synthetic_spec()
+            spec = (data.load_synthetic_spec(args.spec) if args.spec is not None
+                    else data.default_synthetic_spec())
             seed = _env_seed()
             if seed is not None:
                 spec.seed = seed
@@ -257,7 +266,7 @@ def cmd_pipeline(args) -> int:
             print(f"pipeline[synth]: {len(manifest)} images under {out / 'dataset'}")
 
         stage = "train"
-        if args.config:
+        if args.config is not None:
             model_cfg, train_cfg = parse_config_file(args.config)
         else:
             num_classes = max(2, len(manifest.labels()))
@@ -292,7 +301,7 @@ def cmd_pipeline(args) -> int:
                 f"pipeline[associate]: AU {prof.au_id} -> map {prof.argmax_map} "
                 f"(distance {prof.argmax_distance:.4f})"
             )
-    except (DataError, ImageFormatError, NumericError) as exc:
+    except (DataError, ImageFormatError, NumericError, OSError) as exc:
         raise type(exc)(f"pipeline stage '{stage}' failed: {exc}") from exc
     print(f"pipeline: complete under {out}")
     return 0
@@ -314,14 +323,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train from scratch on a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", required=True, help="key=value config file")
-    p.add_argument("--out", required=True, help="checkpoint path to write")
-    p.add_argument("--log", help="metrics CSV path (default: next to checkpoint)")
+    p.add_argument("--out", type=_file_path, required=True, help="checkpoint path to write")
+    p.add_argument("--log", type=_file_path,
+                   help="metrics CSV path (default: next to checkpoint)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("harvest", help="record per-map peak activations")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True, help="activation db CSV to write")
+    p.add_argument("--out", type=_file_path, required=True, help="activation db CSV to write")
     p.set_defaults(func=cmd_harvest)
 
     p = sub.add_parser("deconv", help="project one map's top activations to pixels")
@@ -359,7 +369,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (DataError, ImageFormatError) as exc:
+    except (DataError, ImageFormatError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except NumericError as exc:

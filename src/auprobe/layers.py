@@ -270,13 +270,14 @@ class FCLayer:
     forward and backward take one sample ([in] input, [out] gradient) or
     N stacked rows ([N, in], [N, out]): rows run as one GEMM each, the
     forward x @ W.T, the input gradient grad_out @ W and the weight
-    gradient grad_out.T @ saved_input. The weight gradient is added into
-    grad_weights tile by tile, about BLOCK_ELEMENTS at a time, so no
-    temporary the size of the weights is built. param_grads=False leaves
-    out the weight and bias gradients, input_grad=False the input
-    gradient: the trainer takes fc1's input gradient per chunk and its
-    parameter gradients once per batch from the stacked rows, because
-    per chunk they cost a pass over the weights.
+    gradient grad_out.T @ saved_input. The weight gradient is formed tile
+    by tile, at most BLOCK_ELEMENTS at a time, by weight_grad_tiles, so no
+    temporary the size of the weights is built; backward adds each tile
+    into grad_weights. param_grads=False leaves out the weight and bias
+    gradients, input_grad=False the input gradient: the trainer takes
+    fc1's input gradient per chunk, and model.sgd_step applies fc1's
+    weight gradient tiles to the weights as they are formed, once per
+    batch from the stacked rows, so training never writes grad_weights.
     """
 
     def __init__(self, in_features: int, out_features: int,
@@ -321,18 +322,33 @@ class FCLayer:
             )
         if param_grads:
             g = grad_out.reshape(-1, self.out_features)
-            x = saved_input.reshape(-1, self.in_features)
             self.grad_bias += g.sum(axis=0)
-            cols = min(self.in_features, BLOCK_ELEMENTS // _FC_TILE_ROWS)
-            rows = max(1, BLOCK_ELEMENTS // cols)
-            for c0 in range(0, self.in_features, cols):
-                x_slab = x[:, c0 : c0 + cols]
-                for r0 in range(0, self.out_features, rows):
-                    self.grad_weights[r0 : r0 + rows, c0 : c0 + cols] += (
-                        g[:, r0 : r0 + rows].T @ x_slab)
+            for index, tile in self.weight_grad_tiles(g, saved_input.reshape(-1, self.in_features)):
+                self.grad_weights[index] += tile
         if not input_grad:
             return None
         return grad_out @ self.weights
+
+    def weight_grad_tiles(self, grad_rows: np.ndarray, input_rows: np.ndarray):
+        """The weight gradient grad_rows.T @ input_rows as (index, tile) pairs.
+
+        grad_rows [N, out] and input_rows [N, in]; index is a (rows, cols)
+        pair of slices into the weights and tile is
+        grad_rows[:, rows].T @ input_rows[:, cols], of at most
+        BLOCK_ELEMENTS, computed into one buffer that the next tile
+        overwrites. The tiles cover the weights once, in the same order and
+        with the same GEMM shapes on every call.
+        """
+        cols = min(self.in_features, BLOCK_ELEMENTS // _FC_TILE_ROWS)
+        rows = max(1, BLOCK_ELEMENTS // cols)
+        buffer = np.empty(rows * cols, dtype=np.result_type(grad_rows, input_rows))
+        for c0 in range(0, self.in_features, cols):
+            x_slab = input_rows[:, c0 : c0 + cols]
+            for r0 in range(0, self.out_features, rows):
+                g_slab = grad_rows[:, r0 : r0 + rows]
+                tile = buffer[: g_slab.shape[1] * x_slab.shape[1]].reshape(g_slab.shape[1], -1)
+                yield ((slice(r0, r0 + rows), slice(c0, c0 + cols)),
+                       np.matmul(g_slab.T, x_slab, out=tile))
 
 
 def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

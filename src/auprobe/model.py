@@ -289,8 +289,8 @@ class Network:
         computes no gradient wrt the image. The ReLU and pool of a stage
         go backward in one pass at pooled resolution. Returns the gradient
         wrt fc1's output [N, hidden]: `train` stacks these rows and
-        keep.flat over a batch and forms fc1's weight and bias gradients
-        once per batch.
+        keep.flat over a batch, and sgd_step forms fc1's weight and bias
+        gradients from them once per batch.
         """
         g = self.fc2.backward(grad_logits, keep.fc2_in)
         if keep.drop_mask is not None:
@@ -333,37 +333,64 @@ def write_metrics_csv(metrics: list[EpochMetrics], path) -> None:
     data_mod.write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _update_blocks(net: Network, velocity: dict[str, np.ndarray], fc1_rows):
+    """(name, value, velocity, gradient) blocks of at most BLOCK_ELEMENTS, over every parameter.
+
+    Blocks are views into the parameter and velocity arrays, in
+    checkpoint order. See sgd_step for fc1_rows.
+    """
+    for name, value, grad in net.parameters():
+        vel = velocity[name]
+        if fc1_rows is not None and value is net.fc1.weights:
+            for index, tile in net.fc1.weight_grad_tiles(*fc1_rows):
+                tile += 0.0  # as if added into a zeroed buffer: -0.0 becomes +0.0
+                yield name, value[index], vel[index], tile
+            continue
+        if fc1_rows is not None and value is net.fc1.bias:
+            grad = fc1_rows[0].sum(axis=0) + 0.0
+        # views: every parameter array is C-contiguous
+        flat, flat_vel, flat_grad = value.reshape(-1), vel.reshape(-1), grad.reshape(-1)
+        for start in range(0, flat.size, BLOCK_ELEMENTS):
+            block = slice(start, start + BLOCK_ELEMENTS)
+            yield name, flat[block], flat_vel[block], flat_grad[block]
+
+
 def sgd_step(net: Network, velocity: dict[str, np.ndarray], cfg: TrainConfig,
-             grad_scale: float) -> None:
-    """One momentum + weight-decay update from the accumulated gradients.
+             grad_scale: float, fc1_rows: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    """One momentum + weight-decay update from the batch's gradients.
 
     Per element, in this order: step = grad * grad_scale + weight_decay *
     value, velocity = velocity * momentum - learning_rate * step, value +=
     velocity. Whole-array expressions would build weight-sized
     temporaries (fc1 of ModelConfig() holds 151 MB in float32), so the
-    update runs in place, BLOCK_ELEMENTS at a time through two block-sized
-    scratch rows; the arithmetic is the same, so the weights are too.
-    Raises NumericError naming the parameter when a block is left with a
-    non-finite weight.
+    update runs in place, a block of at most BLOCK_ELEMENTS at a time
+    through two block-sized scratch rows; the arithmetic is the same, so
+    the weights are too.
+
+    Gradients are read from the gradient buffers, except fc1's when
+    fc1_rows, the batch's stacked rows (gradient wrt fc1's output
+    [N, hidden], fc1's input [N, features]), is given. fc1's bias gradient
+    is then the rows' column sum, and its weight gradient is formed tile
+    by tile (FCLayer.weight_grad_tiles), each tile updating its tile of
+    weights and velocity as soon as it is formed: fc1's gradient buffers
+    are neither read nor written. Each tile and the bias sum are added to
+    0.0 first, as they were when added into a zeroed buffer, so a -0.0
+    entry steps as +0.0 and the weights equal the buffered update's bit
+    for bit. Raises NumericError naming the parameter when a block is left
+    with a non-finite weight.
     """
     scratch = np.empty((2, BLOCK_ELEMENTS), dtype=net.config.np_dtype)
-    for name, value, grad in net.parameters():
-        flat = value.reshape(-1)  # views: every parameter array is C-contiguous
-        flat_grad = grad.reshape(-1)
-        flat_vel = velocity[name].reshape(-1)
-        for start in range(0, flat.size, BLOCK_ELEMENTS):
-            w = flat[start : start + BLOCK_ELEMENTS]
-            vel = flat_vel[start : start + BLOCK_ELEMENTS]
-            step, decay = scratch[:, : w.size]
-            np.multiply(flat_grad[start : start + BLOCK_ELEMENTS], grad_scale, out=step)
-            np.multiply(cfg.weight_decay, w, out=decay)
-            step += decay
-            vel *= cfg.momentum
-            step *= cfg.learning_rate
-            vel -= step
-            w += vel
-            if not np.isfinite(w).all():
-                raise NumericError(f"SGD step left a non-finite weight in {name}")
+    for name, w, vel, grad in _update_blocks(net, velocity, fc1_rows):
+        step, decay = (row[: w.size].reshape(w.shape) for row in scratch)
+        np.multiply(grad, grad_scale, out=step)
+        np.multiply(cfg.weight_decay, w, out=decay)
+        step += decay
+        vel *= cfg.momentum
+        step *= cfg.learning_rate
+        vel -= step
+        w += vel
+        if not np.isfinite(w).all():
+            raise NumericError(f"SGD step left a non-finite weight in {name}")
 
 
 def _label_indices(manifest: data_mod.DatasetManifest, num_classes: int) -> list[int]:
@@ -446,12 +473,14 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
     gradients are the sum of its images' up to the order of float
     additions. fc1's weight and bias gradients are deferred to the end of
     each batch: every image's gradient wrt fc1's output and its fc1 input
-    are kept as rows of two [batch, features] buffers, and one
-    FCLayer.backward call on them forms the weight gradient as a single
-    GEMM, tiled into the buffer zero_grads cleared. With sgd_step's
-    in-place update no step of training allocates anything the size of a
-    weight matrix. Without augmentation the eval tensors are one stacked
-    array.
+    are kept as rows of two [batch, features] buffers, and sgd_step forms
+    fc1's weight gradient from them tile by tile, applying each tile to
+    the weights and velocity at once. Training zeroes and accumulates
+    every gradient buffer but fc1's, which it never touches, so the pages
+    of fc1.grad_weights are never mapped: the only arrays of fc1's size
+    it holds are the weights and their velocity, and no step allocates a
+    temporary of that size. Without augmentation the eval tensors are one
+    stacked array.
     """
     if len(manifest) == 0:
         raise data_mod.DataError("training manifest is empty")
@@ -480,6 +509,7 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
     keep = TrainBuffers(len(net.convs))
 
     velocity = {name: np.zeros_like(value) for name, value, _ in net.parameters()}
+    accumulated = [grad for name, _, grad in net.parameters() if not name.startswith("fc1.")]
     metrics: list[EpochMetrics] = []
     start = time.time()
     stall = 0
@@ -491,7 +521,8 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
         epoch_correct = 0
         for batch_start in range(0, n, cfg.batch_size):
             batch = order[batch_start : batch_start + cfg.batch_size]
-            net.zero_grads()
+            for grad in accumulated:
+                grad[...] = 0
             done = 0
             for part in _chunks(batch, chunk):
                 m = len(part)
@@ -519,8 +550,7 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
                 fc1_grads[done : done + m] = net.backward(keep, grad_logits[:m])
                 fc1_inputs[done : done + m] = keep.flat
                 done += m
-            net.fc1.backward(fc1_grads[:done], fc1_inputs[:done], input_grad=False)
-            sgd_step(net, velocity, cfg, 1.0 / done)
+            sgd_step(net, velocity, cfg, 1.0 / done, (fc1_grads[:done], fc1_inputs[:done]))
         train_loss = epoch_loss / n
         test_acc = None
         if test_manifest is not None:
@@ -578,7 +608,10 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Network
     Fails without side effects on truncation, shape disagreement, or (if
     expected_config is given) any configuration mismatch.
     """
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise data_mod.DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise data_mod.DataError(f"{path}: not a checkpoint file")
     end = blob.find(b"\n", len(CHECKPOINT_MAGIC))

@@ -279,6 +279,51 @@ def test_pipeline_default_spec_runs_and_is_deterministic(tmp_path, monkeypatch):
     assert outputs[0][1] == outputs[1][1]
 
 
+def test_empty_input_option_is_not_the_default(tmp_path, capsys):
+    # an empty --spec once rendered the built-in dataset, and an empty
+    # pipeline --config trained the desk-scale default
+    assert main(["synth", "--spec", "", "--out", str(tmp_path / "ds")]) == 2
+    assert not (tmp_path / "ds").exists()
+    spec = tmp_path / "spec.json"
+    data.save_synthetic_spec(data.default_synthetic_spec(samples_per_class=1), spec)
+    assert main(["pipeline", "--spec", str(spec), "--config", "", "--out",
+                 str(tmp_path / "run")]) == 2
+    assert "stage 'train' failed" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "checkpoint.ckpt").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_checkpoint_exits_2(tmp_path, dataset, kind, capsys):
+    ckpt = tmp_path / "run.ckpt"
+    if kind == "directory":
+        ckpt.mkdir()
+    rc = main(["harvest", "--checkpoint", str(ckpt), "--manifest", str(dataset),
+               "--out", str(tmp_path / "db.csv")])
+    assert rc == 2
+    assert f"cannot read checkpoint {ckpt}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [("--out", ""), ("--out", "."), ("--log", "")])
+def test_output_file_naming_no_file_is_usage_error(tmp_path, dataset, config_file, option,
+                                                   value):
+    # an empty --out once ended in a ValueError traceback from Path.with_suffix
+    argv = {"--manifest": str(dataset), "--config": str(config_file),
+            "--out": str(tmp_path / "run.ckpt"), option: value}
+    assert main(["train", *[part for item in argv.items() for part in item]]) == 1
+    assert not (tmp_path / "run.ckpt").exists()
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    data.save_synthetic_spec(data.default_synthetic_spec(samples_per_class=1), spec)
+    occupied = tmp_path / "occupied"
+    occupied.write_text("a file\n")
+    assert main(["synth", "--spec", str(spec), "--out", str(occupied / "ds")]) == 2
+    assert main(["pipeline", "--spec", str(spec), "--out", str(occupied)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err), err
+
+
 def test_pipeline_stage_failure_names_stage(tmp_path, capsys):
     bad_manifest = tmp_path / "nope.csv"
     rc = main(["pipeline", "--manifest", str(bad_manifest), "--out", str(tmp_path / "run")])

@@ -2,14 +2,22 @@
 
 tracemalloc sees numpy's data buffers, so the peak it records above the
 memory already held at the start of a call is that call's largest set
-of live temporaries.
+of live temporaries. It does not see which pages of an allocation are
+written, so a train call's growth in resident memory is measured in a
+fresh process.
 """
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from auprobe import data
 from auprobe.model import ModelConfig, TrainConfig, build_network, sgd_step
 
 # Peak extra allocation allowed, as a share of fc1's weight bytes. The
@@ -45,6 +53,60 @@ def test_sgd_step_allocates_no_weight_sized_temporary(net):
     cfg = TrainConfig(learning_rate=0.01, weight_decay=0.001, momentum=0.9)
     extra = peak_extra_bytes(lambda: sgd_step(net, velocity, cfg, 1.0 / 16))
     assert extra < LIMIT * net.fc1.weights.nbytes, extra
+
+
+def test_fused_fc1_step_allocates_no_weight_sized_temporary(net):
+    rng = np.random.default_rng(2)
+    fc1_rows = (rng.normal(size=(16, net.fc1.out_features)),
+                rng.normal(size=(16, net.fc1.in_features)))
+    velocity = {name: np.zeros_like(value) for name, value, _ in net.parameters()}
+    cfg = TrainConfig(learning_rate=0.01, weight_decay=0.001, momentum=0.9)
+    extra = peak_extra_bytes(lambda: sgd_step(net, velocity, cfg, 1.0 / 16, fc1_rows))
+    assert extra < LIMIT * net.fc1.weights.nbytes, extra
+    assert velocity["fc1.weights"].all()
+
+
+# Runs one batch of train in a fresh process and prints its peak-RSS growth
+# over the RSS just before the call, and fc1's weight bytes. fc1: 16384 x
+# 1024 float32 weights, 64 MiB. The peak is the process's VmHWM, not
+# ru_maxrss: Linux carries the high-water mark of the process that ran
+# exec into ru_maxrss, which after other tests read over 250 MB before the
+# script had done anything.
+_TRAIN_RSS_SCRIPT = """
+import json, sys
+from auprobe import data, model
+def status_bytes(field):
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith(field + ":"))
+    return int(line.split()[1]) * 1024
+manifest = data.load_manifest(sys.argv[1])
+net = model.build_network(model.ModelConfig(input_size=32, conv_channels=(2, 4, 64),
+                                            fc_hidden=16384, num_classes=4))
+cfg = model.TrainConfig(batch_size=len(manifest), epochs=1, augment=False)
+before = status_bytes("VmRSS")
+model.train(net, manifest, cfg)
+growth = status_bytes("VmHWM") - before
+print(json.dumps({"growth": growth, "fc1_bytes": net.fc1.weights.nbytes}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_train_holds_two_fc1_sized_arrays(tmp_path):
+    """A train call's resident memory grows by fc1's velocity and no fc1-sized
+    gradient: the update forms fc1's gradient tile by tile, and nothing writes
+    the pages of fc1.grad_weights. Zeroing and filling that buffer made the
+    growth about 2x fc1's weight bytes."""
+    manifest = data.generate_synthetic(data.default_synthetic_spec(samples_per_class=2, seed=1),
+                                       tmp_path / "ds")
+    assert len(manifest) == 8
+    src = str(Path(data.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _TRAIN_RSS_SCRIPT,
+                           str(tmp_path / "ds" / "manifest.csv")],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["fc1_bytes"] == 64 * 2**20
+    assert result["growth"] < 1.5 * result["fc1_bytes"], result
 
 
 def test_fc1_batch_weight_gradient_allocates_no_weight_sized_temporary(net):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -247,6 +248,96 @@ def test_sgd_step_non_finite_weight_names_parameter():
         sgd_step(net, velocity, TrainConfig(), 1.0)
 
 
+def _same_bits(a, b) -> bool:
+    """Equal arrays down to the sign of zero, which array_equal does not see."""
+    return a.dtype == b.dtype and np.array_equal(a.view(f"u{a.itemsize}"),
+                                                 b.view(f"u{b.itemsize}"))
+
+
+def _fused_case(dtype):
+    """A network whose fc1 (37 x 4800) ends in a partial row tile and a partial
+    column slab, its velocity, and a function drawing a batch's fc1 rows.
+
+    Rows 0-2 and 35-36 of each batch's gradient and the first and last 100
+    columns of its input are so small that their products underflow to -0.0,
+    so fc1's weight tiles hold -0.0 entries; the weights and velocity there
+    hold -0.0 as well. The gradient's column 20 is -0.0 for the bias, whose
+    sum is -0.0 or +0.0 as the numpy version has it.
+    """
+    config = ModelConfig(input_size=32, conv_channels=(2, 4, 300), fc_hidden=37,
+                         num_classes=3, dtype=dtype)
+    net = build_network(config)
+    tile_cols = layers.BLOCK_ELEMENTS // layers._FC_TILE_ROWS
+    assert net.fc1.in_features % tile_cols and net.fc1.out_features % layers._FC_TILE_ROWS
+    tiny = np.finfo(config.np_dtype).tiny
+    under_rows, under_cols = [0, 1, 2, 35, 36], np.r_[0:100, 4700:4800]
+    rng = np.random.default_rng(11)
+    velocity = {name: rng.normal(size=v.shape).astype(v.dtype) for name, v, _ in net.parameters()}
+    for values in (net.fc1.weights, velocity["fc1.weights"]):
+        values[np.ix_(under_rows, under_cols)] = -0.0
+    for values in (net.fc1.bias, velocity["fc1.bias"]):
+        values[20] = -0.0
+
+    def batch_rows(n):
+        grad_rows = rng.normal(size=(n, 37)).astype(config.np_dtype)
+        input_rows = rng.normal(size=(n, 4800)).astype(config.np_dtype)
+        grad_rows[:, under_rows] = -tiny
+        input_rows[:, under_cols] = tiny
+        grad_rows[:, 20] = -0.0
+        return grad_rows, input_rows
+
+    return net, velocity, batch_rows
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_fused_fc1_step_equals_buffered_update(dtype):
+    """sgd_step given fc1's batch rows leaves the same bits in every weight and
+    velocity as FCLayer.backward into zeroed buffers followed by the buffered
+    sgd_step, and as oracles.sgd_step_reference, -0.0 entries included; it
+    neither reads nor writes fc1's gradient buffers."""
+    fused, velocity, batch_rows = _fused_case(dtype)
+    buffered, ref = copy.deepcopy(fused), copy.deepcopy(fused)
+    buffered_velocity, ref_velocity = copy.deepcopy(velocity), copy.deepcopy(velocity)
+    cfg = TrainConfig(learning_rate=0.05, weight_decay=0.01, momentum=0.9)
+    rng = np.random.default_rng(12)
+    for n in (5, 3):
+        grad_rows, input_rows = batch_rows(n)
+        signed_zero = [(tile == 0) & np.signbit(tile)
+                       for _, tile in fused.fc1.weight_grad_tiles(grad_rows, input_rows)]
+        assert sum(int(z.sum()) for z in signed_zero) == 5 * 200, "tiles hold no -0.0"
+        assert signed_zero[-1].any()  # the partial row tile of the partial column slab
+        for net in (fused, buffered, ref):
+            net.zero_grads()
+        fused.fc1.grad_weights[...] = np.nan
+        fused.fc1.grad_bias[...] = np.nan
+        for (name, _, grad), (_, _, b_grad), (_, _, r_grad) in zip(
+                fused.parameters(), buffered.parameters(), ref.parameters()):
+            if not name.startswith("fc1."):
+                grad[...] = b_grad[...] = r_grad[...] = rng.normal(size=grad.shape)
+        for net in (buffered, ref):
+            net.fc1.backward(grad_rows, input_rows, input_grad=False)
+        sgd_step(fused, velocity, cfg, 1.0 / n, (grad_rows, input_rows))
+        sgd_step(buffered, buffered_velocity, cfg, 1.0 / n)
+        sgd_step_reference(ref.parameters(), ref_velocity, cfg, 1.0 / n)
+        assert np.isnan(fused.fc1.grad_weights).all() and np.isnan(fused.fc1.grad_bias).all()
+        for (name, value, _), (_, b_value, _), (_, r_value, _) in zip(
+                fused.parameters(), buffered.parameters(), ref.parameters()):
+            for got, want in ((value, b_value), (velocity[name], buffered_velocity[name]),
+                              (value, r_value), (velocity[name], ref_velocity[name])):
+                assert _same_bits(got, want), name
+    region = fused.fc1.weights[:3, :100]
+    assert not region.any() and np.signbit(region).all()  # -0.0 stayed -0.0
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_fused_fc1_non_finite_tile_names_fc1_weights(dtype):
+    net, velocity, batch_rows = _fused_case(dtype)
+    grad_rows, input_rows = batch_rows(4)
+    input_rows[1, 4500] = np.inf  # in the partial column slab
+    with pytest.raises(NumericError, match=r"fc1\.weights"):
+        sgd_step(net, velocity, TrainConfig(), 0.25, (grad_rows, input_rows))
+
+
 def test_train_chunk_from_patch_matrix_budget():
     # the training and evaluation chunks at both benchmark geometries
     chunks = [model.images_per_chunk(dataclasses.replace(config, dtype=dtype),
@@ -259,11 +350,12 @@ def test_train_chunk_from_patch_matrix_budget():
 
 
 def test_train_batch_gradients_match_per_sample_loop(tiny_manifest, monkeypatch):
-    """The first batch's gradients, each batch run as chunks and fc1's from one
-    GEMM over the batch, equal those of the earlier loop that ran every layer
-    on one image at a time (oracles.sample_gradients). In float64, where the
-    two summation orders agree to 1e-12. Chunks of 1, a whole batch, and
-    batches that are not a multiple of the chunk, so the last chunk is short."""
+    """The first batch's gradients, each batch run as chunks and fc1's from the
+    batch's stacked rows (G.T @ X and G's column sum), equal those of the
+    earlier loop that ran every layer on one image at a time
+    (oracles.sample_gradients). In float64, where the two summation orders
+    agree to 1e-12. Chunks of 1, a whole batch, and batches that are not a
+    multiple of the chunk, so the last chunk is short."""
     config = dataclasses.replace(model.reduced_config(seed=4), dtype="float64")
     labels = model._label_indices(tiny_manifest, config.num_classes)
 
@@ -279,8 +371,11 @@ def test_train_batch_gradients_match_per_sample_loop(tiny_manifest, monkeypatch)
         cfg = TrainConfig(batch_size=batch_size, epochs=1, seed=9, augment=False)
         seen = {}
 
-        def capture(net_, velocity, cfg_, grad_scale):
+        def capture(net_, velocity, cfg_, grad_scale, fc1_rows):
             seen.update((name, grad.copy()) for name, _, grad in net_.parameters())
+            grad_rows, input_rows = fc1_rows
+            seen["fc1.weights"] = grad_rows.T @ input_rows
+            seen["fc1.bias"] = grad_rows.sum(axis=0)
             raise FirstStep
 
         with monkeypatch.context() as patch:
