@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import os
 import sys
 from pathlib import Path
@@ -363,6 +364,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # A path's undecodable bytes arrive as lone surrogates (os.fsdecode);
+        # progress lines print them escaped, as stderr does, rather than fail
+        # after the outputs are written.
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

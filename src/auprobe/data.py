@@ -9,6 +9,7 @@ experiments can run end to end without any external dataset.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -206,16 +207,13 @@ def _taps(coords: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray, np.n
 
 
 def _bilinear_sample(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Sample img (float [H,W]) at fractional coords; zero outside.
+    """Sample img (float [H,W]) at full grids of fractional coords; zero outside.
 
-    ys and xs broadcast against each other: full coordinate grids, or a
-    [out_h, 1] column of row coordinates and a [1, out_w] row of column
-    coordinates, whose taps are then computed once per row and column.
     Each of the four taps is one gather at clipped indices, with the
     samples outside the image replaced by zero.
     """
     h, w = img.shape
-    out = np.zeros(np.broadcast_shapes(ys.shape, xs.shape), dtype=np.float64)
+    out = np.zeros(ys.shape, dtype=np.float64)
     x_taps = _taps(xs, w)
     for wy, yy, inside_y in _taps(ys, h):
         for wx, xx, inside_x in x_taps:
@@ -236,24 +234,68 @@ def rotate(img: np.ndarray, degrees: float) -> np.ndarray:
     return _bilinear_sample(np.asarray(img, dtype=np.float64), src_y, src_x)
 
 
-def resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize with the half-pixel-center convention.
+# Axis plans held at once. An entry is four arrays of the resize length:
+# 3 KiB at 99 samples, so a full cache stays well under 1 MiB.
+PLAN_CACHE_SIZE = 64
 
-    Separable: the row taps are computed once as an [out_h, 1] column,
-    the column taps once as a [1, out_w] row.
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _axis_plan(n: int, out: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(weight, index) of both taps for every sample of an n -> out resize along one axis.
+
+    Sample coordinates follow the half-pixel-centre convention, clipped
+    to [0, n - 1]. A tap outside the axis, which only a clipped
+    coordinate's second tap (weight 0) can be, has index n: the zero row
+    or column that _resample appends. The arrays are read-only, since
+    every later call with the same axis shares them. The cache pays off
+    only because image sides repeat (every image of a synthetic set has
+    the same size); a miss costs what building the plan per call would.
     """
-    h, w = img.shape
-    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
-    return _bilinear_sample(np.asarray(img, dtype=np.float64),
-                            np.clip(ys, 0, h - 1)[:, None], np.clip(xs, 0, w - 1)[None, :])
+    coords = (np.arange(out, dtype=np.float64) + 0.5) * (n / out) - 0.5
+    plan = []
+    for weight, index, inside in _taps(np.clip(coords, 0, n - 1), n):
+        index = np.where(inside, index, n)
+        weight.flags.writeable = index.flags.writeable = False
+        plan.append((weight, index))
+    return tuple(plan)
+
+
+def _resample(image: np.ndarray, rows, cols) -> np.ndarray:
+    """image [H,W] sampled bilinearly through a row plan and a column plan, as float64.
+
+    The image is copied into float64 with a zero row and column appended,
+    which the outside taps read. Each column tap gathers its columns once;
+    each (row tap, column tap) pair then gathers its rows from those. Each
+    output pixel is the sum, from zero, of its four taps in (row tap,
+    column tap) order, each tap's weight product formed before it
+    multiplies the pixel: the same sum, bit for bit, as _bilinear_sample's
+    at the same coordinates, with inf or NaN on the last row or column
+    kept out of the weight-0 taps.
+    """
+    h, w = image.shape
+    padded = np.zeros((h + 1, w + 1))
+    padded[:h, :w] = image
+    columns = [(wx, padded.take(xx, axis=1)) for wx, xx in cols]
+    out = np.zeros((rows[0][0].size, cols[0][0].size))
+    term = np.empty_like(out)
+    for wy, yy in rows:
+        for wx, picked in columns:
+            np.multiply(wy[:, None], wx, out=term)
+            term *= picked.take(yy, axis=0)
+            out += term
+    return out
 
 
 def standardize(img: np.ndarray) -> np.ndarray:
-    """Zero-mean unit-variance; guarded so constant images map to zeros."""
-    mean = img.mean()
-    std = img.std()
-    return (img - mean) / max(std, 1e-6)
+    """Zero-mean unit-variance; guarded so constant images map to zeros.
+
+    The deviations from the mean are formed once and give both the
+    standard deviation and the result; for float64 images, the transforms'
+    crops, the bits are those of np.mean then np.std.
+    """
+    dev = img - img.mean()
+    dev /= max(np.sqrt(np.square(dev).sum() / dev.size), 1e-6)
+    return dev
 
 
 # Eval images are resized to S + _EVAL_MARGIN and cropped to S at the
@@ -263,12 +305,20 @@ _EVAL_MARGIN = 3
 
 def _resized_crop(image: np.ndarray, out_size: int, top: int = _EVAL_MARGIN // 2,
                   left: int = _EVAL_MARGIN // 2) -> np.ndarray:
-    """image resized to out_size + _EVAL_MARGIN, then its float64 out_size crop at (top, left)."""
-    img = np.asarray(image, dtype=np.float64)
+    """image resized to out_size + _EVAL_MARGIN (half-pixel-centre bilinear), then its
+    float64 out_size crop at (top, left).
+
+    Only the crop is sampled: its plans are slices of the resize's axis
+    plans, out_size samples from top and from left.
+    """
+    img = np.asarray(image)
     if min(img.shape) < 8:
         raise DataError(f"image too small to transform: {img.shape}")
+    h, w = img.shape
     big = out_size + _EVAL_MARGIN
-    return resize(img, big, big)[top : top + out_size, left : left + out_size]
+    rows = [(wy[top : top + out_size], yy[top : top + out_size]) for wy, yy in _axis_plan(h, big)]
+    cols = [(wx[left : left + out_size], xx[left : left + out_size]) for wx, xx in _axis_plan(w, big)]
+    return _resample(img, rows, cols)
 
 
 def _network_input(crop: np.ndarray, dtype) -> np.ndarray:

@@ -508,7 +508,8 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
     grad_logits = np.empty((chunk, net.config.num_classes), dtype=dtype)
     keep = TrainBuffers(len(net.convs))
 
-    velocity = {name: np.zeros_like(value) for name, value, _ in net.parameters()}
+    # np.zeros leaves the pages to the first sgd_step's writes; zeros_like would fill them here
+    velocity = {name: np.zeros(value.shape, value.dtype) for name, value, _ in net.parameters()}
     accumulated = [grad for name, _, grad in net.parameters() if not name.startswith("fc1.")]
     metrics: list[EpochMetrics] = []
     start = time.time()

@@ -227,10 +227,10 @@ def cell_anchor(box, row: int, col: int, config, layer: int) -> tuple[int, int]:
 
 
 # Earlier per-image and per-line implementations, kept as references:
-# the chunked harvest, the separable resize and the column-wise DB parse
-# must reproduce them exactly. harvest_per_image runs its own per-image
-# stage loop of single-image layer calls, so it does not share the
-# chunked stage runner it checks.
+# the chunked harvest, the planned resize, the one-pass standardize and
+# the column-wise DB parse must reproduce them exactly. harvest_per_image
+# runs its own per-image stage loop of single-image layer calls, so it
+# does not share the chunked stage runner it checks.
 
 
 def bilinear_sample_masked(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -253,6 +253,11 @@ def bilinear_sample_masked(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> n
             vals[inside] = img[yy[inside], xx[inside]]
             out += wy * wx * vals
     return out
+
+
+def standardize_two_pass(img: np.ndarray) -> np.ndarray:
+    """Zero-mean unit-variance by np.mean and np.std, which forms the mean again."""
+    return (img - img.mean()) / max(img.std(), 1e-6)
 
 
 def resize_meshgrid(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

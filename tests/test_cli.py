@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import os
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -80,6 +82,20 @@ def test_synth_writes_dataset(tmp_path):
     manifest = data.load_manifest(out / "manifest.csv")
     assert len(manifest) == 8
     assert (out / "spec_resolved.json").is_file()
+
+
+def test_undecodable_output_path_prints_escaped(tmp_path):
+    # a file name's byte 0x80 reaches main as a lone surrogate; a UTF-8
+    # stdout with strict errors cannot encode it
+    spec = tmp_path / "spec.json"
+    data.save_synthetic_spec(data.default_synthetic_spec(samples_per_class=1), spec)
+    out = tmp_path / os.fsdecode(b"ds\x80")
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    with redirect_stdout(stdout):
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+        stdout.flush()
+    assert stdout.buffer.getvalue().decode("utf-8").endswith("ds\\udc80\n")
+    assert (tmp_path / os.fsdecode(b"ds\x80") / "manifest.csv").is_file()
 
 
 def test_train_harvest_associate_chain(tmp_path, dataset, config_file, capsys):

@@ -22,7 +22,7 @@ from auprobe.data import (
 )
 from auprobe.harvest import ActivationDB
 
-from oracles import bilinear_sample_masked, resize_meshgrid
+from oracles import bilinear_sample_masked, resize_meshgrid, standardize_two_pass
 
 
 @pytest.fixture
@@ -149,7 +149,7 @@ def test_eval_coordinate_map_tracks_bright_pixel():
     scale, offset = eval_coordinate_map(src, out)
     img = np.zeros((src, src))
     img[30, 12] = 255.0
-    view = data.resize(img, out + 3, out + 3)[1 : 1 + out, 1 : 1 + out]
+    view = data._resized_crop(img, out)
     yy, xx = np.meshgrid(np.arange(out), np.arange(out), indexing="ij")
     cy = (view * yy).sum() / view.sum()
     cx = (view * xx).sum() / view.sum()
@@ -157,12 +157,18 @@ def test_eval_coordinate_map_tracks_bright_pixel():
     assert abs(cx - (scale * 12 + offset)) < 0.2
 
 
+def planned_resize(img, out_h, out_w):
+    """The whole out_h x out_w resize, sampled through both axes' full plans."""
+    h, w = img.shape
+    return data._resample(img, data._axis_plan(h, out_h), data._axis_plan(w, out_w))
+
+
 @pytest.mark.parametrize("h, w", [(48, 48), (8, 8), (13, 40), (120, 33), (96, 96)])
 def test_separable_resize_equals_meshgrid_sampling(h, w):
     rng = np.random.default_rng(h * w)
     img = rng.integers(0, 256, (h, w)).astype(np.uint8)
     for out_h, out_w in [(51, 51), (99, 99), (7, 30), (200, 5), (h, w)]:
-        assert np.array_equal(data.resize(img, out_h, out_w), resize_meshgrid(img, out_h, out_w))
+        assert np.array_equal(planned_resize(img, out_h, out_w), resize_meshgrid(img, out_h, out_w))
     for size in (8, 45, 96):
         view = resize_meshgrid(img, size + 3, size + 3)[1 : 1 + size, 1 : 1 + size]
         assert np.array_equal(eval_transform(img, size), data.standardize(view)[None])
@@ -187,6 +193,73 @@ def test_bilinear_sample_equals_masked_gathers_out_of_range():
         src_x = 16 + (yy - 16) * np.sin(theta) + (xx - 16) * np.cos(theta)
         assert np.array_equal(data.rotate(square, degrees),
                               bilinear_sample_masked(square, src_y, src_x))
+
+
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 2**32 - 1),
+       st.sampled_from(["uniform", "scaled", "constant", "crop"]))
+@settings(max_examples=200, deadline=None)
+def test_standardize_equals_mean_then_std(h, w, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        img = rng.uniform(0, 255, (h, w))
+    elif kind == "scaled":
+        img = rng.normal(size=(h, w)) * 10.0 ** rng.uniform(-9, 9)
+    elif kind == "constant":
+        img = np.full((h, w), float(rng.integers(0, 256)))
+    else:
+        img = data._resized_crop(rng.integers(0, 256, (h + 8, w + 8)).astype(np.uint8), h + 7)
+    assert data.standardize(img).tobytes() == standardize_two_pass(img).tobytes()
+
+
+OFFSETS = [(top, left) for top in range(4) for left in range(4)]
+
+
+@pytest.mark.parametrize("h, w", [(8, 8), (9, 13), (13, 40), (31, 31), (48, 48), (57, 44),
+                                  (120, 33)])
+def test_planned_crop_equals_meshgrid_crop(h, w):
+    # every augment offset, upsampled and downsampled, square, non-square and odd
+    img = np.random.default_rng(h * 1000 + w).integers(0, 256, (h, w)).astype(np.uint8)
+    for size in (8, 45, 48, 96):
+        full = resize_meshgrid(img, size + 3, size + 3)
+        for top, left in OFFSETS:
+            want = full[top : top + size, left : left + size]
+            assert data._resized_crop(img, size, top, left).tobytes() == want.tobytes()
+
+
+def test_planned_crop_keeps_nonfinite_edges_out_of_weight_zero_taps():
+    # a clipped coordinate's second tap falls past the last row or column
+    # with weight 0; it must read zero, not 0 x inf = nan
+    img = np.random.default_rng(11).uniform(0, 255, (9, 14))
+    img[-1, 3], img[-1, 10], img[4, -1], img[7, -1] = np.inf, np.nan, -np.inf, np.inf
+    with np.errstate(invalid="ignore"):  # inside taps of weight 0 give nan in both
+        for size in (8, 45, 48, 96):
+            full = resize_meshgrid(img, size + 3, size + 3)
+            for top, left in OFFSETS:
+                want = full[top : top + size, left : left + size]
+                assert data._resized_crop(img, size, top, left).tobytes() == want.tobytes()
+        edge = data._resized_crop(img, 45, 3, 3)
+        assert planned_resize(img, 30, 30).tobytes() == resize_meshgrid(img, 30, 30).tobytes()
+    assert np.isposinf(edge[-1]).any() and np.isneginf(edge[:, -1]).any()
+
+
+def test_plan_cache_cold_and_warm_give_the_same_bits():
+    img = np.random.default_rng(12).integers(0, 256, (37, 52)).astype(np.uint8)
+
+    def outputs():
+        crops = [data._resized_crop(img, size, top, left)
+                 for size in (8, 48) for top, left in OFFSETS]
+        return [out.tobytes() for out in crops + [planned_resize(img, 51, 20)]]
+
+    data._axis_plan.cache_clear()
+    cold = outputs()
+    hits = data._axis_plan.cache_info().hits
+    assert outputs() == cold
+    assert data._axis_plan.cache_info().hits > hits
+    weights, index = data._axis_plan(37, 51)[0]
+    with pytest.raises(ValueError):
+        weights[0] = 2.0
+    with pytest.raises(ValueError):
+        index[0] = 0
 
 
 # ----------------------------------------------------------- synthetic

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from auprobe import data, harvest as harvest_mod, model
+from auprobe import data, harvest as harvest_mod, imageio, model
 from auprobe.data import DataError
 from auprobe.harvest import ActivationDB, chunk_images, harvest, partition_by_au, top_n
 
@@ -191,6 +191,26 @@ def test_harvest_mixed_image_sizes_equal_per_image_loop(setup):
     subset = _subset(manifest, len(crops), crops)
     db = harvest(net, subset)
     values, rows, cols = harvest_per_image(net, subset, 3)
+    assert db.values.tobytes() == values.tobytes()
+    np.testing.assert_array_equal(db.rows, rows)
+    np.testing.assert_array_equal(db.cols, cols)
+
+
+def test_harvest_past_the_plan_cache_equals_per_image_loop(tmp_path, setup):
+    # 70 crop boxes of 93 distinct sides evict resample plans mid-harvest
+    net, _ = setup
+    rng = np.random.default_rng(7)
+    entries = []
+    for k in range(70):
+        name = f"big{k}.pgm"
+        imageio.write_pgm(tmp_path / name, rng.integers(0, 256, (100, 100)).astype(np.uint8))
+        entries.append(data.ManifestRow(name, "A", frozenset({1}), crop_box=(0, k, k + 8, 100)))
+    manifest = data.DatasetManifest(rows=entries, base_dir=tmp_path)
+    data._axis_plan.cache_clear()
+    db = harvest(net, manifest)
+    info = data._axis_plan.cache_info()
+    assert info.misses > info.maxsize == data.PLAN_CACHE_SIZE == info.currsize
+    values, rows, cols = harvest_per_image(net, manifest, 3)
     assert db.values.tobytes() == values.tobytes()
     np.testing.assert_array_equal(db.rows, rows)
     np.testing.assert_array_equal(db.cols, cols)

@@ -107,13 +107,14 @@ def test_montage_writes_paired_grids(tmp_path, trained_setup):
 def test_map_responses_resizes_each_image_once(trained_setup, monkeypatch):
     net, manifest, db = trained_setup
     calls = []
-    resize = data.resize
+    resample = data._resample
 
-    def counting_resize(*args):
+    def counting_resample(*args):
         calls.append(args)
-        return resize(*args)
+        return resample(*args)
 
-    monkeypatch.setattr(data, "resize", counting_resize)
+    # every resize and eval crop samples through the one planned resample
+    monkeypatch.setattr(data, "_resample", counting_resample)
     assert len(list(report.map_responses(db, net, manifest, 0, 9))) == 9
     assert len(calls) == 9
 
