@@ -191,33 +191,33 @@ def load_image(manifest: DatasetManifest, index: int) -> np.ndarray:
 # --------------------------------------------------------- transforms
 
 
-def _taps(coords: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(weight, clipped index, inside) of the two taps along one axis of n samples.
+def _taps(coords: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, index) of the two taps along one axis of n samples.
 
-    The first tap is at floor(coords), the second one sample further.
+    The first tap is at floor(coords), the second one sample further. A
+    tap outside the axis has index n: the zero row or column that the
+    samplers append to the image.
     """
     first = np.floor(coords).astype(np.int64)
     frac = coords - first
-    taps = []
-    for step, weight in ((0, 1.0 - frac), (1, frac)):
-        index = first + step
-        taps.append((weight, np.minimum(np.maximum(index, 0), n - 1),
-                     (index >= 0) & (index < n)))
-    return taps
+    return [(weight, np.where((index >= 0) & (index < n), index, n))
+            for weight, index in ((1.0 - frac, first), (frac, first + 1))]
 
 
 def _bilinear_sample(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Sample img (float [H,W]) at full grids of fractional coords; zero outside.
 
-    Each of the four taps is one gather at clipped indices, with the
-    samples outside the image replaced by zero.
+    Each of the four taps is one gather from img with a zero row and
+    column appended, which the taps outside the image read.
     """
     h, w = img.shape
+    padded = np.zeros((h + 1, w + 1))
+    padded[:h, :w] = img
     out = np.zeros(ys.shape, dtype=np.float64)
     x_taps = _taps(xs, w)
-    for wy, yy, inside_y in _taps(ys, h):
-        for wx, xx, inside_x in x_taps:
-            out += wy * wx * np.where(inside_y & inside_x, img[yy, xx], 0.0)
+    for wy, yy in _taps(ys, h):
+        for wx, xx in x_taps:
+            out += wy * wx * padded[yy, xx]
     return out
 
 
@@ -244,20 +244,17 @@ def _axis_plan(n: int, out: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(weight, index) of both taps for every sample of an n -> out resize along one axis.
 
     Sample coordinates follow the half-pixel-centre convention, clipped
-    to [0, n - 1]. A tap outside the axis, which only a clipped
-    coordinate's second tap (weight 0) can be, has index n: the zero row
-    or column that _resample appends. The arrays are read-only, since
+    to [0, n - 1], so only a clipped coordinate's second tap (weight 0)
+    can fall outside the axis, at index n. The arrays are read-only, since
     every later call with the same axis shares them. The cache pays off
     only because image sides repeat (every image of a synthetic set has
     the same size); a miss costs what building the plan per call would.
     """
     coords = (np.arange(out, dtype=np.float64) + 0.5) * (n / out) - 0.5
-    plan = []
-    for weight, index, inside in _taps(np.clip(coords, 0, n - 1), n):
-        index = np.where(inside, index, n)
+    plan = tuple(_taps(np.clip(coords, 0, n - 1), n))
+    for weight, index in plan:
         weight.flags.writeable = index.flags.writeable = False
-        plan.append((weight, index))
-    return tuple(plan)
+    return plan
 
 
 def _resample(image: np.ndarray, rows, cols) -> np.ndarray:

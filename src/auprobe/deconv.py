@@ -56,31 +56,33 @@ def _check_trace(trace: ForwardTrace, net: Network) -> None:
 
 
 def project(trace: ForwardTrace, net: Network, layer: int, map_index: int,
-            location: tuple[int, int]) -> np.ndarray:
-    """Pixel-space response [1, S, S] of one pooled activation at `layer`.
+            locations: tuple[int, int] | list[tuple[int, int]]) -> np.ndarray:
+    """Pixel-space responses [N, S, S] of one pooled activation per traced image at `layer`.
 
-    The chosen activation (map_index, location) keeps its traced value,
-    every other activation in that layer is zeroed, and the result is
-    carried down through unpool / rectify / transposed convolution as the
-    trace's chunk of one image.
+    locations holds one (row, col) per image of the trace's chunk; a
+    chunk of one may pass its (row, col) alone. In each image the chosen
+    activation keeps its traced value and every other activation in that
+    layer is zeroed; the whole chunk is then carried down through
+    unpool / rectify / transposed convolution at once.
     """
     _check_trace(trace, net)
     if not 1 <= layer <= len(trace.stages):
         raise ShapeError(f"layer {layer} outside 1..{len(trace.stages)}")
     pooled = trace.stages[layer - 1].pooled
-    c, _, h, w = pooled.shape
-    row, col = location
-    if not (0 <= map_index < c and 0 <= row < h and 0 <= col < w):
-        raise ShapeError(
-            f"(map {map_index}, location {location}) outside feature maps {(c, h, w)}"
-        )
+    c, n, h, w = pooled.shape
+    locs = np.array(locations, ndmin=2)
+    if (locs.shape != (n, 2) or not 0 <= map_index < c or (locs < 0).any()
+            or (locs >= (h, w)).any()):
+        raise ShapeError(f"(map {map_index}, locations {locs.tolist()}) are not one unit "
+                         f"per traced image of feature maps {(c, n, h, w)}")
+    at = (map_index, np.arange(n), locs[:, 0], locs[:, 1])
     top = np.zeros_like(pooled)
-    top[map_index, 0, row, col] = pooled[map_index, 0, row, col]
+    top[at] = pooled[at]
     stages = [
         DeconvStage(conv=net.convs[i], switches=trace.stages[i].switches, relu=True)
         for i in range(layer)
     ]
-    return project_stages(stages, top)[:, 0]
+    return project_stages(stages, top)[0]
 
 
 class Geometry(NamedTuple):
@@ -136,12 +138,11 @@ def receptive_field_span(geometry: Geometry | ModelConfig, layer: int) -> int:
 def projection_energy_fraction(projection: np.ndarray,
                                box: tuple[int, int, int, int]) -> float:
     """Share of squared-pixel energy inside box (x0, y0, x1, y1), end exclusive."""
-    proj = projection[0] if projection.ndim == 3 else projection
-    total = float((proj ** 2).sum())
+    total = float((projection ** 2).sum())
     if total == 0:
         return 0.0
     x0, y0, x1, y1 = box
-    inside = float((proj[y0:y1, x0:x1] ** 2).sum())
+    inside = float((projection[..., y0:y1, x0:x1] ** 2).sum())
     return inside / total
 
 
@@ -159,7 +160,7 @@ def normalized_crop(arr: np.ndarray, box: tuple[int, int, int, int]) -> np.ndarr
 
 def render_response(projection: np.ndarray, rf: tuple[int, int, int, int],
                     source_image: np.ndarray, out_path) -> tuple[Path, Path]:
-    """Write the receptive-field crop and its deconvolution response.
+    """Write the receptive-field crop of source_image and of its [S, S] projection.
 
     Produces <stem>_orig and <stem>_deconv next to out_path; the
     projection crop is min-max normalized to 8 bits over the crop.
@@ -169,9 +170,8 @@ def render_response(projection: np.ndarray, rf: tuple[int, int, int, int],
     stem = out_path.with_suffix("")
     x0, y0, x1, y1 = rf
     crop = np.asarray(source_image)[y0 : y1 + 1, x0 : x1 + 1]
-    proj = projection[0] if projection.ndim == 3 else projection
     orig_path = stem.parent / (stem.name + "_orig" + suffix)
     deconv_path = stem.parent / (stem.name + "_deconv" + suffix)
     imageio.write_image(orig_path, crop)
-    imageio.write_image(deconv_path, normalized_crop(proj, rf))
+    imageio.write_image(deconv_path, normalized_crop(projection, rf))
     return orig_path, deconv_path

@@ -182,20 +182,16 @@ def _first_malformed_line(path, numbers: list[int], body: list[str]) -> DataErro
 CHUNK_BYTES = 4 << 20
 
 
-def chunk_images(config: model_mod.ModelConfig, layer: int) -> int:
-    """Images per harvest chunk: model.images_per_chunk at CHUNK_BYTES, convs 1..layer."""
-    return model_mod.images_per_chunk(config, CHUNK_BYTES, layer)
-
-
 def harvest(net: Network, manifest: DatasetManifest,
             layer: int | None = None) -> ActivationDB:
     """One record per (image, map) under the deterministic eval transform.
 
-    Images run through the conv stack chunk_images() at a time; each is
-    loaded and transformed on its own into the chunk, so images of any
-    size mix. Raises NumericError naming the first image and, within it,
-    the first map whose peak is not finite: argmax would pick a NaN
-    peak, and a NaN map would then win every unit's profile.
+    Images run through convs 1..layer in chunks of images_per_chunk() at
+    CHUNK_BYTES; each is loaded and transformed on its own into the
+    chunk, so images of any size mix. Raises NumericError naming the
+    first image and, within it, the first map whose peak is not finite:
+    argmax would pick a NaN peak, and a NaN map would then win every
+    unit's profile.
     """
     if len(manifest) == 0:
         raise DataError("cannot harvest an empty manifest")
@@ -207,7 +203,7 @@ def harvest(net: Network, manifest: DatasetManifest,
     dtype = net.config.np_dtype
     num_maps = net.config.conv_channels[layer - 1]
     n = len(manifest)
-    chunk = min(n, chunk_images(net.config, layer))
+    chunk = min(n, model_mod.images_per_chunk(net.config, CHUNK_BYTES, layer))
     xs = np.empty((chunk, 1, size, size), dtype=dtype)
     values = np.empty((n, num_maps))
     rows = np.empty((n, num_maps), dtype=np.int32)

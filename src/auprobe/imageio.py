@@ -56,9 +56,8 @@ def _as_uint8(image: np.ndarray) -> np.ndarray:
 def write_pgm(path, image: np.ndarray) -> None:
     image = _as_uint8(image)
     h, w = image.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(image.tobytes())
+    from .data import write_atomic  # here, not at the top: data imports this module
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + image.tobytes())
 
 
 def _decode_pgm(data: bytes, path) -> np.ndarray:
@@ -105,11 +104,9 @@ def write_png(path, image: np.ndarray) -> None:
     for row in image:
         raw.append(0)  # filter type: none
         raw.extend(row.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(PNG_SIGNATURE)
-        fh.write(_png_chunk(b"IHDR", header))
-        fh.write(_png_chunk(b"IDAT", zlib.compress(bytes(raw), 6)))
-        fh.write(_png_chunk(b"IEND", b""))
+    from .data import write_atomic  # here, not at the top: data imports this module
+    write_atomic(path, PNG_SIGNATURE + _png_chunk(b"IHDR", header)
+                 + _png_chunk(b"IDAT", zlib.compress(bytes(raw), 6)) + _png_chunk(b"IEND", b""))
 
 
 def _paeth(a: int, b: int, c: int) -> int:

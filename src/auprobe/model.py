@@ -132,13 +132,14 @@ class _KeptStage:
 
 @dataclass
 class ForwardTrace:
-    """The conv stages of one image's inference pass, for deconvolution.
+    """The conv stages of a chunk's inference pass, for deconvolution.
 
-    Each stage is kept as training keeps it, for a chunk of one image:
-    arrays [C, 1, H, W] and switches into them.
+    Each stage is kept as training keeps it: arrays [C, N, H, W] and
+    switches into them. image_id is the caller's label for the traced
+    image, or for a chunk's images.
     """
 
-    image_id: int | None
+    image_id: int | tuple[int, ...] | None
     stages: list[_KeptStage]
 
 
@@ -254,15 +255,16 @@ class Network:
             keep.flat, keep.fc1_out, keep.fc2_in, keep.drop_mask = flat, fc1_out, fc2_in, drop_mask
         return self.fc2.forward(fc2_in)
 
-    def forward_trace(self, x: np.ndarray, image_id: int | None = None) -> ForwardTrace:
-        """The conv stages of one image x [1, S, S], run as a chunk of one.
+    def forward_trace(self, x: np.ndarray,
+                      image_id: int | tuple[int, ...] | None = None) -> ForwardTrace:
+        """The conv stages of a chunk x [N, 1, S, S]; one image x [1, S, S] is a chunk of one.
 
         The stack runs as in training, into buffers of this trace's own,
         and keeps each stage's input, patch matrix, pooled maps and
         switches; the classifier head does not run.
         """
         keep = TrainBuffers(len(self.convs))
-        self._conv_stack(self._chunk(x[None]), len(self.convs), keep)
+        self._conv_stack(self._chunk(x[None] if x.ndim == 3 else x), len(self.convs), keep)
         return ForwardTrace(image_id, keep.stages)
 
     def stage_outputs(self, xs: np.ndarray, layer: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from .association import AUDistanceProfile, save_profile_csv
 from .deconv import (Geometry, normalized_crop, project, receptive_field,
                      receptive_field_span, unclipped_field)
 from .harvest import ActivationDB, partition_by_au, top_n
-from .model import ModelConfig, Network
+from .model import TRAIN_CHUNK_BYTES, ModelConfig, Network, images_per_chunk
 
 CHART_MARGIN = 10
 CHART_TOP = 12
@@ -103,10 +103,11 @@ def map_responses(db: ActivationDB, net: Network, manifest: data_mod.DatasetMani
                   map_index: int, n: int) -> Iterator[tuple]:
     """(record, view, projection, box) of one map's top-n peaks, in rank order.
 
-    Each peak's image is traced and projected once: view is the uint8
-    [S, S] image the network saw, projection the [1, S, S] deconvolution
-    response and box the receptive field (x0, y0, x1, y1), inclusive.
-    Warns when fewer than n images are available.
+    The peaks' images are traced and projected in chunks of
+    images_per_chunk() at TRAIN_CHUNK_BYTES, each image once: view is the
+    uint8 [S, S] image the network saw, projection the [S, S]
+    deconvolution response and box the receptive field (x0, y0, x1, y1),
+    inclusive. Warns when fewer than n images are available.
     """
     records = top_n(db, map_index, range(db.num_images), n)
     if len(records) < n:
@@ -115,12 +116,17 @@ def map_responses(db: ActivationDB, net: Network, manifest: data_mod.DatasetMani
             stacklevel=2,
         )
     config = net.config
-    for rec in records:
-        img = data_mod.load_image(manifest, rec.image_id)
-        x, view = data_mod.eval_input_and_view(img, config.input_size, dtype=config.np_dtype)
-        trace = net.forward_trace(x, image_id=rec.image_id)
-        yield (rec, view, project(trace, net, db.layer, map_index, (rec.row, rec.col)),
-               receptive_field(config, db.layer, (rec.row, rec.col)))
+    chunk = images_per_chunk(config, TRAIN_CHUNK_BYTES)
+    for start in range(0, len(records), chunk):
+        part = records[start : start + chunk]
+        pairs = [data_mod.eval_input_and_view(data_mod.load_image(manifest, rec.image_id),
+                                              config.input_size, dtype=config.np_dtype)
+                 for rec in part]
+        trace = net.forward_trace(np.stack([x for x, _ in pairs]),
+                                  image_id=tuple(rec.image_id for rec in part))
+        projections = project(trace, net, db.layer, map_index, [(r.row, r.col) for r in part])
+        for rec, (_, view), proj in zip(part, pairs, projections):
+            yield rec, view, proj, receptive_field(config, db.layer, (rec.row, rec.col))
 
 
 def write_montage(responses: Iterable[tuple], config: ModelConfig, layer: int,
@@ -137,7 +143,7 @@ def write_montage(responses: Iterable[tuple], config: ModelConfig, layer: int,
         dy, dx = _cell_offset(config, layer, (rec.row, rec.col), box)
         dy = min(dy, span - (box[3] - box[1] + 1))  # a field wider than the image
         dx = min(dx, span - (box[2] - box[0] + 1))
-        for cells, source in ((orig_cells, view), (deconv_cells, proj[0])):
+        for cells, source in ((orig_cells, view), (deconv_cells, proj)):
             cell = np.zeros((span, span), dtype=np.uint8)
             crop = normalized_crop(source, box)
             cell[dy : dy + crop.shape[0], dx : dx + crop.shape[1]] = crop

@@ -302,6 +302,36 @@ def harvest_per_image(net, manifest, layer: int):
     return tuple(np.stack([res[k] for res in results]) for k in range(3))
 
 
+def map_responses_per_record(db, net, manifest, map_index: int, n: int) -> list[tuple]:
+    """(record, view, projection [S, S], box) of one map's top-n peaks, record by record.
+
+    The earlier loop of report.map_responses: each peak's image is
+    loaded, transformed, traced and projected on its own. The trace and
+    the projection run as 3-D layer calls: conv, ReLU and pool with
+    switches up to db.layer, then unpool, ReLU and transposed conv back
+    down from the one kept activation.
+    """
+    from auprobe import data, deconv, harvest
+    from auprobe.layers import maxpool_forward, relu_forward, unpool
+
+    config = net.config
+    out = []
+    for rec in harvest.top_n(db, map_index, range(db.num_images), n):
+        fmap, view = data.eval_input_and_view(data.load_image(manifest, rec.image_id),
+                                              config.input_size, dtype=config.np_dtype)
+        switches = []
+        for conv in net.convs[: db.layer]:
+            fmap, record = maxpool_forward(relu_forward(conv.forward(fmap)))
+            switches.append(record)
+        signal = np.zeros_like(fmap)
+        signal[map_index, rec.row, rec.col] = fmap[map_index, rec.row, rec.col]
+        for conv, record in reversed(list(zip(net.convs, switches))):
+            signal = conv.transpose_apply(relu_forward(unpool(signal, record)))
+        box = deconv.receptive_field(config, db.layer, (rec.row, rec.col))
+        out.append((rec, view, signal[0], box))
+    return out
+
+
 def load_activation_db(path):
     """(image ids, values, rows, cols, layer, provenance) by the per-line parse.
 

@@ -225,7 +225,7 @@ def test_deconv_writes_montage_and_responses(tmp_path, dataset, config_file, mon
     traced = []
     forward_trace = model.Network.forward_trace
     monkeypatch.setattr(model.Network, "forward_trace",
-                        lambda net, x, image_id=None: traced.append(image_id)
+                        lambda net, x, image_id=None: traced.append((len(x), image_id))
                         or forward_trace(net, x, image_id))
     out = tmp_path / "dec"
     assert main(["deconv", "--checkpoint", str(ckpt), "--manifest", str(dataset),
@@ -234,7 +234,9 @@ def test_deconv_writes_montage_and_responses(tmp_path, dataset, config_file, mon
     assert (out / "map_1_deconv.png").is_file()
     responses = sorted(p.name for p in out.glob("img*_L3_m1_r*_deconv.png"))
     assert len(responses) == 2
-    assert len(traced) == len(set(traced)) == 2  # one trace per record, for montage and files
+    # each record traced once, in chunks, for montage and files alike
+    ids = [i for _, chunk_ids in traced for i in chunk_ids]
+    assert sum(size for size, _ in traced) == len(ids) == len(set(ids)) == 2
 
 
 def test_deconv_map_out_of_range_exits_2_before_harvest(tmp_path, dataset, config_file,

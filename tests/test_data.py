@@ -482,6 +482,19 @@ def test_write_atomic_failure_midway_keeps_earlier_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
 
 
+@pytest.mark.parametrize("name", ["m.png", "m.pgm"])
+def test_image_write_failure_midway_keeps_earlier_image(tmp_path, monkeypatch, name):
+    target = tmp_path / name
+    earlier = np.arange(48, dtype=np.uint8).reshape(6, 8)
+    imageio.write_image(target, earlier)
+    with monkeypatch.context() as patch:
+        _fail_writes_midway(patch)
+        with pytest.raises(OSError, match="No space"):
+            imageio.write_image(target, np.full((30, 40), 7, dtype=np.uint8))
+    np.testing.assert_array_equal(imageio.read_image(target), earlier)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def test_generate_synthetic_failure_midway_keeps_earlier_placements(tmp_path, monkeypatch):
     spec = data.default_synthetic_spec(samples_per_class=2, seed=1)
     generate_synthetic(spec, tmp_path)

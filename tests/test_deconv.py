@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from auprobe.deconv import (
 )
 from auprobe.imageio import read_image
 from auprobe.layers import ConvLayer, ShapeError
-from auprobe.model import ModelConfig, Network
+from auprobe.model import ModelConfig, Network, reduced_config
 
 from oracles import reachable_pixels
 
@@ -136,6 +138,52 @@ def test_trace_net_mismatch_rejected():
         project(trace, net_b, 3, 0, (0, 0))
 
 
+CHUNK_CONFIGS = [small_net().config, reduced_config(seed=1),
+                 dataclasses.replace(reduced_config(seed=1), dtype="float64")]
+
+
+@pytest.mark.parametrize("config", CHUNK_CONFIGS, ids=["16px", "48px", "48px-float64"])
+def test_chunk_projection_equals_chunks_of_one(config):
+    net = Network(config)
+    rng = np.random.default_rng(config.input_size)
+    size = config.input_size
+    xs = rng.normal(size=(3, 1, size, size))
+    chunk = net.forward_trace(xs, image_id=(4, 5, 6))
+    singles = [net.forward_trace(x) for x in xs]
+    nonzero = 0
+    for layer in (1, 2, 3):
+        pooled = chunk.stages[layer - 1].pooled
+        c, _, h, w = pooled.shape
+        corners = [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)]
+        for m in rng.permutation(c)[:4]:
+            peaks = [np.unravel_index(int(np.argmax(pooled[m, k])), (h, w)) for k in range(3)]
+            randoms = [(int(rng.integers(h)), int(rng.integers(w))) for _ in range(3)]
+            for locations in (peaks, randoms, corners[:3], corners[1:]):
+                got = project(chunk, net, layer, int(m), locations)
+                assert got.shape == (3, size, size)
+                for k, (trace, loc) in enumerate(zip(singles, locations)):
+                    alone = project(trace, net, layer, int(m), loc)
+                    assert alone.shape == (1, size, size)
+                    assert got[k].tobytes() == alone[0].tobytes()
+                    nonzero += bool(alone.any())
+    assert nonzero >= 3 * 3 * 4  # as many as the peaks, if none were dead
+
+
+def test_chunk_projection_needs_one_location_per_image():
+    net = small_net(seed=11)
+    trace = net.forward_trace(np.random.default_rng(8).normal(size=(3, 1, 16, 16)))
+    for locations in ([(0, 0), (1, 1)], [(0, 0)] * 4, (0, 0), [0, 0, 0], []):
+        with pytest.raises(ShapeError):
+            project(trace, net, 3, 0, locations)
+    for bad in ((2, 0), (0, 2), (-1, 0), (0, -1)):  # the pooled grid at layer 3 is 2x2
+        for k in range(3):
+            locations = [(1, 1)] * 3
+            locations[k] = bad
+            with pytest.raises(ShapeError):
+                project(trace, net, 3, 0, locations)
+    assert project(trace, net, 3, 0, [(1, 1)] * 3).shape == (3, 16, 16)
+
+
 def test_out_of_range_indices_rejected():
     net = small_net(seed=9)
     trace = net.forward_trace(np.zeros((1, 16, 16)))
@@ -198,7 +246,7 @@ def test_render_response_writes_decodable_pair(tmp_path):
     proj, loc, _ = project_max(trace, net, 3, 0)
     rf = receptive_field(net.config, 3, loc)
     source = rng.integers(0, 255, (16, 16)).astype(np.uint8)
-    orig, deconv = render_response(proj, rf, source, tmp_path / "m0.png")
+    orig, deconv = render_response(proj[0], rf, source, tmp_path / "m0.png")
     a = read_image(orig)
     b = read_image(deconv)
     x0, y0, x1, y1 = rf

@@ -5,7 +5,7 @@ import pytest
 
 from auprobe import data, harvest as harvest_mod, imageio, model
 from auprobe.data import DataError
-from auprobe.harvest import ActivationDB, chunk_images, harvest, partition_by_au, top_n
+from auprobe.harvest import ActivationDB, harvest, partition_by_au, top_n
 
 from oracles import harvest_per_image, load_activation_db, top_n_records
 
@@ -138,6 +138,11 @@ def test_db_repeated_image_map_is_data_error(tmp_path, first):
                  f"0,0,{first},0,0\n\n1,0,1.0,0,0\n\n0,0,5.0,0,0\n")
     with pytest.raises(DataError, match=r"db\.csv line 7: repeats image 0 map 0"):
         ActivationDB.load(p)
+
+
+def chunk_images(config, layer):
+    """Images per harvest chunk at layer, as harvest computes it."""
+    return model.images_per_chunk(config, harvest_mod.CHUNK_BYTES, layer)
 
 
 def test_chunk_size_from_patch_matrix_budget():

@@ -19,7 +19,7 @@ from auprobe.report import (
     render_bar_chart,
 )
 
-from oracles import cell_anchor
+from oracles import cell_anchor, map_responses_per_record
 
 
 def make_profile(values, au_id=1, n=9):
@@ -117,6 +117,23 @@ def test_map_responses_resizes_each_image_once(trained_setup, monkeypatch):
     monkeypatch.setattr(data, "_resample", counting_resample)
     assert len(list(report.map_responses(db, net, manifest, 0, 9))) == 9
     assert len(calls) == 9
+
+
+def test_map_responses_in_chunks_equal_record_by_record(trained_setup):
+    # 9 records run as 5 chunks at reduced_config, the last a chunk of one
+    net, manifest, db = trained_setup
+    assert model.images_per_chunk(net.config, model.TRAIN_CHUNK_BYTES) == 2
+    nonzero = 0
+    for map_index in range(db.num_maps):
+        got = list(report.map_responses(db, net, manifest, map_index, 9))
+        want = map_responses_per_record(db, net, manifest, map_index, 9)
+        assert len(got) == len(want) == 9
+        for (rec, view, proj, box), (rec0, view0, proj0, box0) in zip(got, want):
+            assert (rec, box) == (rec0, box0)
+            assert proj.shape == view.shape == (net.config.input_size,) * 2
+            assert view.tobytes() == view0.tobytes() and proj.tobytes() == proj0.tobytes()
+            nonzero += bool(proj.any())
+    assert nonzero > db.num_maps * 9 // 2
 
 
 @pytest.mark.parametrize("config", [model.reduced_config(), model.ModelConfig()],
