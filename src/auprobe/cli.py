@@ -199,13 +199,41 @@ def cmd_harvest(args) -> int:
     return 0
 
 
+def _load_db(path, manifest: data.DatasetManifest,
+             net: model.Network | None) -> harvest_mod.ActivationDB:
+    """The activation DB at path, which must come from manifest (and net, if given).
+
+    With a net, whose deconvolution reads the DB's peaks, each peak must
+    also lie in a manifest image and in the net's grid at the DB's layer.
+    """
+    db = harvest_mod.ActivationDB.load(path, expect_manifest=manifest.content_hash())
+    if net is None:
+        return db
+    if db.provenance.get("checkpoint") != model.checkpoint_hash(net):
+        raise DataError(f"{path}: produced by a different checkpoint")
+    grids = net.config.stage_sizes()
+    if not (1 <= db.layer <= len(grids)
+            and db.num_maps == net.config.conv_channels[db.layer - 1]
+            and 0 <= min(db.image_ids) and max(db.image_ids) < len(manifest)
+            and all(((0 <= a) & (a < grids[db.layer - 1])).all() for a in (db.rows, db.cols))):
+        raise DataError(f"{path}: peaks outside the manifest or the layer {db.layer} maps "
+                        "of the checkpoint")
+    return db
+
+
 def cmd_deconv(args) -> int:
     net = model.load_checkpoint(args.checkpoint)
     manifest = data.load_manifest(args.manifest)
     num_maps = net.config.conv_channels[-1]
     if not 0 <= args.map < num_maps:
         raise DataError(f"--map {args.map} outside 0..{num_maps - 1}")
-    db = harvest_mod.harvest(net, manifest)
+    if args.db is None:
+        db = harvest_mod.harvest(net, manifest)
+    else:
+        db = _load_db(args.db, manifest, net)
+        if db.layer != len(net.convs):
+            raise DataError(f"{args.db}: harvested at layer {db.layer}, "
+                            f"deconv reads layer {len(net.convs)}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     responses = list(report.map_responses(db, net, manifest, args.map, args.top))
@@ -231,10 +259,8 @@ def _parse_au_list(raw: str, manifest: data.DatasetManifest) -> list[int]:
 
 def cmd_associate(args) -> int:
     manifest = data.load_manifest(args.manifest)
-    db = harvest_mod.ActivationDB.load(args.db, expect_manifest=manifest.content_hash())
     net = model.load_checkpoint(args.checkpoint) if args.checkpoint is not None else None
-    if net is not None and db.provenance.get("checkpoint") != model.checkpoint_hash(net):
-        raise DataError(f"{args.db}: produced by a different checkpoint")
+    db = _load_db(args.db, manifest, net)
     au_ids = _parse_au_list(args.au, manifest)
     profiles = association.profile_all(db, manifest, au_ids, n=args.n)
     index = report.au_summary(profiles, db, net, manifest, args.out)
@@ -340,6 +366,8 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--map", type=int, required=True)
     p.add_argument("--top", type=_positive_int, default=9)
+    p.add_argument("--db", help="activation db CSV that harvest wrote for this checkpoint "
+                                "and manifest (omit to harvest the manifest)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_deconv)
 

@@ -6,40 +6,37 @@ convolution's transpose (bias-free). Rectification acts on the signal
 being reconstructed, not on stored forward signs, so the pathway is
 positively homogeneous; with ReLU and pooling absent it collapses to
 the plain transposed convolution chain.
+
+A projection starts from one pooled activation and never leaves that
+unit's unclipped receptive field (unclipped_field), so it runs in a
+window frame. At each stage a record's signal is a dense [C, w, w]
+window whose origin is the field's corner in that stage's grid; every
+record's window has the same width, so a chunk's signal is one
+[C, N, w, w] array. The top stage's transposed convolution of the one
+activation a is max(a, 0) times its map's [C_in, k, k] kernels, placed
+at the activation's switch in a window of width 2 + k - 1. Each lower
+stage rectifies its window, unpools it to twice the width, reading the
+switches only at the window's in-image pooled positions, and applies
+the transposed convolution as one K.T GEMM over the window's columns
+and a col2im with no edge clipping, into a window k - 1 wider whose
+origin is 2 * origin - k // 2. Window positions outside the image are
+never read on: the next unpool skips them, and only the final window's
+in-image part is pasted into the [S, S] image, so border units need no
+special case. Every pixel sums the same non-zero terms in the same
+order as the full-image pathway, so the two agree bit for bit. With 5x5
+kernels the windows are 6, 16 and 36 pixels wide at layers 1-3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import imageio
-from .layers import ConvLayer, ShapeError, SwitchRecord, relu_forward, unpool
+from .layers import ConvLayer, ShapeError, SwitchRecord, relu_forward
 from .model import ForwardTrace, ModelConfig, Network
-
-
-@dataclass
-class DeconvStage:
-    """One reverse step: optional unpool, optional rectify, then conv^T."""
-
-    conv: ConvLayer
-    switches: SwitchRecord | None = None
-    relu: bool = True
-
-
-def project_stages(stages: list[DeconvStage], top: np.ndarray) -> np.ndarray:
-    """Run a signal down a stage stack (listed bottom-up) to input space."""
-    signal = top
-    for stage in reversed(stages):
-        if stage.switches is not None:
-            signal = unpool(signal, stage.switches)
-        if stage.relu:
-            signal = relu_forward(signal)
-        signal = stage.conv.transpose_apply(signal)
-    return signal
 
 
 def _check_trace(trace: ForwardTrace, net: Network) -> None:
@@ -55,6 +52,61 @@ def _check_trace(trace: ForwardTrace, net: Network) -> None:
             )
 
 
+def _unpool_window(signal: np.ndarray, switches: SwitchRecord,
+                   origin: np.ndarray) -> np.ndarray:
+    """Unpool windows [C, N, w, w] at pooled positions origin + (i, j) to [C, N, 2w, 2w].
+
+    Window positions outside the pooled grid carry nothing onward.
+    """
+    c, n, w, _ = signal.shape
+    grid_h, grid_w = switches.pooled_shape[-2:]
+    h, width = switches.input_shape[-2:]
+    rows = origin[:, :1] + np.arange(w)  # [N, w]
+    cols = origin[:, 1:] + np.arange(w)
+    inside = (((rows >= 0) & (rows < grid_h))[:, :, None]
+              & ((cols >= 0) & (cols < grid_w))[:, None, :])
+    # a position outside the grid reads any switch: its signal is zeroed
+    rows, cols = (rows % grid_h)[:, :, None], (cols % grid_w)[:, None, :]
+    index = switches.index[:, np.arange(n)[:, None, None], rows, cols]
+    # A switch lies 0, 1, width or width + 1 past the first element of its
+    # pooling window; the value goes as far past (2i, 2j) in the unpooled
+    # window, whose rows are 2w long.
+    planes = np.arange(c * n).reshape(c, n, 1, 1)
+    offset = index - (planes * (h * width) + 2 * (rows * width + cols))
+    offset += (offset >= width) * (2 * w - width)
+    offset += planes * (4 * w * w) + 4 * w * np.arange(w)[:, None] + 2 * np.arange(w)
+    out = np.zeros(c * n * 4 * w * w, dtype=signal.dtype)
+    out[offset] = np.where(inside, signal, 0)
+    return out.reshape(c, n, 2 * w, 2 * w)
+
+
+def _transpose_window(conv: ConvLayer, signal: np.ndarray) -> np.ndarray:
+    """conv's transpose of windows [C_out, N, w, w], unclipped: [C_in, N, w + k - 1, w + k - 1].
+
+    The GEMM is ConvLayer.transpose_apply's K.T over the windows'
+    columns. Its col2im adds the k*k slabs in col2im's order, each as
+    one shifted 1-D add: every slab sits in the top-left corner of a
+    zeroed copy of the output, so a shift by u rows and v columns moves
+    its non-zero part into place and only zeros cross into the next
+    window.
+    """
+    k = conv.kernel_size
+    c_in = conv.in_channels
+    _, n, w, _ = signal.shape
+    cols = conv.kernels.reshape(len(signal), -1).T @ signal.reshape(len(signal), -1)
+    wide = w + k - 1
+    slabs = np.zeros((k, k, c_in, n, wide, wide), dtype=cols.dtype)
+    slabs[..., :w, :w] = cols.reshape(c_in, k, k, n, w, w).transpose(1, 2, 0, 3, 4, 5)
+    slabs = slabs.reshape(k, k, -1)
+    size = slabs.shape[-1]
+    out = np.zeros(size, dtype=cols.dtype)
+    for u in range(k):
+        for v in range(k):
+            shift = u * wide + v
+            out[shift:] += slabs[u, v, : size - shift]
+    return out.reshape(c_in, n, wide, wide)
+
+
 def project(trace: ForwardTrace, net: Network, layer: int, map_index: int,
             locations: tuple[int, int] | list[tuple[int, int]]) -> np.ndarray:
     """Pixel-space responses [N, S, S] of one pooled activation per traced image at `layer`.
@@ -63,7 +115,8 @@ def project(trace: ForwardTrace, net: Network, layer: int, map_index: int,
     chunk of one may pass its (row, col) alone. In each image the chosen
     activation keeps its traced value and every other activation in that
     layer is zeroed; the whole chunk is then carried down through
-    unpool / rectify / transposed convolution at once.
+    unpool / rectify / transposed convolution at once, in the units'
+    receptive-field windows.
     """
     _check_trace(trace, net)
     if not 1 <= layer <= len(trace.stages):
@@ -75,14 +128,32 @@ def project(trace: ForwardTrace, net: Network, layer: int, map_index: int,
             or (locs >= (h, w)).any()):
         raise ShapeError(f"(map {map_index}, locations {locs.tolist()}) are not one unit "
                          f"per traced image of feature maps {(c, n, h, w)}")
+    # The top stage's transposed conv of one activation is the activation
+    # times its map's kernels, placed where the activation's switch points.
     at = (map_index, np.arange(n), locs[:, 0], locs[:, 1])
-    top = np.zeros_like(pooled)
-    top[at] = pooled[at]
-    stages = [
-        DeconvStage(conv=net.convs[i], switches=trace.stages[i].switches, relu=True)
-        for i in range(layer)
-    ]
-    return project_stages(stages, top)[0]
+    conv, switches = net.convs[layer - 1], trace.stages[layer - 1].switches
+    patches = relu_forward(pooled[at])[:, None, None, None] * conv.kernels[map_index]
+    pre_h, pre_w = switches.input_shape[-2:]
+    row, col = np.divmod(switches.index[at] % (pre_h * pre_w), pre_w)
+    down, right = row - 2 * locs[:, 0], col - 2 * locs[:, 1]
+    k = conv.kernel_size
+    signal = np.zeros((conv.in_channels, n, k + 1, k + 1), dtype=patches.dtype)
+    for i, patch in enumerate(patches):
+        signal[:, i, down[i] : down[i] + k, right[i] : right[i] + k] = patch
+    origin = 2 * locs - conv.pad
+    for i in reversed(range(layer - 1)):
+        signal = _unpool_window(relu_forward(signal), trace.stages[i].switches, origin)
+        signal = _transpose_window(net.convs[i], signal)
+        origin = 2 * origin - net.convs[i].pad
+    size = trace.stages[0].conv_in.shape[-1]
+    out = np.zeros((n, size, size), dtype=signal.dtype)
+    span = signal.shape[-1]
+    for i, (r0, c0) in enumerate(origin):
+        rows = slice(max(r0, 0), min(r0 + span, size))
+        cols = slice(max(c0, 0), min(c0 + span, size))
+        out[i, rows, cols] = signal[0, i, rows.start - r0 : rows.stop - r0,
+                                    cols.start - c0 : cols.stop - c0]
+    return out
 
 
 class Geometry(NamedTuple):

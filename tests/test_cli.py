@@ -239,6 +239,72 @@ def test_deconv_writes_montage_and_responses(tmp_path, dataset, config_file, mon
     assert sum(size for size, _ in traced) == len(ids) == len(set(ids)) == 2
 
 
+def test_deconv_db_writes_the_harvesting_run_bytes(tmp_path, dataset, config_file,
+                                                   monkeypatch):
+    ckpt = tmp_path / "run.ckpt"
+    db_path = tmp_path / "db.csv"
+    assert main(["train", "--manifest", str(dataset), "--config", str(config_file),
+                 "--out", str(ckpt)]) == 0
+    assert main(["harvest", "--checkpoint", str(ckpt), "--manifest", str(dataset),
+                 "--out", str(db_path)]) == 0
+    base = ["deconv", "--checkpoint", str(ckpt), "--manifest", str(dataset), "--map", "3"]
+    assert main(base + ["--out", str(tmp_path / "harvested")]) == 0
+
+    def no_harvest(*args, **kwargs):
+        raise AssertionError("deconv --db harvested the manifest")
+
+    monkeypatch.setattr(harvest_mod, "harvest", no_harvest)
+    assert main(base + ["--db", str(db_path), "--out", str(tmp_path / "loaded")]) == 0
+    harvested = sorted(p.name for p in (tmp_path / "harvested").iterdir())
+    assert len(harvested) == 2 * 9 + 2  # 9 response pairs and the montage pair
+    assert sorted(p.name for p in (tmp_path / "loaded").iterdir()) == harvested
+    for name in harvested:
+        assert ((tmp_path / "loaded" / name).read_bytes()
+                == (tmp_path / "harvested" / name).read_bytes()), name
+
+
+def test_deconv_db_of_another_checkpoint_exits_2(tmp_path, dataset, config_file, capsys):
+    ckpt = tmp_path / "run.ckpt"
+    other = tmp_path / "other.ckpt"
+    db_path = tmp_path / "db.csv"
+    model_cfg = parse_config_file(config_file)[0]
+    model.save_checkpoint(model.build_network(model_cfg), ckpt)
+    model.save_checkpoint(model.build_network(dataclasses.replace(model_cfg, seed=3)), other)
+    assert main(["harvest", "--checkpoint", str(other), "--manifest", str(dataset),
+                 "--out", str(db_path)]) == 0
+    capsys.readouterr()
+    rc = main(["deconv", "--checkpoint", str(ckpt), "--manifest", str(dataset),
+               "--map", "0", "--db", str(db_path), "--out", str(tmp_path / "dec")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {db_path}: produced by a different checkpoint\n"
+    assert not (tmp_path / "dec").exists()
+
+
+@pytest.mark.parametrize("field,value", [(0, "12"), (3, "6"), (4, "-1")],
+                         ids=["image-outside-manifest", "row-outside-grid", "negative-col"])
+def test_deconv_db_peak_outside_the_network_exits_2(tmp_path, dataset, config_file, capsys,
+                                                    field, value):
+    ckpt = tmp_path / "run.ckpt"
+    db_path = tmp_path / "db.csv"
+    model.save_checkpoint(model.build_network(parse_config_file(config_file)[0]), ckpt)
+    assert main(["harvest", "--checkpoint", str(ckpt), "--manifest", str(dataset),
+                 "--out", str(db_path)]) == 0
+    lines = db_path.read_text().splitlines()
+    # image 11 becomes 12 in every row, or every map-0 peak moves
+    for k, line in enumerate(lines[2:], start=2):
+        fields = line.split(",")
+        if fields[0] == "11" if field == 0 else fields[1] == "0":
+            fields[field] = value
+            lines[k] = ",".join(fields)
+    db_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["deconv", "--checkpoint", str(ckpt), "--manifest", str(dataset),
+               "--map", "0", "--db", str(db_path), "--out", str(tmp_path / "dec")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "peaks outside the manifest" in err
+
+
 def test_deconv_map_out_of_range_exits_2_before_harvest(tmp_path, dataset, config_file,
                                                        monkeypatch, capsys):
     ckpt = tmp_path / "run.ckpt"

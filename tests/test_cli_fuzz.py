@@ -35,7 +35,7 @@ COMMAND_OPTIONS = {
     "synth": ["--spec", "--out"],
     "train": ["--manifest", "--config", "--out", "--log"],
     "harvest": ["--checkpoint", "--manifest", "--out"],
-    "deconv": ["--checkpoint", "--manifest", "--map", "--top", "--out"],
+    "deconv": ["--checkpoint", "--manifest", "--map", "--top", "--db", "--out"],
     "associate": ["--db", "--manifest", "--au", "--n", "--out", "--checkpoint"],
     "pipeline": ["--spec", "--manifest", "--config", "--out", "--n"],
 }
@@ -174,6 +174,8 @@ def test_main_returns_an_exit_code(workdir, valid, line, junk, seed):
     ("associate", ["--db", "--manifest", "--checkpoint", "--out", "assoc"],
      ["assoc/summary/index.csv"]),
     ("pipeline", ["--manifest", "--config", "--out", "run"], ["run/db.csv", "run/summary/index.csv"]),
+    ("deconv", ["--checkpoint", "--manifest", "--map", "0", "--db", "--out", "dec"],
+     ["dec/map_0_deconv.png"]),
 ])
 @SMALL_SET_WARNINGS
 def test_valid_inputs_run_to_their_writes(tmp_path, monkeypatch, valid, command, options,

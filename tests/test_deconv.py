@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from auprobe.deconv import (
-    DeconvStage,
     project,
-    project_stages,
     receptive_field,
     receptive_field_span,
     render_response,
@@ -15,7 +13,7 @@ from auprobe.imageio import read_image
 from auprobe.layers import ConvLayer, ShapeError
 from auprobe.model import ModelConfig, Network, reduced_config
 
-from oracles import reachable_pixels
+from oracles import DeconvStage, project_full_frame, project_stages, reachable_pixels
 
 
 def project_max(trace, net, layer, map_index):
@@ -167,6 +165,63 @@ def test_chunk_projection_equals_chunks_of_one(config):
                     assert got[k].tobytes() == alone[0].tobytes()
                     nonzero += bool(alone.any())
     assert nonzero >= 3 * 3 * 4  # as many as the peaks, if none were dead
+
+
+# 16 px: the 36 px field of layer 3 is wider than the image; 13 and 15 px:
+# odd stage sizes, where the pools pad with -inf
+WINDOW_CASES = [(13, "float32"), (15, "float64"), (16, "float32"), (16, "float64"),
+                (48, "float32"), (48, "float64")]
+
+
+@pytest.mark.parametrize("size,dtype", WINDOW_CASES,
+                         ids=[f"{size}px-{dtype}" for size, dtype in WINDOW_CASES])
+def test_window_projection_equals_full_frame_oracle(size, dtype):
+    config = dataclasses.replace(reduced_config(seed=size), input_size=size, dtype=dtype)
+    net = Network(config)
+    rng = np.random.default_rng(size)
+    trace = net.forward_trace(rng.normal(size=(4, 1, size, size)).astype(dtype))
+    nonzero = 0
+    for layer in (1, 2, 3):
+        pooled = trace.stages[layer - 1].pooled
+        c, n, h, w = pooled.shape
+        corners = [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)]
+        edges = [(0, w // 2), (h // 2, 0), (h - 1, w // 2), (h // 2, w - 1)]
+        for m in range(c):
+            peaks = [np.unravel_index(int(np.argmax(pooled[m, k])), (h, w)) for k in range(n)]
+            randoms = [(int(rng.integers(h)), int(rng.integers(w))) for _ in range(n)]
+            for locations in (corners, corners[::-1], edges, peaks, randoms):
+                got = project(trace, net, layer, m, locations)
+                want = project_full_frame(trace, net, layer, m, locations)
+                assert got.dtype == want.dtype == np.dtype(dtype)
+                np.testing.assert_array_equal(got, want)
+                nonzero += int(got.any(axis=(1, 2)).sum())
+    assert nonzero >= (8 + 16 + 32) * 4  # as many as the peaks' records alone
+
+
+def test_projection_reads_only_its_maps_kernels():
+    # a GEMM over every map's kernels multiplies the other maps' zero signals
+    # too, and 0 * NaN would spread to every pixel
+    config = reduced_config(seed=12)
+    net = Network(config)
+    size = config.input_size
+    trace = net.forward_trace(np.random.default_rng(12).normal(size=(2, 1, size, size))
+                              .astype(config.np_dtype))
+    for layer in (1, 2, 3):
+        pooled = trace.stages[layer - 1].pooled
+        c, n, h, w = pooled.shape
+        for m in (0, c - 1):
+            peaks = [np.unravel_index(int(np.argmax(pooled[m, k])), (h, w)) for k in range(n)]
+            clean = project(trace, net, layer, m, peaks)
+            conv = net.convs[layer - 1]
+            kernels = conv.kernels.copy()
+            conv.kernels[np.arange(c) != m] = np.nan
+            try:
+                got = project(trace, net, layer, m, peaks)
+            finally:
+                conv.kernels[...] = kernels
+            assert clean.any()
+            assert np.isfinite(got).all()
+            np.testing.assert_array_equal(got, clean)
 
 
 def test_chunk_projection_needs_one_location_per_image():
