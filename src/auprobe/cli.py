@@ -206,11 +206,11 @@ def _load_db(path, manifest: data.DatasetManifest,
     With a net, whose deconvolution reads the DB's peaks, each peak must
     also lie in a manifest image and in the net's grid at the DB's layer.
     """
-    db = harvest_mod.ActivationDB.load(path, expect_manifest=manifest.content_hash())
+    db = harvest_mod.ActivationDB.load(
+        path, expect_checkpoint=model.checkpoint_hash(net) if net is not None else None,
+        expect_manifest=manifest.content_hash())
     if net is None:
         return db
-    if db.provenance.get("checkpoint") != model.checkpoint_hash(net):
-        raise DataError(f"{path}: produced by a different checkpoint")
     grids = net.config.stage_sizes()
     if not (1 <= db.layer <= len(grids)
             and db.num_maps == net.config.conv_channels[db.layer - 1]

@@ -12,19 +12,19 @@ unit's unclipped receptive field (unclipped_field), so it runs in a
 window frame. At each stage a record's signal is a dense [C, w, w]
 window whose origin is the field's corner in that stage's grid; every
 record's window has the same width, so a chunk's signal is one
-[C, N, w, w] array. The top stage's transposed convolution of the one
-activation a is max(a, 0) times its map's [C_in, k, k] kernels, placed
-at the activation's switch in a window of width 2 + k - 1. Each lower
-stage rectifies its window, unpools it to twice the width, reading the
-switches only at the window's in-image pooled positions, and applies
-the transposed convolution as one K.T GEMM over the window's columns
-and a col2im with no edge clipping, into a window k - 1 wider whose
-origin is 2 * origin - k // 2. Window positions outside the image are
-never read on: the next unpool skips them, and only the final window's
-in-image part is pasted into the [S, S] image, so border units need no
-special case. Every pixel sums the same non-zero terms in the same
-order as the full-image pathway, so the two agree bit for bit. With 5x5
-kernels the windows are 6, 16 and 36 pixels wide at layers 1-3.
+[C, N, w, w] array. The top window is the one activation, 1 wide, of
+its map alone. Each stage rectifies its window, unpools it to twice the
+width, reading the switches only at the window's in-image pooled
+positions, and applies the transposed convolution unclipped
+(ConvLayer.transpose_apply with clip=False): the window grows by k - 1,
+to the origin 2 * origin - k // 2. At the top stage only the
+activation's map, and so only its kernels, take part.
+Window positions outside the image are never read on: the next unpool
+skips them, and only the final window's in-image part is pasted into
+the [S, S] image, so border units need no special case. Every pixel
+sums the same non-zero terms in the same order as the full-image
+pathway, so the two agree bit for bit. With 5x5 kernels the windows
+are 6, 16 and 36 pixels wide at layers 1-3.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import imageio
-from .layers import ConvLayer, ShapeError, SwitchRecord, relu_forward
+from .layers import ShapeError, SwitchRecord, relu_forward
 from .model import ForwardTrace, ModelConfig, Network
 
 
@@ -52,10 +52,11 @@ def _check_trace(trace: ForwardTrace, net: Network) -> None:
             )
 
 
-def _unpool_window(signal: np.ndarray, switches: SwitchRecord,
-                   origin: np.ndarray) -> np.ndarray:
+def _unpool_window(signal: np.ndarray, switches: SwitchRecord, origin: np.ndarray,
+                   maps: slice = slice(None)) -> np.ndarray:
     """Unpool windows [C, N, w, w] at pooled positions origin + (i, j) to [C, N, 2w, 2w].
 
+    signal holds the maps `maps` of the pooled maps switches recorded.
     Window positions outside the pooled grid carry nothing onward.
     """
     c, n, w, _ = signal.shape
@@ -67,44 +68,19 @@ def _unpool_window(signal: np.ndarray, switches: SwitchRecord,
               & ((cols >= 0) & (cols < grid_w))[:, None, :])
     # a position outside the grid reads any switch: its signal is zeroed
     rows, cols = (rows % grid_h)[:, :, None], (cols % grid_w)[:, None, :]
-    index = switches.index[:, np.arange(n)[:, None, None], rows, cols]
+    at = (np.arange(n)[:, None, None] * grid_h + rows) * grid_w + cols  # [N, w, w]
+    index = np.take(switches.index[maps].reshape(c, -1), at, axis=1)
     # A switch lies 0, 1, width or width + 1 past the first element of its
     # pooling window; the value goes as far past (2i, 2j) in the unpooled
     # window, whose rows are 2w long.
     planes = np.arange(c * n).reshape(c, n, 1, 1)
-    offset = index - (planes * (h * width) + 2 * (rows * width + cols))
+    offset = index - ((planes + (maps.start or 0) * n) * (h * width)
+                      + 2 * (rows * width + cols))
     offset += (offset >= width) * (2 * w - width)
     offset += planes * (4 * w * w) + 4 * w * np.arange(w)[:, None] + 2 * np.arange(w)
     out = np.zeros(c * n * 4 * w * w, dtype=signal.dtype)
     out[offset] = np.where(inside, signal, 0)
     return out.reshape(c, n, 2 * w, 2 * w)
-
-
-def _transpose_window(conv: ConvLayer, signal: np.ndarray) -> np.ndarray:
-    """conv's transpose of windows [C_out, N, w, w], unclipped: [C_in, N, w + k - 1, w + k - 1].
-
-    The GEMM is ConvLayer.transpose_apply's K.T over the windows'
-    columns. Its col2im adds the k*k slabs in col2im's order, each as
-    one shifted 1-D add: every slab sits in the top-left corner of a
-    zeroed copy of the output, so a shift by u rows and v columns moves
-    its non-zero part into place and only zeros cross into the next
-    window.
-    """
-    k = conv.kernel_size
-    c_in = conv.in_channels
-    _, n, w, _ = signal.shape
-    cols = conv.kernels.reshape(len(signal), -1).T @ signal.reshape(len(signal), -1)
-    wide = w + k - 1
-    slabs = np.zeros((k, k, c_in, n, wide, wide), dtype=cols.dtype)
-    slabs[..., :w, :w] = cols.reshape(c_in, k, k, n, w, w).transpose(1, 2, 0, 3, 4, 5)
-    slabs = slabs.reshape(k, k, -1)
-    size = slabs.shape[-1]
-    out = np.zeros(size, dtype=cols.dtype)
-    for u in range(k):
-        for v in range(k):
-            shift = u * wide + v
-            out[shift:] += slabs[u, v, : size - shift]
-    return out.reshape(c_in, n, wide, wide)
 
 
 def project(trace: ForwardTrace, net: Network, layer: int, map_index: int,
@@ -128,23 +104,13 @@ def project(trace: ForwardTrace, net: Network, layer: int, map_index: int,
             or (locs >= (h, w)).any()):
         raise ShapeError(f"(map {map_index}, locations {locs.tolist()}) are not one unit "
                          f"per traced image of feature maps {(c, n, h, w)}")
-    # The top stage's transposed conv of one activation is the activation
-    # times its map's kernels, placed where the activation's switch points.
-    at = (map_index, np.arange(n), locs[:, 0], locs[:, 1])
-    conv, switches = net.convs[layer - 1], trace.stages[layer - 1].switches
-    patches = relu_forward(pooled[at])[:, None, None, None] * conv.kernels[map_index]
-    pre_h, pre_w = switches.input_shape[-2:]
-    row, col = np.divmod(switches.index[at] % (pre_h * pre_w), pre_w)
-    down, right = row - 2 * locs[:, 0], col - 2 * locs[:, 1]
-    k = conv.kernel_size
-    signal = np.zeros((conv.in_channels, n, k + 1, k + 1), dtype=patches.dtype)
-    for i, patch in enumerate(patches):
-        signal[:, i, down[i] : down[i] + k, right[i] : right[i] + k] = patch
-    origin = 2 * locs - conv.pad
-    for i in reversed(range(layer - 1)):
-        signal = _unpool_window(relu_forward(signal), trace.stages[i].switches, origin)
-        signal = _transpose_window(net.convs[i], signal)
-        origin = 2 * origin - net.convs[i].pad
+    signal = pooled[map_index, np.arange(n), locs[:, 0], locs[:, 1]][None, :, None, None]
+    origin, maps = locs, slice(map_index, map_index + 1)
+    for i in reversed(range(layer)):
+        conv = net.convs[i]
+        signal = _unpool_window(relu_forward(signal), trace.stages[i].switches, origin, maps)
+        signal = conv.transpose_apply(signal, maps, clip=False)
+        origin, maps = 2 * origin - conv.pad, slice(None)
     size = trace.stages[0].conv_in.shape[-1]
     out = np.zeros((n, size, size), dtype=signal.dtype)
     span = signal.shape[-1]

@@ -8,20 +8,19 @@ are `K @ cols` (forward), `grad @ cols.T` (kernel gradient) and
 `K.T @ grad` (input gradient), and none of their results is transposed
 or copied. The unrolled-kernel matrix is the linear operator of the
 convolution, so the backward/deconvolution path is literally its
-transpose: `transpose_apply` and `backward` share one col2im scatter-add
-that is the exact adjoint of the im2col gather.
+transpose: `backward` scatter-adds with col2im, the exact adjoint of the
+im2col gather, and `transpose_apply` adds the same slabs in the same
+order, so the two agree bit for bit.
 
 Spatial ops take single images shaped [channels, height, width] or a
-chunk of images shaped [channels, images, height, width], which training
-and inference run in one pass: im2col, col2im, ConvLayer.forward,
-backward and transpose_apply, maxpool_forward, maxpool_values,
-maxpool_backward and unpool. transpose_apply and unpool are the
-full-image deconvolution steps; deconv.project runs the same GEMM and
-col2im order inside each unit's receptive-field window. A chunk's patch
-matrix is [C*k*k, N*H*W], each image's H*W columns in turn, so the
-kernel gradient is one GEMM per chunk. FCLayer takes one sample or N
-stacked rows. Calls given a Scratch compute into buffers it keeps, so a
-loop over chunks allocates its large arrays once.
+chunk of images shaped [channels, images, height, width], which training,
+inference and deconvolution run in one pass: im2col, col2im,
+ConvLayer.forward, backward and transpose_apply, maxpool_forward,
+maxpool_values, maxpool_backward and unpool. A chunk's patch matrix is
+[C*k*k, N*H*W], each image's H*W columns in turn, so the kernel gradient
+is one GEMM per chunk. FCLayer takes one sample or N stacked rows. Calls
+given a Scratch compute into buffers it keeps, so a loop over chunks
+allocates its large arrays once.
 """
 
 from __future__ import annotations
@@ -250,20 +249,51 @@ class ConvLayer:
             "cols", (len(kt), grad_mat.shape[1]), np.result_type(kt, grad_mat)))
         return col2im(grad_cols, saved_input.shape, self.kernel_size, self.pad, scratch)
 
-    def transpose_apply(self, y: np.ndarray) -> np.ndarray:
+    def transpose_apply(self, y: np.ndarray, maps: slice = slice(None), *,
+                        clip: bool = True) -> np.ndarray:
         """Pure operator transpose (no bias, no gradient accumulation).
 
         Maps an output-shaped signal [out_channels,H,W], or a chunk
         [out_channels,N,H,W], back to input space [in_channels,H,W] or
-        [in_channels,N,H,W]: the full-image deconvolution step.
+        [in_channels,N,H,W]; the deconvolution building block. Given
+        `maps`, y holds only those output maps, the others count as
+        zero, and only their kernels are read. clip=False keeps what
+        falls outside y's frame: the result is k - 1 wider and starts
+        k // 2 rows and columns before y's frame.
+
+        The k*k slabs of K.T @ y are added in col2im's order, so the
+        clipped result is backward's input gradient bit for bit. Each
+        slab is one shifted 1-D add: it sits in the top-left corner of a
+        zeroed frame of the unclipped size, so a shift by u rows and v
+        columns moves its non-zero part into place and only zeros cross
+        into the next row or image. On small signals, such as the
+        receptive-field windows of deconvolution, that is several times
+        faster than col2im's clipped 4-D adds.
         """
-        if y.ndim not in (3, 4) or y.shape[0] != self.out_channels:
+        kmat = self._kernel_matrix[maps]
+        if y.ndim not in (3, 4) or y.shape[0] != len(kmat):
             raise ShapeError(
-                f"expected output-shaped signal [{self.out_channels},H,W] or "
-                f"[{self.out_channels},N,H,W], got {y.shape}"
+                f"expected output-shaped signal [{len(kmat)},H,W] or "
+                f"[{len(kmat)},N,H,W], got {y.shape}"
             )
-        grad_cols = self._kernel_matrix.T @ y.reshape(self.out_channels, -1)
-        return col2im(grad_cols, (self.in_channels,) + y.shape[1:], self.kernel_size, self.pad)
+        k, c = self.kernel_size, self.in_channels
+        ys = y if y.ndim == 4 else y[:, None]
+        _, n, h, w = ys.shape
+        cols = (kmat.T @ ys.reshape(len(kmat), -1)).reshape(c, k, k, n, h, w)
+        wide_h, wide_w = h + k - 1, w + k - 1
+        slabs = np.zeros((k, k, c, n, wide_h, wide_w), dtype=cols.dtype)
+        slabs[..., :h, :w] = cols.transpose(1, 2, 0, 3, 4, 5)
+        slabs = slabs.reshape(k, k, -1)
+        size = slabs.shape[-1]
+        out = np.zeros(size, dtype=cols.dtype)
+        for u in range(k):
+            for v in range(k):
+                shift = u * wide_w + v
+                out[shift:] += slabs[u, v, : size - shift]
+        out = out.reshape(c, n, wide_h, wide_w)
+        if clip:
+            out = out[..., self.pad : self.pad + h, self.pad : self.pad + w]
+        return out if y.ndim == 4 else out[:, 0]
 
 
 class FCLayer:

@@ -13,16 +13,16 @@ import pytest
 from auprobe import data, deconv, harvest, layers, model
 
 # (namespace, name) of every function the three paths call per layer:
-# the model and deconv modules hold their own names for the layer helpers,
-# and deconvolution's window stages are deconv's own.
+# the model and deconv modules hold their own names for the layer helpers.
 ENTRY_POINTS = [
     (layers, "im2col"), (layers, "col2im"),
     (layers.ConvLayer, "forward"), (layers.ConvLayer, "backward"),
+    (layers.ConvLayer, "transpose_apply"),
     (layers.FCLayer, "forward"), (layers.FCLayer, "backward"),
     (model, "relu_forward"), (model, "relu_backward"),
     (model, "maxpool_forward"), (model, "maxpool_backward"), (model, "maxpool_values"),
     (model, "softmax_cross_entropy"), (model, "dropout_mask"),
-    (deconv, "relu_forward"), (deconv, "_unpool_window"), (deconv, "_transpose_window"),
+    (deconv, "_unpool_window"), (deconv, "relu_forward"),
 ]
 
 

@@ -277,6 +277,12 @@ def test_conv_gradients_equal_transposed_layout(dtype, geometry):
     np.testing.assert_array_equal(layer.grad_bias, ref_bias)
     np.testing.assert_array_equal(layer.transpose_apply(g), ref_input)
 
+    # unclipped, it is the same-size transpose of g zero-padded by k // 2
+    padded = np.pad(g, ((0, 0), (pad, pad), (pad, pad)))
+    ref_unclipped = col2im_transposed(padded.reshape(layer.out_channels, -1).T @ kmat,
+                                      (layer.in_channels,) + padded.shape[1:], k, pad)
+    np.testing.assert_array_equal(layer.transpose_apply(g, clip=False), ref_unclipped)
+
     # the forward's patch matrix, and no input gradient, give the same parameter gradients
     layer.zero_grad()
     _, cols = layer.forward(x, return_cols=True)
