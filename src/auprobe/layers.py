@@ -8,15 +8,16 @@ are `K @ cols` (forward), `grad @ cols.T` (kernel gradient) and
 `K.T @ grad` (input gradient), and none of their results is transposed
 or copied. The unrolled-kernel matrix is the linear operator of the
 convolution, so the backward/deconvolution path is literally its
-transpose: `backward` scatter-adds with col2im, the exact adjoint of the
-im2col gather, and `transpose_apply` adds the same slabs in the same
-order, so the two agree bit for bit.
+transpose: `backward` and `transpose_apply` both form `K.T @ y` and
+scatter-add it with col2im, the exact adjoint of the im2col gather and
+the one scatter of the transposed convolution, so the two agree bit for
+bit.
 
 Spatial ops take single images shaped [channels, height, width] or a
 chunk of images shaped [channels, images, height, width], which training,
 inference and deconvolution run in one pass: im2col, col2im,
 ConvLayer.forward, backward and transpose_apply, maxpool_forward,
-maxpool_values, maxpool_backward and unpool. A chunk's patch matrix is
+maxpool_values and maxpool_backward. A chunk's patch matrix is
 [C*k*k, N*H*W], each image's H*W columns in turn, so the kernel gradient
 is one GEMM per chunk. FCLayer takes one sample or N stacked rows. Calls
 given a Scratch compute into buffers it keeps, so a loop over chunks
@@ -42,6 +43,12 @@ BLOCK_ELEMENTS = 1 << 16
 # Output rows per tile of the FC weight gradient: a tile reuses one column
 # slab of the stacked inputs for this many rows.
 _FC_TILE_ROWS = 16
+# Bytes of col2im's zero-margined slab frame per block of channels. The
+# frame is k*k times the block's result (17 and 10 MB unblocked at
+# ModelConfig()'s conv2 and conv3). 2 MiB keeps it small next to the patch
+# matrices and its blocks few: 7 and 26 channels there, and one block for
+# a reduced_config training chunk.
+SCATTER_BYTES = 2 << 20
 
 
 class Scratch:
@@ -80,11 +87,6 @@ class Scratch:
         return buf[:, : shape[1]]
 
 
-def _overlap(extent: int, shift: int) -> tuple[int, int]:
-    """Output positions [lo, hi) whose input position (+ shift) is in range."""
-    return max(0, -shift), min(extent, extent - shift)
-
-
 def im2col(x: np.ndarray, kernel_size: int, pad: int,
            scratch: Scratch | None = None) -> np.ndarray:
     """Unroll x [C,H,W] into the patch matrix [C*k*k, H*W], zero padded.
@@ -108,25 +110,45 @@ def im2col(x: np.ndarray, kernel_size: int, pad: int,
 
 
 def col2im(cols: np.ndarray, shape: tuple[int, ...], kernel_size: int, pad: int,
-           scratch: Scratch | None = None) -> np.ndarray:
+           scratch: Scratch | None = None, *, clip: bool = True) -> np.ndarray:
     """Adjoint of im2col: scatter-add a patch matrix to `shape`, [C,H,W] or [C,N,H,W].
 
-    The k*k slabs are added in one order into zeros, so every element
-    sums its terms alike whether its image comes alone or in a chunk.
+    clip=False keeps what falls outside the frame: the result is k - 1
+    wider and starts `pad` rows and columns before it.
+
+    Each of the k*k slabs is one shifted 1-D add. A block of channels at
+    a time, the slabs are copied into the top-left corner of zeroed
+    planes of the unclipped size; a shift by u rows and v columns moves a
+    slab's non-zero part into place, and only zeros cross into the next
+    row, image or channel. Every element sums its terms in one (u, v)
+    order into zeros, so its bits depend neither on its chunk nor on clip.
     """
+    scratch = scratch or Scratch()
     c, h, w = shape[0], shape[-2], shape[-1]
+    n = shape[1] if len(shape) == 4 else 1
     k = kernel_size
-    acc = (scratch or Scratch()).empty("col2im", shape, cols.dtype)
-    acc.fill(0)
-    colsr = cols.reshape((c, k, k) + tuple(shape[1:]))
-    for u in range(k):
-        i0, i1 = _overlap(h, u - pad)
-        for v in range(k):
-            j0, j1 = _overlap(w, v - pad)
-            if i0 < i1 and j0 < j1:
-                acc[..., i0 + u - pad : i1 + u - pad,
-                    j0 + v - pad : j1 + v - pad] += colsr[:, u, v, ..., i0:i1, j0:j1]
-    return acc
+    wide_h, wide_w = h + k - 1, w + k - 1
+    slabs = cols.reshape(c, k, k, n, h, w)
+    out = scratch.empty("col2im", (c, n) + ((h, w) if clip else (wide_h, wide_w)), cols.dtype)
+    block = max(1, SCATTER_BYTES // (k * k * n * wide_h * wide_w * cols.itemsize))
+    for c0 in range(0, c, block):
+        part = slabs[c0 : c0 + block]
+        cb = len(part)
+        frame = scratch.canvas("col2im_frame", (k * k, cb * n, wide_h, wide_w), cols.dtype)
+        frame.reshape(k, k, cb, n, wide_h, wide_w)[..., :h, :w] = part.transpose(1, 2, 0, 3, 4, 5)
+        frame = frame.reshape(k * k, -1)
+        acc = (scratch.empty("col2im_wide", (cb, n, wide_h, wide_w), cols.dtype) if clip
+               else out[c0 : c0 + cb])
+        flat = acc.reshape(-1)
+        flat.fill(0)
+        size = flat.size
+        for u in range(k):
+            for v in range(k):
+                shift = u * wide_w + v
+                flat[shift:] += frame[u * k + v, : size - shift]
+        if clip:
+            out[c0 : c0 + cb] = acc[..., pad : pad + h, pad : pad + w]
+    return out.reshape(shape[:-2] + out.shape[-2:])
 
 
 def _init_std(mode: str, fan_in: int) -> float:
@@ -167,6 +189,8 @@ class ConvLayer:
     network needs (nothing reads the gradient wrt the image). Given a
     Scratch, both compute into its buffers: backward then forms the input
     gradient's patch matrix in the buffer of forward's, which it has read.
+    backward's input gradient and transpose_apply are the same operator,
+    the GEMM K.T @ y scattered by col2im, so they share its bits.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 5,
@@ -261,14 +285,9 @@ class ConvLayer:
         falls outside y's frame: the result is k - 1 wider and starts
         k // 2 rows and columns before y's frame.
 
-        The k*k slabs of K.T @ y are added in col2im's order, so the
-        clipped result is backward's input gradient bit for bit. Each
-        slab is one shifted 1-D add: it sits in the top-left corner of a
-        zeroed frame of the unclipped size, so a shift by u rows and v
-        columns moves its non-zero part into place and only zeros cross
-        into the next row or image. On small signals, such as the
-        receptive-field windows of deconvolution, that is several times
-        faster than col2im's clipped 4-D adds.
+        This is the GEMM K.T @ y and one col2im, the scatter that also
+        forms backward's input gradient, so the clipped result is that
+        gradient bit for bit.
         """
         kmat = self._kernel_matrix[maps]
         if y.ndim not in (3, 4) or y.shape[0] != len(kmat):
@@ -276,24 +295,9 @@ class ConvLayer:
                 f"expected output-shaped signal [{len(kmat)},H,W] or "
                 f"[{len(kmat)},N,H,W], got {y.shape}"
             )
-        k, c = self.kernel_size, self.in_channels
-        ys = y if y.ndim == 4 else y[:, None]
-        _, n, h, w = ys.shape
-        cols = (kmat.T @ ys.reshape(len(kmat), -1)).reshape(c, k, k, n, h, w)
-        wide_h, wide_w = h + k - 1, w + k - 1
-        slabs = np.zeros((k, k, c, n, wide_h, wide_w), dtype=cols.dtype)
-        slabs[..., :h, :w] = cols.transpose(1, 2, 0, 3, 4, 5)
-        slabs = slabs.reshape(k, k, -1)
-        size = slabs.shape[-1]
-        out = np.zeros(size, dtype=cols.dtype)
-        for u in range(k):
-            for v in range(k):
-                shift = u * wide_w + v
-                out[shift:] += slabs[u, v, : size - shift]
-        out = out.reshape(c, n, wide_h, wide_w)
-        if clip:
-            out = out[..., self.pad : self.pad + h, self.pad : self.pad + w]
-        return out if y.ndim == 4 else out[:, 0]
+        cols = kmat.T @ y.reshape(len(kmat), -1)
+        return col2im(cols, (self.in_channels,) + y.shape[1:], self.kernel_size, self.pad,
+                      clip=clip)
 
 
 class FCLayer:
@@ -481,14 +485,6 @@ def maxpool_forward(x: np.ndarray,
     planes = index.reshape(-1, oh * ow)
     planes += (np.arange(len(planes), dtype=np.intp) * (h * w))[:, None]
     return out, SwitchRecord(index, x.shape)
-
-
-def unpool(values: np.ndarray, switches: SwitchRecord) -> np.ndarray:
-    """Place each pooled-grid value at its recorded switch coordinate; zeros elsewhere.
-
-    This is maxpool_backward without a ReLU mask.
-    """
-    return maxpool_backward(values, switches)
 
 
 def maxpool_backward(grad_out: np.ndarray, switches: SwitchRecord,

@@ -314,7 +314,7 @@ def map_responses_per_record(db, net, manifest, map_index: int, n: int) -> list[
     down from the one kept activation.
     """
     from auprobe import data, deconv, harvest
-    from auprobe.layers import maxpool_forward, relu_forward, unpool
+    from auprobe.layers import maxpool_backward, maxpool_forward, relu_forward
 
     config = net.config
     out = []
@@ -328,7 +328,7 @@ def map_responses_per_record(db, net, manifest, map_index: int, n: int) -> list[
         signal = np.zeros_like(fmap)
         signal[map_index, rec.row, rec.col] = fmap[map_index, rec.row, rec.col]
         for conv, record in reversed(list(zip(net.convs, switches))):
-            signal = conv.transpose_apply(relu_forward(unpool(signal, record)))
+            signal = conv.transpose_apply(relu_forward(maxpool_backward(signal, record)))
         box = deconv.receptive_field(config, db.layer, (rec.row, rec.col))
         out.append((rec, view, signal[0], box))
     return out
@@ -346,16 +346,16 @@ class DeconvStage:
 def project_stages(stages: list[DeconvStage], top: np.ndarray) -> np.ndarray:
     """Run a full-image signal down a stage stack (listed bottom-up) to input space.
 
-    The earlier deconv pathway, built from the library's unpool,
+    The earlier deconv pathway, built from the library's maxpool_backward,
     relu_forward and ConvLayer.transpose_apply: every stage transforms
     the whole image, whatever part of it is zero.
     """
-    from auprobe.layers import relu_forward, unpool
+    from auprobe.layers import maxpool_backward, relu_forward
 
     signal = top
     for stage in reversed(stages):
         if stage.switches is not None:
-            signal = unpool(signal, stage.switches)
+            signal = maxpool_backward(signal, stage.switches)
         if stage.relu:
             signal = relu_forward(signal)
         signal = stage.conv.transpose_apply(signal)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from auprobe import layers
 from auprobe.layers import (
     ConvLayer,
     FCLayer,
@@ -19,7 +20,6 @@ from auprobe.layers import (
     relu_backward,
     relu_forward,
     softmax_cross_entropy,
-    unpool,
 )
 
 from oracles import (
@@ -294,20 +294,52 @@ def test_conv_gradients_equal_transposed_layout(dtype, geometry):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("geometry", MODEL_GEOMETRIES + ODD_GEOMETRIES)
 def test_chunk_col2im_equals_per_image(dtype, geometry):
-    # a chunk [C,N,H,W] sums each element's k*k terms in a single image's order
+    # a chunk [C,N,H,W] sums each element's k*k terms in a single image's
+    # order, clipped or not, whatever chunks ran on the scratch before it
     in_c, _, h, w, k = geometry
     rng = np.random.default_rng(h * w + 1)
-    patches = rng.normal(size=(in_c * k * k, 2 * h * w)).astype(dtype)
+    patches = rng.normal(size=(in_c * k * k, 3, h * w)).astype(dtype)
+    for clip in (True, False):
+        frame = (h, w) if clip else (h + k - 1, w + k - 1)
+        fresh = [col2im(np.ascontiguousarray(patches[:, i]), (in_c, h, w), k, k // 2, clip=clip)
+                 for i in range(3)]
+        assert all(image.shape == (in_c,) + frame for image in fresh)
+        # a smaller chunk takes views of the first chunk's buffers, its
+        # slab frame a non-contiguous one
+        scratch = Scratch()
+        for n in (3, 2, 1, 3):
+            chunk_cols = np.ascontiguousarray(patches[:, :n]).reshape(len(patches), -1)
+            chunk = col2im(chunk_cols, (in_c, n, h, w), k, k // 2, scratch, clip=clip)
+            assert chunk.shape == (in_c, n) + frame and chunk.dtype == dtype
+            for i in range(n):
+                assert chunk[:, i].tobytes() == fresh[i].tobytes()
+        # a repeated call of the same shape allocates nothing new
+        buffers = dict(scratch._buffers)
+        again = col2im(chunk_cols, (in_c, n, h, w), k, k // 2, scratch, clip=clip)
+        assert np.shares_memory(again, chunk) and again.tobytes() == chunk.tobytes()
+        assert all(scratch._buffers[role] is buf for role, buf in buffers.items())
+        assert scratch._buffers.keys() == buffers.keys()
+
+
+@pytest.mark.parametrize("clip", [True, False])
+def test_col2im_blocks_of_channels(monkeypatch, clip):
+    # a frame budget of 3 channels' slabs splits 8 channels into blocks
+    # of 3, 3 and 2; the sums do not depend on the blocks
+    in_c, n, h, w, k = 8, 2, 7, 6, 5
+    patches = np.random.default_rng(11).normal(size=(in_c * k * k, n * h * w))
+    whole = col2im(patches, (in_c, n, h, w), k, k // 2, clip=clip)
+    channel_frame = k * k * n * (h + k - 1) * (w + k - 1) * patches.itemsize
+    assert layers.SCATTER_BYTES >= in_c * channel_frame
+    monkeypatch.setattr(layers, "SCATTER_BYTES", 3 * channel_frame + 1)
     scratch = Scratch()
-    chunk = col2im(patches, (in_c, 2, h, w), k, k // 2, scratch)
-    assert chunk.shape == (in_c, 2, h, w) and chunk.dtype == dtype
-    images = [np.ascontiguousarray(patches.reshape(len(patches), 2, -1)[:, i]) for i in range(2)]
-    for i, image in enumerate(images):
-        assert chunk[:, i].tobytes() == col2im(image, (in_c, h, w), k, k // 2).tobytes()
-    # a shorter chunk from the same scratch reuses its buffer and starts from zeros again
-    second = chunk[:, 1].tobytes()
-    again = col2im(images[1], (in_c, 1, h, w), k, k // 2, scratch)
-    assert np.shares_memory(again, chunk) and again[:, 0].tobytes() == second
+    blocked = col2im(patches, (in_c, n, h, w), k, k // 2, scratch, clip=clip)
+    assert scratch._buffers["col2im_frame"].shape[:2] == (k * k, 3 * n)
+    assert blocked.tobytes() == whole.tobytes()
+    if clip:
+        for i in range(n):
+            image = np.ascontiguousarray(patches.reshape(len(patches), n, -1)[:, i])
+            np.testing.assert_array_equal(
+                blocked[:, i], col2im_transposed(image.T, (in_c, h, w), k, k // 2))
 
 
 def _assert_fused_backward_equals_two_steps(conv_out, grad):
@@ -500,7 +532,7 @@ def test_pool_unpool_pool_roundtrip_nonnegative():
     rng = np.random.default_rng(8)
     x = np.abs(rng.normal(size=(3, 6, 8)))
     pooled, sw = maxpool_forward(x)
-    again, _ = maxpool_forward(unpool(pooled, sw))
+    again, _ = maxpool_forward(maxpool_backward(pooled, sw))
     np.testing.assert_array_equal(pooled, again)
 
 
@@ -508,7 +540,7 @@ def test_unpool_places_only_at_switches():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(2, 4, 4))
     pooled, sw = maxpool_forward(x)
-    up = unpool(pooled, sw)
+    up = maxpool_backward(pooled, sw)
     assert np.count_nonzero(up) <= pooled.size
     chan = np.arange(2)[:, None, None]
     np.testing.assert_array_equal(up[chan, sw.rows, sw.cols], pooled)
