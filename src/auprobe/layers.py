@@ -130,15 +130,18 @@ def col2im(cols: np.ndarray, shape: tuple[int, ...], kernel_size: int, pad: int,
     wide_h, wide_w = h + k - 1, w + k - 1
     slabs = cols.reshape(c, k, k, n, h, w)
     out = scratch.empty("col2im", (c, n) + ((h, w) if clip else (wide_h, wide_w)), cols.dtype)
-    block = max(1, SCATTER_BYTES // (k * k * n * wide_h * wide_w * cols.itemsize))
+    budget = SCATTER_BYTES // (k * k * wide_h * wide_w * cols.itemsize)
+    block = max(1, budget // n)
+    # room for any block's cb * n planes, no more as n shrinks: shorter chunks take views
+    planes = (k * k, min(c * n, max(n, budget)), wide_h, wide_w)
     for c0 in range(0, c, block):
         part = slabs[c0 : c0 + block]
         cb = len(part)
-        frame = scratch.canvas("col2im_frame", (k * k, cb * n, wide_h, wide_w), cols.dtype)
+        frame = scratch.canvas("col2im_frame", planes, cols.dtype)[:, : cb * n]
         frame.reshape(k, k, cb, n, wide_h, wide_w)[..., :h, :w] = part.transpose(1, 2, 0, 3, 4, 5)
         frame = frame.reshape(k * k, -1)
-        acc = (scratch.empty("col2im_wide", (cb, n, wide_h, wide_w), cols.dtype) if clip
-               else out[c0 : c0 + cb])
+        acc = (scratch.empty("col2im_wide", planes[1:], cols.dtype)[: cb * n]
+               .reshape(cb, n, wide_h, wide_w) if clip else out[c0 : c0 + cb])
         flat = acc.reshape(-1)
         flat.fill(0)
         size = flat.size

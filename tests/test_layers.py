@@ -304,21 +304,23 @@ def test_chunk_col2im_equals_per_image(dtype, geometry):
         fresh = [col2im(np.ascontiguousarray(patches[:, i]), (in_c, h, w), k, k // 2, clip=clip)
                  for i in range(3)]
         assert all(image.shape == (in_c,) + frame for image in fresh)
-        # a smaller chunk takes views of the first chunk's buffers, its
-        # slab frame a non-contiguous one
+        # a smaller chunk, or a repeated one, takes views of the first
+        # chunk's buffers, its slab frame a non-contiguous one
         scratch = Scratch()
-        for n in (3, 2, 1, 3):
+        first = buffers = None
+        for n in (3, 2, 1, 3, 3):
             chunk_cols = np.ascontiguousarray(patches[:, :n]).reshape(len(patches), -1)
             chunk = col2im(chunk_cols, (in_c, n, h, w), k, k // 2, scratch, clip=clip)
             assert chunk.shape == (in_c, n) + frame and chunk.dtype == dtype
             for i in range(n):
                 assert chunk[:, i].tobytes() == fresh[i].tobytes()
-        # a repeated call of the same shape allocates nothing new
-        buffers = dict(scratch._buffers)
-        again = col2im(chunk_cols, (in_c, n, h, w), k, k // 2, scratch, clip=clip)
-        assert np.shares_memory(again, chunk) and again.tobytes() == chunk.tobytes()
-        assert all(scratch._buffers[role] is buf for role, buf in buffers.items())
-        assert scratch._buffers.keys() == buffers.keys()
+            if first is None:
+                first, buffers = chunk, dict(scratch._buffers)
+                roles = {"col2im", "col2im_frame"} | ({"col2im_wide"} if clip else set())
+                assert buffers.keys() == roles
+            assert np.shares_memory(chunk, first)
+            assert scratch._buffers.keys() == buffers.keys()
+            assert all(scratch._buffers[role] is buf for role, buf in buffers.items())
 
 
 @pytest.mark.parametrize("clip", [True, False])
