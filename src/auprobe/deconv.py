@@ -30,7 +30,6 @@ are 6, 16 and 36 pixels wide at layers 1-3.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -122,35 +121,23 @@ def project(trace: ForwardTrace, net: Network, layer: int, map_index: int,
     return out
 
 
-class Geometry(NamedTuple):
-    """What receptive fields depend on: input size, conv channels, kernel size.
-
-    A ModelConfig carries the same three attributes and serves as well.
-    """
-
-    input_size: int
-    conv_channels: tuple[int, ...]
-    kernel_size: int
-
-
-def unclipped_field(geometry: Geometry | ModelConfig, layer: int,
+def unclipped_field(config: ModelConfig, layer: int,
                     location: tuple[int, int]) -> tuple[int, int, int, int]:
     """Input rectangle (x0, y0, x1, y1), inclusive, that a pooled unit sees, unclipped.
 
-    `location` is (row, col) in the layer's pooled grid. The box is
+    `location` is (row, col) in the layer's pooled grid, of size
+    config.stage_sizes()[layer - 1] (ShapeError otherwise). The box is
     composed from the stride/padding geometry, stage by stage, and may
     reach past the image.
     """
-    n_stages = len(geometry.conv_channels)
-    if not 1 <= layer <= n_stages:
-        raise ShapeError(f"layer {layer} outside 1..{n_stages}")
-    grid = geometry.input_size
-    for _ in range(layer):
-        grid = (grid + 1) // 2  # odd sizes round up, as the pools pad them
+    grids = config.stage_sizes()
+    if not 1 <= layer <= len(grids):
+        raise ShapeError(f"layer {layer} outside 1..{len(grids)}")
+    grid = grids[layer - 1]
     row, col = location
     if not (0 <= row < grid and 0 <= col < grid):
         raise ShapeError(f"location {location} outside {grid}x{grid} grid of layer {layer}")
-    half = geometry.kernel_size // 2
+    half = config.kernel_size // 2
     r0, r1, c0, c1 = row, row, col, col
     for _ in range(layer):  # the pool's 2x2 window, then the conv's kernel
         r0, r1 = 2 * r0 - half, 2 * r1 + 1 + half
@@ -158,17 +145,17 @@ def unclipped_field(geometry: Geometry | ModelConfig, layer: int,
     return c0, r0, c1, r1
 
 
-def receptive_field(geometry: Geometry | ModelConfig, layer: int,
+def receptive_field(config: ModelConfig, layer: int,
                     location: tuple[int, int]) -> tuple[int, int, int, int]:
-    """unclipped_field clipped to the image: the input pixels that can reach the unit."""
-    x0, y0, x1, y1 = unclipped_field(geometry, layer, location)
-    last = geometry.input_size - 1
+    """unclipped_field clipped to the config's input: the pixels that can reach the unit."""
+    x0, y0, x1, y1 = unclipped_field(config, layer, location)
+    last = config.input_size - 1
     return (max(x0, 0), max(y0, 0), min(x1, last), min(y1, last))
 
 
-def receptive_field_span(geometry: Geometry | ModelConfig, layer: int) -> int:
+def receptive_field_span(config: ModelConfig, layer: int) -> int:
     """Unclipped width of a layer's receptive field."""
-    x0, _, x1, _ = unclipped_field(geometry, layer, (0, 0))
+    x0, _, x1, _ = unclipped_field(config, layer, (0, 0))
     return x1 - x0 + 1
 
 

@@ -238,6 +238,23 @@ def harvest(net: Network, manifest: DatasetManifest,
     return ActivationDB(list(range(n)), values, rows, cols, layer, provenance)
 
 
+def recorded_config(db: ActivationDB) -> model_mod.ModelConfig:
+    """The geometry harvest() records in a DB's header, as a ModelConfig.
+
+    ModelConfig's own checks validate input_size, conv_channels and
+    kernel_size; its other fields keep their defaults. DataError when
+    one of the three is missing, does not parse or is rejected.
+    """
+    try:
+        return model_mod.ModelConfig(
+            input_size=int(db.provenance["input_size"]),
+            conv_channels=tuple(int(c) for c in db.provenance["conv_channels"].split(";")),
+            kernel_size=int(db.provenance["kernel_size"]),
+        )
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"activation db header has no valid geometry: {exc}") from exc
+
+
 def top_n(db: ActivationDB, map_index: int, subset, n: int) -> list[ActivationRecord]:
     """The n largest peak activations of one map over an image subset.
 

@@ -23,9 +23,9 @@ import numpy as np
 from . import data as data_mod
 from . import imageio
 from .association import AUDistanceProfile, save_profile_csv
-from .deconv import (Geometry, normalized_crop, project, receptive_field,
-                     receptive_field_span, unclipped_field)
-from .harvest import ActivationDB, partition_by_au, top_n
+from .deconv import (normalized_crop, project, receptive_field, receptive_field_span,
+                     unclipped_field)
+from .harvest import ActivationDB, partition_by_au, recorded_config, top_n
 from .model import TRAIN_CHUNK_BYTES, ModelConfig, Network, images_per_chunk
 
 CHART_MARGIN = 10
@@ -166,30 +166,20 @@ def montage(db: ActivationDB, net: Network, manifest: data_mod.DatasetManifest,
                          db.layer, out_prefix)
 
 
-def _geometry_from_db(db: ActivationDB) -> Geometry:
-    try:
-        return Geometry(
-            input_size=int(db.provenance["input_size"]),
-            conv_channels=tuple(int(c) for c in db.provenance["conv_channels"].split(";")),
-            kernel_size=int(db.provenance["kernel_size"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise data_mod.DataError(f"activation db lacks geometry provenance: {exc}") from exc
-
-
 def au_summary(profiles: list[AUDistanceProfile], db: ActivationDB,
                net: Network | None, manifest: data_mod.DatasetManifest,
                out_dir) -> Path:
     """Emit per-AU artifacts and the index that ties them together.
 
     Without a network only the profile charts and exemplar crops are
-    written (deconvolution montages need the weights); index columns for
-    skipped files stay empty.
+    written (deconvolution montages need the weights), each exemplar's
+    field placed by the DB header's geometry (harvest.recorded_config);
+    index columns for skipped files stay empty.
     """
     out_dir = Path(out_dir)
     (out_dir / "profiles").mkdir(parents=True, exist_ok=True)
     (out_dir / "summary").mkdir(parents=True, exist_ok=True)
-    config = net.config if net is not None else _geometry_from_db(db)
+    config = net.config if net is not None else recorded_config(db)
     index_rows = []
     for prof in profiles:
         png, csv_path = plot_profile(prof, out_dir / "profiles" / f"au_{prof.au_id}.png")

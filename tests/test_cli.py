@@ -187,6 +187,39 @@ def test_associate_negative_db_value_exits_2(tmp_path, dataset, capsys):
     assert err.startswith("error: ") and "db.csv line 4: negative peak '-0.5'" in err
 
 
+def _peaks_at_40(lines):
+    return lines[:2] + [",".join(line.split(",")[:3] + ["40", "40"]) for line in lines[2:]]
+
+
+@pytest.mark.parametrize("mutate", [
+    _peaks_at_40,
+    lambda lines: [lines[0].replace(" layer=3 ", " layer=7 ")] + lines[1:],
+    lambda lines: [lines[0].replace(" layer=3 ", " ")] + lines[1:],
+    lambda lines: [lines[0].replace(" input_size=48 ", " input_size=-5 ")] + lines[1:],
+    lambda lines: [lines[0].replace(" input_size=48 ", " ")] + lines[1:],
+], ids=["peaks-outside-grid", "layer-7", "no-layer", "negative-input-size", "no-input-size"])
+def test_associate_db_outside_its_recorded_geometry_exits_2(tmp_path, dataset, config_file,
+                                                           capsys, mutate):
+    # without --checkpoint the DB's header geometry is all its peaks are checked against
+    ckpt = tmp_path / "run.ckpt"
+    db_path = tmp_path / "db.csv"
+    model.save_checkpoint(model.build_network(parse_config_file(config_file)[0]), ckpt)
+    assert main(["harvest", "--checkpoint", str(ckpt), "--manifest", str(dataset),
+                 "--out", str(db_path)]) == 0
+    lines = db_path.read_text().splitlines()
+    mutated = mutate(lines)
+    assert mutated != lines
+    db_path.write_text("\n".join(mutated) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "assoc"
+    rc = main(["associate", "--db", str(db_path), "--manifest", str(dataset),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["associate", "--db", "db.csv", "--manifest", "m.csv", "--out", "o", "--n", "0"],
     ["associate", "--db", "db.csv", "--manifest", "m.csv", "--out", "o", "--n", "-1"],

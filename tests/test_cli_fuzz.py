@@ -7,6 +7,9 @@ file, or junk text. It also draws an arbitrary AUPROBE_SEED, or none.
 Every call must return 0, 1, 2 or 3 and let no exception escape.
 Arguments and the environment are text a process can be given: no NUL,
 and bytes that are not UTF-8 arrive as lone surrogates (os.fsdecode).
+A second test runs associate without a checkpoint on the valid DB with
+one geometry field of its header, or one peak's row or col, replaced by
+a drawn integer: the header is all such a run checks the peaks against.
 
 A valid input is an artifact of the option's kind, built once per
 module: a spec, an 8-image manifest whose crop boxes differ in size, a
@@ -20,6 +23,7 @@ in, and no other argument holds a "/", so nothing is written elsewhere.
 import dataclasses
 import io
 import os
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -189,3 +193,42 @@ def test_valid_inputs_run_to_their_writes(tmp_path, monkeypatch, valid, command,
     assert all((tmp_path / name).is_file() for name in writes)
     if command == "harvest":  # the fixture harvested the same checkpoint and manifest
         assert (tmp_path / "db.csv").read_bytes() == valid["--db"].read_bytes()
+
+
+GEOMETRY_FIELDS = ["layer", "input_size", "kernel_size", "conv_channels", "row", "col"]
+
+
+@st.composite
+def _geometry_edits(draw):
+    """(field, drawn integer, which peak or channel the integer replaces)."""
+    field = draw(st.sampled_from(GEOMETRY_FIELDS))
+    # the exemplars are rendered at the header's input size: a larger one costs
+    # memory, not coverage
+    value = draw(st.integers(-2, 400) if field == "input_size"
+                 else st.integers(-2, 64) | st.integers())
+    return field, value, draw(st.integers(0, 1 << 16))
+
+
+@SMALL_SET_WARNINGS
+@given(edit=_geometry_edits())
+@settings(max_examples=100, deadline=None)
+def test_associate_on_a_db_of_drawn_geometry_exits_0_or_2(workdir, valid, edit):
+    field, value, which = edit
+    lines = valid["--db"].read_text().splitlines()
+    if field in ("row", "col"):
+        k = 2 + which % (len(lines) - 2)
+        fields = lines[k].split(",")
+        fields[3 if field == "row" else 4] = str(value)
+        lines[k] = ",".join(fields)
+    else:
+        old = re.search(rf" {field}=(\S+)", lines[0]).group(1)
+        parts = old.split(";")
+        parts[which % len(parts)] = str(value)  # one of conv_channels' entries
+        lines[0] = lines[0].replace(f" {field}={old}", f" {field}={';'.join(parts)}")
+    case = Path(workdir) / f"case{len(os.listdir(workdir))}"
+    case.mkdir()
+    db = case / "db.csv"
+    db.write_text("\n".join(lines) + "\n")
+    argv = ["associate", "--db", str(db), "--manifest", str(valid["--manifest"]),
+            "--out", str(case / "out")]
+    assert _run(argv, None) in (0, 2), (field, value, which)

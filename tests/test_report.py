@@ -179,12 +179,16 @@ def test_au_summary_index_references_existing_files(tmp_path, trained_setup):
 
 
 def test_au_summary_without_network(tmp_path, trained_setup):
-    _, manifest, db = trained_setup
+    # without the net, the DB header's geometry places the exemplars: the same bytes
+    net, manifest, db = trained_setup
     profiles = profile_all(db, manifest, [1, 2], n=3)
-    index_path = au_summary(profiles, db, None, manifest, tmp_path)
+    index_path = au_summary(profiles, db, None, manifest, tmp_path / "without")
+    au_summary(profiles, db, net, manifest, tmp_path / "with")
     with open(index_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
     for row in rows:
         assert row["montage_orig"] == "" and row["montage_deconv"] == ""
-        assert (tmp_path / row["profile_png"]).is_file()
-        assert (tmp_path / row["exemplar"]).is_file()
+        for key in ("profile_csv", "profile_png", "exemplar"):
+            assert ((tmp_path / "without" / row[key]).read_bytes()
+                    == (tmp_path / "with" / row[key]).read_bytes()), row[key]
