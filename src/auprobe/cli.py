@@ -2,7 +2,8 @@
 
 Subcommands: synth, train, harvest, deconv, associate, pipeline.
 Exit codes: 0 success, 1 usage error, 2 data error (an input or output
-file that cannot be read, parsed or written), 3 numeric failure.
+file that cannot be read, parsed or written, or an input that needs more
+memory than can be allocated), 3 numeric failure.
 The AUPROBE_SEED environment variable overrides every configured seed
 so a whole run can be re-keyed from outside.
 
@@ -13,7 +14,8 @@ prefixes, one key per line::
     model.conv_channels=8,16,32
     train.epochs=60
 
-Every run writes the fully resolved configuration next to its outputs.
+Every training run writes the fully resolved configuration next to its
+outputs before it trains. `pipeline` runs the subcommands' own stage code.
 """
 
 from __future__ import annotations
@@ -79,14 +81,16 @@ def _coerce(field: dataclasses.Field, raw: str):
     return raw
 
 
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig}
+
+
 def parse_config_file(path) -> tuple[ModelConfig, TrainConfig]:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"config file not found: {path}")
-    model_fields = {f.name: f for f in dataclasses.fields(ModelConfig)}
-    train_fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
-    model_kw: dict = {}
-    train_kw: dict = {}
+    fields = {prefix: {f.name: f for f in dataclasses.fields(cls)}
+              for prefix, cls in _SECTIONS.items()}
+    kwargs: dict = {prefix: {} for prefix in _SECTIONS}
     for ln, line in enumerate(data.read_text(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -94,23 +98,17 @@ def parse_config_file(path) -> tuple[ModelConfig, TrainConfig]:
         if "=" not in line:
             raise DataError(f"{path} line {ln}: expected key=value")
         key, value = (s.strip() for s in line.split("=", 1))
+        prefix, dot, name = key.partition(".")
         try:
-            if key.startswith("model."):
-                name = key[len("model."):]
-                if name not in model_fields:
-                    raise DataError(f"{path} line {ln}: unknown key {key!r}")
-                model_kw[name] = _coerce(model_fields[name], value)
-            elif key.startswith("train."):
-                name = key[len("train."):]
-                if name not in train_fields:
-                    raise DataError(f"{path} line {ln}: unknown key {key!r}")
-                train_kw[name] = _coerce(train_fields[name], value)
-            else:
+            if not dot or prefix not in _SECTIONS:
                 raise DataError(f"{path} line {ln}: keys need a model. or train. prefix")
+            if name not in fields[prefix]:
+                raise DataError(f"{path} line {ln}: unknown key {key!r}")
+            kwargs[prefix][name] = _coerce(fields[prefix][name], value)
         except ValueError as exc:
             raise DataError(f"{path} line {ln}: {exc}") from exc
     try:
-        return ModelConfig(**model_kw), TrainConfig(**train_kw)
+        return tuple(cls(**kwargs[prefix]) for prefix, cls in _SECTIONS.items())
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -125,7 +123,7 @@ def _format_value(value) -> str:
 
 def write_resolved_config(model_cfg: ModelConfig, train_cfg: TrainConfig, path) -> None:
     lines = []
-    for prefix, cfg in (("model", model_cfg), ("train", train_cfg)):
+    for prefix, cfg in zip(_SECTIONS, (model_cfg, train_cfg)):
         for f in dataclasses.fields(cfg):
             lines.append(f"{prefix}.{f.name}={_format_value(getattr(cfg, f.name))}")
     data.write_atomic(path, "\n".join(lines) + "\n")
@@ -155,47 +153,73 @@ def _apply_seed_overrides(model_cfg: ModelConfig, train_cfg: TrainConfig):
 
 
 # ----------------------------------------------------------- subcommands
+# Each stage has one body that its subcommand and pipeline both call. It
+# prints the subcommand's progress line and returns what later stages use.
 
 
-def cmd_synth(args) -> int:
-    if args.spec is not None:
-        spec = data.load_synthetic_spec(args.spec)
-    else:
-        spec = data.default_synthetic_spec()
+def _synth(spec_path, out: Path) -> tuple[data.DatasetManifest, data.SyntheticSpec]:
+    spec = (data.load_synthetic_spec(spec_path) if spec_path is not None
+            else data.default_synthetic_spec())
     seed = _env_seed()
     if seed is not None:
         spec.seed = seed
-    out = Path(args.out)
     manifest = data.generate_synthetic(spec, out)
     data.save_synthetic_spec(spec, out / "spec_resolved.json")
     print(f"synth: wrote {len(manifest)} images and manifest.csv under {out}")
+    return manifest, spec
+
+
+def _train(manifest: data.DatasetManifest, model_cfg: ModelConfig, train_cfg: TrainConfig,
+           checkpoint, log, resolved) -> model.Network:
+    model_cfg, train_cfg = _apply_seed_overrides(model_cfg, train_cfg)
+    write_resolved_config(model_cfg, train_cfg, resolved)
+    net = model.build_network(model_cfg)
+    metrics = model.train(net, manifest, train_cfg, log_path=log)
+    model.save_checkpoint(net, checkpoint)
+    last = metrics[-1]
+    print(
+        f"train: {len(metrics)} epochs, final loss {last.train_loss:.4f}, "
+        f"accuracy {last.train_acc:.3f}; checkpoint {checkpoint}"
+    )
+    return net
+
+
+def _harvest(net: model.Network, manifest: data.DatasetManifest, out) -> harvest_mod.ActivationDB:
+    db = harvest_mod.harvest(net, manifest)
+    db.save(out)
+    print(f"harvest: {db.num_images} images x {db.num_maps} maps -> {out}")
+    return db
+
+
+def _associate(db: harvest_mod.ActivationDB, manifest: data.DatasetManifest,
+               net: model.Network | None, au_ids: list[int], n: int, out) -> None:
+    profiles = association.profile_all(db, manifest, au_ids, n=n)
+    index = report.au_summary(profiles, db, net, manifest, out)
+    for prof in profiles:
+        print(
+            f"associate: AU {prof.au_id} -> map {prof.argmax_map} "
+            f"(distance {prof.argmax_distance:.4f})"
+        )
+    print(f"associate: index at {index}")
+
+
+def cmd_synth(args) -> int:
+    _synth(args.spec, Path(args.out))
     return 0
 
 
 def cmd_train(args) -> int:
     model_cfg, train_cfg = parse_config_file(args.config)
-    model_cfg, train_cfg = _apply_seed_overrides(model_cfg, train_cfg)
     manifest = data.load_manifest(args.manifest)
-    net = model.build_network(model_cfg)
-    log_path = Path(args.log) if args.log else Path(args.out).with_suffix(".metrics.csv")
-    metrics = model.train(net, manifest, train_cfg, log_path=log_path)
-    model.save_checkpoint(net, args.out)
-    write_resolved_config(model_cfg, train_cfg,
-                          Path(args.out).parent / (Path(args.out).stem + ".config.txt"))
-    last = metrics[-1]
-    print(
-        f"train: {len(metrics)} epochs, final loss {last.train_loss:.4f}, "
-        f"accuracy {last.train_acc:.3f}; checkpoint {args.out}"
-    )
+    out = Path(args.out)
+    _train(manifest, model_cfg, train_cfg, out,
+           Path(args.log) if args.log else out.with_suffix(".metrics.csv"),
+           out.parent / (out.stem + ".config.txt"))
     return 0
 
 
 def cmd_harvest(args) -> int:
-    net = model.load_checkpoint(args.checkpoint)
-    manifest = data.load_manifest(args.manifest)
-    db = harvest_mod.harvest(net, manifest)
-    db.save(args.out)
-    print(f"harvest: {db.num_images} images x {db.num_maps} maps -> {args.out}")
+    _harvest(model.load_checkpoint(args.checkpoint), data.load_manifest(args.manifest), args.out)
     return 0
 
 
@@ -260,15 +284,7 @@ def cmd_associate(args) -> int:
     manifest = data.load_manifest(args.manifest)
     net = model.load_checkpoint(args.checkpoint) if args.checkpoint is not None else None
     db = _load_db(args.db, manifest, net)
-    au_ids = _parse_au_list(args.au, manifest)
-    profiles = association.profile_all(db, manifest, au_ids, n=args.n)
-    index = report.au_summary(profiles, db, net, manifest, args.out)
-    for prof in profiles:
-        print(
-            f"associate: AU {prof.au_id} -> map {prof.argmax_map} "
-            f"(distance {prof.argmax_distance:.4f})"
-        )
-    print(f"associate: index at {index}")
+    _associate(db, manifest, net, _parse_au_list(args.au, manifest), args.n, args.out)
     return 0
 
 
@@ -278,57 +294,33 @@ def cmd_pipeline(args) -> int:
     stage = "synth"
     try:
         if args.manifest is not None:
-            manifest = data.load_manifest(args.manifest)
-            canvas = None
+            manifest, spec = data.load_manifest(args.manifest), None
         else:
-            spec = (data.load_synthetic_spec(args.spec) if args.spec is not None
-                    else data.default_synthetic_spec())
-            seed = _env_seed()
-            if seed is not None:
-                spec.seed = seed
-            manifest = data.generate_synthetic(spec, out / "dataset")
-            data.save_synthetic_spec(spec, out / "dataset" / "spec_resolved.json")
-            canvas = spec.canvas_size
-            print(f"pipeline[synth]: {len(manifest)} images under {out / 'dataset'}")
+            manifest, spec = _synth(args.spec, out / "dataset")
 
         stage = "train"
         if args.config is not None:
             model_cfg, train_cfg = parse_config_file(args.config)
-        else:
-            num_classes = max(2, len(manifest.labels()))
+        else:  # desk scale, at the rendered canvas size
             base = model.reduced_config()
             model_cfg = dataclasses.replace(
                 base,
-                input_size=canvas if canvas is not None else base.input_size,
-                num_classes=num_classes,
+                input_size=spec.canvas_size if spec is not None else base.input_size,
+                num_classes=max(2, len(manifest.labels())),
             )
             train_cfg = model.reduced_train_config()
-        model_cfg, train_cfg = _apply_seed_overrides(model_cfg, train_cfg)
-        write_resolved_config(model_cfg, train_cfg, out / "config_resolved.txt")
-        net = model.build_network(model_cfg)
-        metrics = model.train(net, manifest, train_cfg, log_path=out / "metrics.csv")
-        model.save_checkpoint(net, out / "checkpoint.ckpt")
-        last = metrics[-1]
-        print(
-            f"pipeline[train]: {len(metrics)} epochs, loss {last.train_loss:.4f}, "
-            f"accuracy {last.train_acc:.3f}"
-        )
+        net = _train(manifest, model_cfg, train_cfg, out / "checkpoint.ckpt",
+                     out / "metrics.csv", out / "config_resolved.txt")
 
         stage = "harvest"
-        db = harvest_mod.harvest(net, manifest)
-        db.save(out / "db.csv")
-        print(f"pipeline[harvest]: {db.num_images} x {db.num_maps} records")
+        db = _harvest(net, manifest, out / "db.csv")
 
         stage = "associate"
-        profiles = association.profile_all(db, manifest, manifest.au_ids(), n=args.n)
-        report.au_summary(profiles, db, net, manifest, out)
-        for prof in profiles:
-            print(
-                f"pipeline[associate]: AU {prof.au_id} -> map {prof.argmax_map} "
-                f"(distance {prof.argmax_distance:.4f})"
-            )
-    except (DataError, ImageFormatError, NumericError, OSError) as exc:
-        raise type(exc)(f"pipeline stage '{stage}' failed: {exc}") from exc
+        _associate(db, manifest, net, manifest.au_ids(), args.n, out)
+    except (DataError, ImageFormatError, NumericError, OSError, MemoryError) as exc:
+        # numpy's MemoryError subclass takes (shape, dtype), not a message
+        kind = MemoryError if isinstance(exc, MemoryError) else type(exc)
+        raise kind(f"pipeline stage '{stage}' failed: {exc}") from exc
     print(f"pipeline: complete under {out}")
     return 0
 
@@ -404,6 +396,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except (DataError, ImageFormatError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:  # an input that asks for more memory than there is
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 2
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")

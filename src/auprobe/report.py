@@ -171,6 +171,8 @@ def au_summary(profiles: list[AUDistanceProfile], db: ActivationDB,
                out_dir) -> Path:
     """Emit per-AU artifacts and the index that ties them together.
 
+    Each distinct argmax map's montage is rendered once, at the first
+    profile's n, and every AU that picked the map names the same files.
     Without a network only the profile charts and exemplar crops are
     written (deconvolution montages need the weights), each exemplar's
     field placed by the DB header's geometry (harvest.recorded_config);
@@ -180,14 +182,15 @@ def au_summary(profiles: list[AUDistanceProfile], db: ActivationDB,
     (out_dir / "profiles").mkdir(parents=True, exist_ok=True)
     (out_dir / "summary").mkdir(parents=True, exist_ok=True)
     config = net.config if net is not None else recorded_config(db)
+    montages: dict[int, tuple[str, str]] = {}
     index_rows = []
     for prof in profiles:
         png, csv_path = plot_profile(prof, out_dir / "profiles" / f"au_{prof.au_id}.png")
-        morig = mdec = ""
-        if net is not None:
-            o, d = montage(db, net, manifest, prof.argmax_map, n=prof.n,
+        if net is not None and prof.argmax_map not in montages:
+            pair = montage(db, net, manifest, prof.argmax_map, n=prof.n,
                            out_prefix=out_dir / "montages" / f"map_{prof.argmax_map}")
-            morig, mdec = str(o.relative_to(out_dir)), str(d.relative_to(out_dir))
+            montages[prof.argmax_map] = tuple(str(path.relative_to(out_dir)) for path in pair)
+        morig, mdec = montages.get(prof.argmax_map, ("", ""))
         with_au, _ = partition_by_au(manifest, prof.au_id)
         best = top_n(db, prof.argmax_map, with_au, 1)[0]
         img = data_mod.load_image(manifest, best.image_id)

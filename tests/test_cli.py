@@ -2,6 +2,7 @@ import dataclasses
 import io
 import os
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,6 +395,61 @@ def test_pipeline_default_spec_runs_and_is_deterministic(tmp_path, monkeypatch):
     for name in outputs[0][0]:
         assert outputs[0][0][name] == outputs[1][0][name], name
     assert outputs[0][1] == outputs[1][1]
+
+
+def test_pipeline_equals_the_subcommand_chain(tmp_path, config_file, capsys, monkeypatch):
+    # pipeline runs the subcommands' stage code: their bytes and their progress lines
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    spec_path = tmp_path / "spec.json"
+    data.save_synthetic_spec(data.default_synthetic_spec(samples_per_class=3, seed=21),
+                             spec_path)
+    chain, pipe = tmp_path / "chain", tmp_path / "pipe"
+    manifest, ckpt, db_path = chain / "ds" / "manifest.csv", chain / "run.ckpt", chain / "db.csv"
+    for argv in (["synth", "--spec", spec_path, "--out", chain / "ds"],
+                 ["train", "--manifest", manifest, "--config", config_file, "--out", ckpt],
+                 ["harvest", "--checkpoint", ckpt, "--manifest", manifest, "--out", db_path],
+                 ["associate", "--db", db_path, "--manifest", manifest, "--n", "3",
+                  "--checkpoint", ckpt, "--out", chain / "assoc"]):
+        assert main([str(arg) for arg in argv]) == 0
+    chain_out = capsys.readouterr().out
+    assert main(["pipeline", "--spec", str(spec_path), "--config", str(config_file),
+                 "--n", "3", "--out", str(pipe)]) == 0
+    # where each chain output lands under the pipeline's run directory
+    places = {"ds": "dataset", "run.ckpt": "checkpoint.ckpt", "run.metrics.csv": "metrics.csv",
+              "run.config.txt": "config_resolved.txt", "db.csv": "db.csv", "assoc": "."}
+    for old, new in places.items():
+        chain_out = chain_out.replace(str(chain / old), str(Path(pipe, new)))
+    assert capsys.readouterr().out == chain_out + f"pipeline: complete under {pipe}\n"
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    expected = {}
+    for old, new in places.items():
+        src = chain / old
+        found = files(src) if src.is_dir() else {Path(): src.read_bytes()}
+        expected.update({Path(new, name): content for name, content in found.items()})
+    written = files(pipe)
+    assert written.keys() == expected.keys()
+    for name, content in written.items():
+        if name.name == "metrics.csv":  # wallclock_s, the last column, varies run to run
+            content, expected[name] = ([line.rsplit(b",", 1)[0] for line in text.splitlines()]
+                                       for text in (content, expected[name]))
+        assert content == expected[name], name
+
+
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_input_needing_more_memory_than_there_is_exits_2(tmp_path, dataset, command, capsys):
+    # the default model at 100000 px asks for a 149 TiB fc1, beyond any process's address space
+    cfg = tmp_path / "huge.txt"
+    cfg.write_text("model.input_size=100000\n")
+    out = {"train": tmp_path / "run.ckpt", "pipeline": tmp_path / "run"}[command]
+    rc = main([command, "--manifest", str(dataset), "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert command == "train" or "pipeline stage 'train' failed" in err
+    assert not out.is_file() and not (out / "checkpoint.ckpt").exists()
 
 
 def test_empty_input_option_is_not_the_default(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -176,6 +177,23 @@ def test_au_summary_index_references_existing_files(tmp_path, trained_setup):
             assert row[key], f"missing {key}"
             assert (tmp_path / row[key]).is_file()
         read_image(tmp_path / row["exemplar"])  # decodes
+
+
+def test_au_summary_renders_a_shared_map_once(tmp_path, trained_setup, monkeypatch):
+    # two AUs that pick one map share one montage pair, rendered once
+    net, manifest, db = trained_setup
+    first, second = profile_all(db, manifest, [1, 2], n=3)
+    profiles = [first, dataclasses.replace(second, argmax_map=first.argmax_map)]
+    rendered = []
+    monkeypatch.setattr(report, "montage", lambda *args, **kwargs:
+                        rendered.append(args[3]) or montage(*args, **kwargs))
+    index_path = au_summary(profiles, db, net, manifest, tmp_path)
+    assert rendered == [first.argmax_map]
+    with open(index_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for key in ("montage_orig", "montage_deconv"):
+        assert rows[0][key] and rows[0][key] == rows[1][key]
+        assert (tmp_path / rows[0][key]).is_file()
 
 
 def test_au_summary_without_network(tmp_path, trained_setup):
