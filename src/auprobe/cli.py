@@ -212,9 +212,11 @@ def cmd_train(args) -> int:
     model_cfg, train_cfg = parse_config_file(args.config)
     manifest = data.load_manifest(args.manifest)
     out = Path(args.out)
-    _train(manifest, model_cfg, train_cfg, out,
-           Path(args.log) if args.log else out.with_suffix(".metrics.csv"),
-           out.parent / (out.stem + ".config.txt"))
+    log = Path(args.log) if args.log else out.with_suffix(".metrics.csv")
+    for path in (out, log):  # before the config is written next to out, and training
+        if not path.parent.is_dir():
+            raise DataError(f"cannot write {path}: {path.parent} is not a directory")
+    _train(manifest, model_cfg, train_cfg, out, log, out.parent / (out.stem + ".config.txt"))
     return 0
 
 

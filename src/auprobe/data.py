@@ -46,8 +46,8 @@ def write_atomic(path, content: str | bytes) -> None:
     replaces path in one rename. A write that fails midway, or a process
     killed during it, leaves an earlier file at path as it was, so no
     later stage loads a truncated artifact; the temporary file is removed
-    on failure. Nothing is fsynced, so this does not cover a crash of the
-    machine.
+    on failure, and an OSError names path, not it. Nothing is fsynced, so
+    this does not cover a crash of the machine.
     """
     path = Path(path)
     data = content.encode("utf-8") if isinstance(content, str) else content
@@ -56,8 +56,10 @@ def write_atomic(path, content: str | bytes) -> None:
         with open(tmp, "xb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -40,15 +40,12 @@ from .model import ForwardTrace, ModelConfig, Network
 
 def _check_trace(trace: ForwardTrace, net: Network) -> None:
     if len(trace.stages) != len(net.convs):
-        raise ShapeError(
-            f"trace has {len(trace.stages)} stages, network {len(net.convs)}"
-        )
-    for i, (st, conv) in enumerate(zip(trace.stages, net.convs), start=1):
-        if st.conv_in.shape[0] != conv.in_channels or st.pooled.shape[0] != conv.out_channels:
-            raise ShapeError(
-                f"trace stage {i} channels {st.conv_in.shape[0]}->{st.pooled.shape[0]} "
-                f"do not match network {conv.in_channels}->{conv.out_channels}"
-            )
+        raise ShapeError(f"trace has {len(trace.stages)} stages, network {len(net.convs)}")
+    ins = [1] + [st.pooled.shape[0] for st in trace.stages]  # a stage reads the previous one's maps
+    for i, (st, c_in, conv) in enumerate(zip(trace.stages, ins, net.convs), start=1):
+        if (c_in, st.pooled.shape[0]) != (conv.in_channels, conv.out_channels):
+            raise ShapeError(f"trace stage {i} channels {c_in}->{st.pooled.shape[0]} "
+                             f"do not match network {conv.in_channels}->{conv.out_channels}")
 
 
 def _unpool_window(signal: np.ndarray, switches: SwitchRecord, origin: np.ndarray,
@@ -110,7 +107,7 @@ def project(trace: ForwardTrace, net: Network, layer: int, map_index: int,
         signal = _unpool_window(relu_forward(signal), trace.stages[i].switches, origin, maps)
         signal = conv.transpose_apply(signal, maps, clip=False)
         origin, maps = 2 * origin - conv.pad, slice(None)
-    size = trace.stages[0].conv_in.shape[-1]
+    size = trace.stages[0].switches.input_shape[-1]  # the same-size conv1's output
     out = np.zeros((n, size, size), dtype=signal.dtype)
     span = signal.shape[-1]
     for i, (r0, c0) in enumerate(origin):

@@ -177,8 +177,9 @@ def _first_malformed_line(path, numbers: list[int], body: list[str]) -> DataErro
     return DataError(f"{path}: a column does not parse")
 
 
-# Bytes of im2col patch matrix one harvest chunk may build at its largest
-# conv: chunks bigger than the caches made the GEMMs slower.
+# Bytes of im2col patch matrix a chunk that runs only the conv stack (harvest,
+# report.map_responses' traces) may build at its largest conv: chunks bigger
+# than the caches made the GEMMs slower. No map's bits depend on the chunk.
 CHUNK_BYTES = 4 << 20
 
 

@@ -123,24 +123,28 @@ class TrainConfig:
 
 
 @dataclass
-class _KeptStage:
+class TraceStage:
+    pooled: np.ndarray  # the pool's output [C,N,h,w]; in training its sign masks the ReLU gradient
+    switches: SwitchRecord  # the maxima's places in the ReLU'd conv output
+
+
+@dataclass
+class _KeptStage(TraceStage):  # a trace stage plus what training's backward reads
     conv_in: np.ndarray  # the chunk [C,N,H,W] the conv read
     cols: np.ndarray  # its patch matrix, the operand of the kernel gradient
-    pooled: np.ndarray  # the pool's output, whose sign masks the ReLU gradient
-    switches: SwitchRecord
 
 
 @dataclass
 class ForwardTrace:
     """The conv stages of a chunk's inference pass, for deconvolution.
 
-    Each stage is kept as training keeps it: arrays [C, N, H, W] and
-    switches into them. image_id is the caller's label for the traced
-    image, or for a chunk's images.
+    Each stage keeps what a projection reads: its pooled maps and their
+    switches. image_id is the caller's label for the traced image, or for
+    a chunk's images.
     """
 
     image_id: int | tuple[int, ...] | None
-    stages: list[_KeptStage]
+    stages: list[TraceStage]
 
 
 class TrainBuffers:
@@ -167,14 +171,9 @@ class Network:
         self.config = config
         rng = np.random.default_rng(config.seed)
         dtype = config.np_dtype
-        self.convs: list[ConvLayer] = []
-        in_c = 1
-        for out_c in config.conv_channels:
-            self.convs.append(
-                ConvLayer(in_c, out_c, config.kernel_size, rng=rng,
-                          init_mode=config.init_mode, dtype=dtype)
-            )
-            in_c = out_c
+        ins = (1,) + config.conv_channels[:-1]
+        self.convs = [ConvLayer(i, o, config.kernel_size, rng=rng, init_mode=config.init_mode,
+                                dtype=dtype) for i, o in zip(ins, config.conv_channels)]
         self.fc1 = FCLayer(config.flat_features, config.fc_hidden, rng=rng,
                            init_mode=config.init_mode, dtype=dtype)
         self.fc2 = FCLayer(config.fc_hidden, config.num_classes, rng=rng,
@@ -195,10 +194,8 @@ class Network:
         return out
 
     def zero_grads(self) -> None:
-        for conv in self.convs:
-            conv.zero_grad()
-        self.fc1.zero_grad()
-        self.fc2.zero_grad()
+        for layer in (*self.convs, self.fc1, self.fc2):
+            layer.zero_grad()
 
     # ----------------------------------------------------------- forward
 
@@ -230,7 +227,7 @@ class Network:
             conv_out, cols = conv.forward(a, return_cols=True, scratch=keep.scratch[i])
             pooled, switches = maxpool_forward(relu_forward(conv_out, out=conv_out),
                                                keep.scratch[i])
-            keep.stages.append(_KeptStage(a, cols, pooled, switches))
+            keep.stages.append(_KeptStage(pooled, switches, a, cols))
             a = pooled
         return a
 
@@ -259,13 +256,16 @@ class Network:
                       image_id: int | tuple[int, ...] | None = None) -> ForwardTrace:
         """The conv stages of a chunk x [N, 1, S, S]; one image x [1, S, S] is a chunk of one.
 
-        The stack runs as in training, into buffers of this trace's own,
-        and keeps each stage's input, patch matrix, pooled maps and
-        switches; the classifier head does not run.
+        Each stage runs conv, in-place ReLU and the switch-recording pool;
+        the convs share one Scratch, so the trace keeps no stage's input or
+        patch matrix. The classifier head does not run.
         """
-        keep = TrainBuffers(len(self.convs))
-        self._conv_stack(self._chunk(x[None] if x.ndim == 3 else x), len(self.convs), keep)
-        return ForwardTrace(image_id, keep.stages)
+        a, scratch, stages = self._chunk(x[None] if x.ndim == 3 else x), Scratch(), []
+        for conv in self.convs:
+            conv_out = conv.forward(a, scratch=scratch)
+            a, switches = maxpool_forward(relu_forward(conv_out, out=conv_out))
+            stages.append(TraceStage(a, switches))
+        return ForwardTrace(image_id, stages)
 
     def stage_outputs(self, xs: np.ndarray, layer: int) -> np.ndarray:
         """Pooled feature maps [N, C, h, w] of stage `layer` (1-based) for xs [N, 1, S, S].
@@ -405,11 +405,12 @@ def _label_indices(manifest: data_mod.DatasetManifest, num_classes: int) -> list
     return [index[r.label] for r in manifest.rows]
 
 
-# Bytes of im2col patch matrix a training or evaluation chunk may build
-# at its largest conv: chunks of 2 images at reduced_config() and of 1 at
-# ModelConfig() in float32. Chunks of 4 trained about 5% faster than 2 but
-# raised the benchmark's peak RSS by 3 MB, and training set the peak; at 2
-# the probe passes still set it.
+# Bytes of im2col patch matrix a chunk that runs the classifier head
+# (training, evaluate) may build at its largest conv: chunks of 2 images at
+# reduced_config() and of 1 at ModelConfig() in float32. A head row's last
+# bits depend on the chunk's row count, so this also fixes the logits'; a
+# conv-stack-only chunk takes harvest.CHUNK_BYTES. When this was set, chunks
+# of 4 trained about 5% faster than 2 but raised the peak RSS by 3 MB.
 TRAIN_CHUNK_BYTES = 1 << 20
 
 
@@ -432,30 +433,26 @@ def _chunks(indices: np.ndarray, chunk: int) -> list[np.ndarray]:
     return np.array_split(indices, -(-len(indices) // chunk))
 
 
-def evaluate(net: Network, manifest: data_mod.DatasetManifest) -> tuple[float, float]:
-    """Mean loss and accuracy under the deterministic eval transform.
+def evaluate(net: Network, manifest: data_mod.DatasetManifest) -> float:
+    """Accuracy: the share of images whose largest logit is their label.
 
-    Images run through the network in chunks of images_per_chunk() at
-    TRAIN_CHUNK_BYTES.
+    Images are eval-transformed and run through the network in chunks of
+    images_per_chunk() at TRAIN_CHUNK_BYTES.
     """
-    labels = _label_indices(manifest, net.config.num_classes)
+    labels = np.array(_label_indices(manifest, net.config.num_classes))
     size = net.config.input_size
     dtype = net.config.np_dtype
     n = len(manifest)
     chunk = min(n, images_per_chunk(net.config, TRAIN_CHUNK_BYTES))
     xs = np.empty((chunk, 1, size, size), dtype=dtype)
-    total_loss = 0.0
     correct = 0
     for part in _chunks(np.arange(n), len(xs)):
         for k, i in enumerate(part):
             xs[k] = data_mod.eval_transform(data_mod.load_image(manifest, int(i)), size,
                                             dtype=dtype)
         logits = net.forward(xs[: len(part)])
-        for k, i in enumerate(part):
-            loss, _ = softmax_cross_entropy(logits[k], labels[i])
-            total_loss += loss
-            correct += int(np.argmax(logits[k]) == labels[i])
-    return total_loss / n, correct / n
+        correct += int((np.argmax(logits, axis=1) == labels[part]).sum())
+    return correct / n
 
 
 def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
@@ -557,7 +554,7 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
         train_loss = epoch_loss / n
         test_acc = None
         if test_manifest is not None:
-            _, test_acc = evaluate(net, test_manifest)
+            test_acc = evaluate(net, test_manifest)
         metrics.append(
             EpochMetrics(epoch, train_loss, epoch_correct / n, test_acc,
                          time.time() - start)
@@ -693,6 +690,7 @@ __all__ = [
     "ModelConfig",
     "Network",
     "NumericError",
+    "TraceStage",
     "TrainBuffers",
     "TrainConfig",
     "build_network",

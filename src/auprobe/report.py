@@ -25,8 +25,8 @@ from . import imageio
 from .association import AUDistanceProfile, save_profile_csv
 from .deconv import (normalized_crop, project, receptive_field, receptive_field_span,
                      unclipped_field)
-from .harvest import ActivationDB, partition_by_au, recorded_config, top_n
-from .model import TRAIN_CHUNK_BYTES, ModelConfig, Network, images_per_chunk
+from .harvest import CHUNK_BYTES, ActivationDB, partition_by_au, recorded_config, top_n
+from .model import ModelConfig, Network, images_per_chunk
 
 CHART_MARGIN = 10
 CHART_TOP = 12
@@ -104,7 +104,7 @@ def map_responses(db: ActivationDB, net: Network, manifest: data_mod.DatasetMani
     """(record, view, projection, box) of one map's top-n peaks, in rank order.
 
     The peaks' images are traced and projected in chunks of
-    images_per_chunk() at TRAIN_CHUNK_BYTES, each image once: view is the
+    images_per_chunk() at harvest's CHUNK_BYTES, each image once: view is the
     uint8 [S, S] image the network saw, projection the [S, S]
     deconvolution response and box the receptive field (x0, y0, x1, y1),
     inclusive. Warns when fewer than n images are available.
@@ -116,8 +116,7 @@ def map_responses(db: ActivationDB, net: Network, manifest: data_mod.DatasetMani
             stacklevel=2,
         )
     config = net.config
-    # training's budget: harvest's, 9 records a chunk, raised the reduced peak RSS by 15%
-    chunk = images_per_chunk(config, TRAIN_CHUNK_BYTES)
+    chunk = images_per_chunk(config, CHUNK_BYTES)
     for start in range(0, len(records), chunk):
         part = records[start : start + chunk]
         pairs = [data_mod.eval_input_and_view(data_mod.load_image(manifest, rec.image_id),

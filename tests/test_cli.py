@@ -268,9 +268,8 @@ def test_deconv_writes_montage_and_responses(tmp_path, dataset, config_file, mon
     assert (out / "map_1_deconv.png").is_file()
     responses = sorted(p.name for p in out.glob("img*_L3_m1_r*_deconv.png"))
     assert len(responses) == 2
-    # each record traced once, in chunks, for montage and files alike
-    ids = [i for _, chunk_ids in traced for i in chunk_ids]
-    assert sum(size for size, _ in traced) == len(ids) == len(set(ids)) == 2
+    # both records traced once, in one chunk of harvest's 9, for montage and files alike
+    assert [(size, len(set(ids))) for size, ids in traced] == [(2, 2)]
 
 
 def test_deconv_db_writes_the_harvesting_run_bytes(tmp_path, dataset, config_file,
@@ -495,6 +494,22 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert main(["pipeline", "--spec", str(spec), "--out", str(occupied)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: ") for line in err), err
+
+
+@pytest.mark.parametrize("option, path", [("--out", "missing/run.ckpt"),
+                                          ("--log", "missing/run.metrics.csv")])
+def test_train_under_a_missing_directory_names_the_path(tmp_path, dataset, config_file, capsys,
+                                                        monkeypatch, option, path):
+    # the error once named a temporary file, the --log one after the whole training run
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    argv = {"--manifest": str(dataset), "--config": str(config_file), "--out": "run.ckpt",
+            option: path}
+    assert main(["train", *[part for item in argv.items() for part in item]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert path in err and ".tmp" not in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_pipeline_stage_failure_names_stage(tmp_path, capsys):

@@ -468,8 +468,9 @@ def test_write_atomic_failure_midway_keeps_earlier_file(tmp_path, monkeypatch):
     assert target.read_bytes() == b"second\n"
     with monkeypatch.context() as patch:
         _fail_writes_midway(patch)
-        with pytest.raises(OSError, match="No space"):
+        with pytest.raises(OSError, match="No space") as failed:
             data.write_atomic(target, "third, and longer\n" * 100)
+        assert failed.value.filename == str(target)
 
     def busy(src, dst):
         raise OSError("busy")
@@ -480,6 +481,16 @@ def test_write_atomic_failure_midway_keeps_earlier_file(tmp_path, monkeypatch):
             data.write_atomic(target, "fourth\n")
     assert target.read_bytes() == b"second\n"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
+
+
+def test_write_atomic_under_a_missing_directory_names_the_path(tmp_path):
+    # the error once named the temporary file, a path the caller never gave
+    target = tmp_path / "missing" / "run.ckpt"
+    with pytest.raises(FileNotFoundError) as failed:
+        data.write_atomic(target, b"bytes\n")
+    assert failed.value.filename == str(target)
+    assert str(failed.value).endswith(f": '{target}'") and ".tmp" not in str(failed.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", ["m.png", "m.pgm"])

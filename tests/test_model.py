@@ -105,21 +105,22 @@ def test_wrong_input_shape_rejected():
 
 def test_forward_trace_replays_bit_identically():
     net = build_network(small_config(seed=5))
-    x = np.random.default_rng(0).normal(size=(1, 16, 16))
-    tr = net.forward_trace(x, image_id=7)
-    assert tr.image_id == 7
-    np.testing.assert_array_equal(tr.stages[0].conv_in[:, 0], x.astype(np.float32))
-    for stage, conv in zip(tr.stages, net.convs):
-        # the chunk of one image replays through single-image layer calls
-        conv_in = stage.conv_in[:, 0]
-        pooled, switches = maxpool_forward(relu_forward(conv.forward(conv_in)))
-        np.testing.assert_array_equal(pooled, stage.pooled[:, 0])
-        np.testing.assert_array_equal(switches.rows, stage.switches.rows[:, 0])
-        np.testing.assert_array_equal(switches.cols, stage.switches.cols[:, 0])
-        np.testing.assert_array_equal(layers.im2col(conv_in, conv.kernel_size, conv.pad),
-                                      stage.cols)
-    for stage, following in zip(tr.stages, tr.stages[1:]):
-        np.testing.assert_array_equal(stage.pooled, following.conv_in)
+    xs = np.random.default_rng(0).normal(size=(3, 1, 16, 16))
+    tr = net.forward_trace(xs, image_id=(7, 8, 9))
+    assert tr.image_id == (7, 8, 9)
+    assert len(tr.stages) == len(net.convs)
+    for k, x in enumerate(xs):
+        # each image of the chunk replays through single-image layer calls
+        a = x.astype(np.float32)
+        for stage, conv in zip(tr.stages, net.convs):
+            assert [f.name for f in dataclasses.fields(stage)] == ["pooled", "switches"]
+            conv_out = relu_forward(conv.forward(a))
+            a, switches = maxpool_forward(conv_out)
+            assert stage.pooled.dtype == np.float32
+            assert stage.switches.input_shape == (conv.out_channels, 3) + conv_out.shape[1:]
+            assert stage.pooled[:, k].tobytes() == a.tobytes()
+            np.testing.assert_array_equal(switches.rows, stage.switches.rows[:, k])
+            np.testing.assert_array_equal(switches.cols, stage.switches.cols[:, k])
 
 
 def test_inference_deterministic():
@@ -129,9 +130,9 @@ def test_inference_deterministic():
     a = net.forward_trace(x)
     b = net.forward_trace(x)
     for sa, sb in zip(a.stages, b.stages):
-        for field in ("conv_in", "cols", "pooled"):
-            assert getattr(sa, field).tobytes() == getattr(sb, field).tobytes(), field
+        assert sa.pooled.tobytes() == sb.pooled.tobytes()
         assert sa.switches.index.tobytes() == sb.switches.index.tobytes()
+        assert sa.switches.input_shape == sb.switches.input_shape
 
 
 def test_dropout_inactive_at_inference():
@@ -410,7 +411,7 @@ def test_float64_input_runs_in_network_dtype():
 
     def arrays(trace):
         for stage in trace.stages:
-            yield from (stage.conv_in, stage.cols, stage.pooled)
+            yield stage.pooled
 
     pairs = [(net.forward(x64), net.forward(x32)),
              (net.stage_outputs(x64[None], 2), net.stage_outputs(x32[None], 2))]

@@ -7,7 +7,7 @@ import pytest
 from auprobe import data, model, report
 from auprobe.association import AUDistanceProfile, load_profile_csv, profile_all
 from auprobe.deconv import receptive_field
-from auprobe.harvest import harvest
+from auprobe.harvest import CHUNK_BYTES, harvest
 from auprobe.imageio import read_image
 from auprobe.report import (
     CHART_MARGIN,
@@ -120,21 +120,29 @@ def test_map_responses_resizes_each_image_once(trained_setup, monkeypatch):
     assert len(calls) == 9
 
 
-def test_map_responses_in_chunks_equal_record_by_record(trained_setup):
-    # 9 records run as 5 chunks at reduced_config, the last a chunk of one
+def test_map_responses_in_chunks_equal_record_by_record(trained_setup, monkeypatch):
+    # harvest's budget traces 9 records a chunk at reduced_config: 16 run as 9 + 7
     net, manifest, db = trained_setup
-    assert model.images_per_chunk(net.config, model.TRAIN_CHUNK_BYTES) == 2
+    assert model.images_per_chunk(net.config, CHUNK_BYTES) == 9
+    n = db.num_images
+    assert n == 16
+    traced = []
+    forward_trace = model.Network.forward_trace
+    monkeypatch.setattr(model.Network, "forward_trace",
+                        lambda net, x, image_id=None: traced.append(len(x))
+                        or forward_trace(net, x, image_id))
     nonzero = 0
     for map_index in range(db.num_maps):
-        got = list(report.map_responses(db, net, manifest, map_index, 9))
-        want = map_responses_per_record(db, net, manifest, map_index, 9)
-        assert len(got) == len(want) == 9
+        got = list(report.map_responses(db, net, manifest, map_index, n))
+        want = map_responses_per_record(db, net, manifest, map_index, n)
+        assert len(got) == len(want) == n
         for (rec, view, proj, box), (rec0, view0, proj0, box0) in zip(got, want):
             assert (rec, box) == (rec0, box0)
             assert proj.shape == view.shape == (net.config.input_size,) * 2
             assert view.tobytes() == view0.tobytes() and proj.tobytes() == proj0.tobytes()
             nonzero += bool(proj.any())
-    assert nonzero > db.num_maps * 9 // 2
+    assert traced == [9, 7] * db.num_maps
+    assert nonzero > db.num_maps * n // 2
 
 
 @pytest.mark.parametrize("config", [model.reduced_config(), model.ModelConfig()],
