@@ -15,8 +15,8 @@ record's window has the same width, so a chunk's signal is one
 [C, N, w, w] array. The top window is the one activation, 1 wide, of
 its map alone. Each stage rectifies its window, unpools it to twice the
 width, reading the switches only at the window's in-image pooled
-positions, and applies the transposed convolution unclipped
-(ConvLayer.transpose_apply with clip=False): the window grows by k - 1,
+positions, and applies the transposed convolution, which
+ConvLayer.transpose_apply leaves unclipped: the window grows by k - 1,
 to the origin 2 * origin - k // 2. At the top stage only the
 activation's map, and so only its kernels, take part.
 Window positions outside the image are never read on: the next unpool
@@ -105,7 +105,7 @@ def project(trace: ForwardTrace, net: Network, layer: int, map_index: int,
     for i in reversed(range(layer)):
         conv = net.convs[i]
         signal = _unpool_window(relu_forward(signal), trace.stages[i].switches, origin, maps)
-        signal = conv.transpose_apply(signal, maps, clip=False)
+        signal = conv.transpose_apply(signal, maps)
         origin, maps = 2 * origin - conv.pad, slice(None)
     size = trace.stages[0].switches.input_shape[-1]  # the same-size conv1's output
     out = np.zeros((n, size, size), dtype=signal.dtype)

@@ -1,7 +1,7 @@
 """Forward and backward passes for every layer in the network.
 
 Convolution is realized as an explicit matrix multiply over unrolled
-patches (im2col). The patch matrix of an input [C,H,W] is a C-contiguous
+patches (im2col). The patch matrix of an image [C,H,W] is a C-contiguous
 [C*k*k, H*W] array: row (c, u, v) holds channel c shifted by kernel
 offset (u, v), so with K the [out, C*k*k] kernel matrix the three GEMMs
 are `K @ cols` (forward), `grad @ cols.T` (kernel gradient) and
@@ -10,18 +10,20 @@ or copied. The unrolled-kernel matrix is the linear operator of the
 convolution, so the backward/deconvolution path is literally its
 transpose: `backward` and `transpose_apply` both form `K.T @ y` and
 scatter-add it with col2im, the exact adjoint of the im2col gather and
-the one scatter of the transposed convolution, so the two agree bit for
-bit.
+the one scatter of the transposed convolution, so backward's input
+gradient is the in-frame part of transpose_apply's unclipped result bit
+for bit.
 
-Spatial ops take single images shaped [channels, height, width] or a
-chunk of images shaped [channels, images, height, width], which training,
-inference and deconvolution run in one pass: im2col, col2im,
-ConvLayer.forward, backward and transpose_apply, maxpool_forward,
-maxpool_values and maxpool_backward. A chunk's patch matrix is
-[C*k*k, N*H*W], each image's H*W columns in turn, so the kernel gradient
-is one GEMM per chunk. FCLayer takes one sample or N stacked rows. Calls
-given a Scratch compute into buffers it keeps, so a loop over chunks
-allocates its large arrays once.
+Conv operands are chunks of images shaped [channels, images, height,
+width], which training, inference and deconvolution run in one pass:
+im2col, col2im, ConvLayer.forward, backward and transpose_apply take
+nothing else, so an image runs as a chunk of one. A chunk's patch matrix
+is [C*k*k, N*H*W], each image's H*W columns in turn, so the kernel
+gradient is one GEMM per chunk. FCLayer takes N stacked rows [N,
+features], a sample as a row of one. maxpool_forward, maxpool_values and
+maxpool_backward pool the last two axes of any array. Calls given a
+Scratch compute into buffers it keeps, so a loop over chunks allocates
+its large arrays once.
 """
 
 from __future__ import annotations
@@ -89,29 +91,28 @@ class Scratch:
 
 def im2col(x: np.ndarray, kernel_size: int, pad: int,
            scratch: Scratch | None = None) -> np.ndarray:
-    """Unroll x [C,H,W] into the patch matrix [C*k*k, H*W], zero padded.
+    """Unroll a chunk x [C,N,H,W] into the patch matrix [C*k*k, N*H*W], zero padded.
 
-    A chunk x [C,N,H,W] gives [C*k*k, N*H*W]: each image's H*W columns
-    in turn, padded on its own. x is copied once into a zero-padded
-    canvas, so each of the k*k slabs of the patch matrix is written by
-    one whole-slab copy and never zero-filled first.
+    Each image's H*W columns come in turn, each image padded on its own.
+    x is copied once into a zero-padded canvas, so each of the k*k slabs
+    of the patch matrix is written by one whole-slab copy and never
+    zero-filled first.
     """
     scratch = scratch or Scratch()
-    xs = x if x.ndim == 4 else x[:, None]
-    c, n, h, w = xs.shape
+    c, n, h, w = x.shape
     k = kernel_size
     canvas = scratch.canvas("canvas", (c, n, h + 2 * pad, w + 2 * pad), x.dtype)
     cols = scratch.empty("cols", (c, k, k, n, h, w), x.dtype)
-    canvas[:, :, pad : pad + h, pad : pad + w] = xs
+    canvas[:, :, pad : pad + h, pad : pad + w] = x
     for u in range(k):
         for v in range(k):
             cols[:, u, v] = canvas[:, :, u : u + h, v : v + w]
     return cols.reshape(c * k * k, n * h * w)
 
 
-def col2im(cols: np.ndarray, shape: tuple[int, ...], kernel_size: int, pad: int,
+def col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kernel_size: int, pad: int,
            scratch: Scratch | None = None, *, clip: bool = True) -> np.ndarray:
-    """Adjoint of im2col: scatter-add a patch matrix to `shape`, [C,H,W] or [C,N,H,W].
+    """Adjoint of im2col: scatter-add a patch matrix to the chunk `shape` [C,N,H,W].
 
     clip=False keeps what falls outside the frame: the result is k - 1
     wider and starts `pad` rows and columns before it.
@@ -124,8 +125,7 @@ def col2im(cols: np.ndarray, shape: tuple[int, ...], kernel_size: int, pad: int,
     order into zeros, so its bits depend neither on its chunk nor on clip.
     """
     scratch = scratch or Scratch()
-    c, h, w = shape[0], shape[-2], shape[-1]
-    n = shape[1] if len(shape) == 4 else 1
+    c, n, h, w = shape
     k = kernel_size
     wide_h, wide_w = h + k - 1, w + k - 1
     slabs = cols.reshape(c, k, k, n, h, w)
@@ -151,7 +151,7 @@ def col2im(cols: np.ndarray, shape: tuple[int, ...], kernel_size: int, pad: int,
                 flat[shift:] += frame[u * k + v, : size - shift]
         if clip:
             out[c0 : c0 + cb] = acc[..., pad : pad + h, pad : pad + w]
-    return out.reshape(shape[:-2] + out.shape[-2:])
+    return out
 
 
 def _init_std(mode: str, fan_in: int) -> float:
@@ -193,7 +193,9 @@ class ConvLayer:
     Scratch, both compute into its buffers: backward then forms the input
     gradient's patch matrix in the buffer of forward's, which it has read.
     backward's input gradient and transpose_apply are the same operator,
-    the GEMM K.T @ y scattered by col2im, so they share its bits.
+    the GEMM K.T @ y scattered by col2im, so the gradient is the in-frame
+    part of transpose_apply's unclipped result bit for bit. Every operand
+    is a chunk [channels,N,H,W]; anything else raises ShapeError.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 5,
@@ -223,25 +225,21 @@ class ConvLayer:
 
     def forward(self, x: np.ndarray, *, return_cols: bool = False,
                 scratch: Scratch | None = None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Return the output [out_channels,H,W], and the patch matrix if asked.
+        """The output [out_channels,N,H,W] of a chunk x [C,N,H,W], and the patch matrix if asked.
 
-        A chunk x [C,N,H,W] gives [out_channels,N,H,W]; a single image runs
-        as a chunk of one. The product is one GEMM per image: one GEMM over
-        all N*H*W columns can sum in another order where an image's columns
-        do not start on a BLAS kernel block, and then an image's bits would
-        depend on the chunk it came in.
+        The product is one GEMM per image: one GEMM over all N*H*W columns
+        can sum in another order where an image's columns do not start on
+        a BLAS kernel block, and then an image's bits would depend on the
+        chunk it came in.
         """
-        if x.ndim not in (3, 4) or x.shape[0] != self.in_channels:
-            raise ShapeError(
-                f"expected input [{self.in_channels},H,W] or [{self.in_channels},N,H,W], "
-                f"got {x.shape}"
-            )
+        if x.ndim != 4 or x.shape[0] != self.in_channels:
+            raise ShapeError(f"expected a chunk [{self.in_channels},N,H,W], got {x.shape}")
         scratch = scratch or Scratch()
         cols = im2col(x, self.kernel_size, self.pad, scratch)
         kmat = self._kernel_matrix
         out = scratch.empty("out", (self.out_channels, cols.shape[1]),
                             np.result_type(kmat, cols))
-        n = x.shape[1] if x.ndim == 4 else 1
+        n = x.shape[1]
         np.matmul(kmat, cols.reshape(len(cols), n, -1).transpose(1, 0, 2),
                   out=out.reshape(self.out_channels, n, -1).transpose(1, 0, 2))
         out += self.bias[:, None]
@@ -253,22 +251,21 @@ class ConvLayer:
                  scratch: Scratch | None = None) -> np.ndarray | None:
         """Accumulate parameter gradients, return gradient wrt input.
 
-        saved_input is [C,H,W] or a chunk [C,N,H,W]; a chunk's kernel
+        saved_input is the chunk [C,N,H,W] forward read; the kernel
         gradient is one GEMM over all its columns. cols: the patch matrix
         forward built from saved_input (rebuilt when None). With
         input_grad=False nothing is returned.
         """
         expected = (self.out_channels,) + saved_input.shape[1:]
-        if grad_out.shape != expected:
-            raise ShapeError(
-                f"grad_out {grad_out.shape} does not match forward output {expected}"
-            )
+        if saved_input.ndim != 4 or grad_out.shape != expected:
+            raise ShapeError(f"grad_out {grad_out.shape} and input {saved_input.shape} are "
+                             f"not matching chunks [{self.out_channels},N,H,W] and [C,N,H,W]")
         scratch = scratch or Scratch()
         grad_mat = grad_out.reshape(self.out_channels, -1)
         if cols is None:
             cols = im2col(saved_input, self.kernel_size, self.pad, scratch)
         self.grad_kernels += (grad_mat @ cols.T).reshape(self.kernels.shape)
-        self.grad_bias += grad_out.sum(axis=tuple(range(1, grad_out.ndim)))
+        self.grad_bias += grad_out.sum(axis=(1, 2, 3))
         if not input_grad:
             return None
         kt = self._kernel_matrix.T
@@ -276,47 +273,44 @@ class ConvLayer:
             "cols", (len(kt), grad_mat.shape[1]), np.result_type(kt, grad_mat)))
         return col2im(grad_cols, saved_input.shape, self.kernel_size, self.pad, scratch)
 
-    def transpose_apply(self, y: np.ndarray, maps: slice = slice(None), *,
-                        clip: bool = True) -> np.ndarray:
-        """Pure operator transpose (no bias, no gradient accumulation).
+    def transpose_apply(self, y: np.ndarray, maps: slice = slice(None)) -> np.ndarray:
+        """Pure operator transpose (no bias, no gradient accumulation), unclipped.
 
-        Maps an output-shaped signal [out_channels,H,W], or a chunk
-        [out_channels,N,H,W], back to input space [in_channels,H,W] or
-        [in_channels,N,H,W]; the deconvolution building block. Given
-        `maps`, y holds only those output maps, the others count as
-        zero, and only their kernels are read. clip=False keeps what
-        falls outside y's frame: the result is k - 1 wider and starts
-        k // 2 rows and columns before y's frame.
+        Maps an output-shaped chunk [out_channels,N,H,W] back to input
+        space, keeping what falls outside y's frame: the result
+        [in_channels,N,H+k-1,W+k-1] starts k // 2 rows and columns before
+        y's frame. This is the deconvolution building block. Given `maps`,
+        y holds only those output maps, the others count as zero, and only
+        their kernels are read.
 
         This is the GEMM K.T @ y and one col2im, the scatter that also
-        forms backward's input gradient, so the clipped result is that
-        gradient bit for bit.
+        forms backward's input gradient, so the result's in-frame part
+        [..., k//2 : k//2 + H, k//2 : k//2 + W] is that gradient bit for bit.
         """
         kmat = self._kernel_matrix[maps]
-        if y.ndim not in (3, 4) or y.shape[0] != len(kmat):
-            raise ShapeError(
-                f"expected output-shaped signal [{len(kmat)},H,W] or "
-                f"[{len(kmat)},N,H,W], got {y.shape}"
-            )
+        if y.ndim != 4 or y.shape[0] != len(kmat):
+            raise ShapeError(f"expected an output-shaped chunk [{len(kmat)},N,H,W], "
+                             f"got {y.shape}")
         cols = kmat.T @ y.reshape(len(kmat), -1)
         return col2im(cols, (self.in_channels,) + y.shape[1:], self.kernel_size, self.pad,
-                      clip=clip)
+                      clip=False)
 
 
 class FCLayer:
     """Fully connected layer: y = W x + b.
 
-    forward and backward take one sample ([in] input, [out] gradient) or
-    N stacked rows ([N, in], [N, out]): rows run as one GEMM each, the
-    forward x @ W.T, the input gradient grad_out @ W and the weight
-    gradient grad_out.T @ saved_input. The weight gradient is formed tile
-    by tile, at most BLOCK_ELEMENTS at a time, by weight_grad_tiles, so no
-    temporary the size of the weights is built; backward adds each tile
-    into grad_weights. param_grads=False leaves out the weight and bias
-    gradients, input_grad=False the input gradient: the trainer takes
-    fc1's input gradient per chunk, and model.sgd_step applies fc1's
-    weight gradient tiles to the weights as they are formed, once per
-    batch from the stacked rows, so training never writes grad_weights.
+    forward and backward take N stacked rows ([N, in] input, [N, out]
+    gradient), a sample as a row of one; anything else raises ShapeError.
+    Rows run as one GEMM each: the forward x @ W.T, the input gradient
+    grad_out @ W and the weight gradient grad_out.T @ saved_input. The
+    weight gradient is formed tile by tile, at most BLOCK_ELEMENTS at a
+    time, by weight_grad_tiles, so no temporary the size of the weights
+    is built; backward adds each tile into grad_weights. param_grads=False
+    leaves out the weight and bias gradients, input_grad=False the input
+    gradient: the trainer takes fc1's input gradient per chunk, and
+    model.sgd_step applies fc1's weight gradient tiles to the weights as
+    they are formed, once per batch from the stacked rows, so training
+    never writes grad_weights.
     """
 
     def __init__(self, in_features: int, out_features: int,
@@ -338,31 +332,24 @@ class FCLayer:
         self.grad_bias[...] = 0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim not in (1, 2) or x.shape[-1] != self.in_features:
-            raise ShapeError(f"expected [{self.in_features}] input or N rows of it, "
-                             f"got {x.shape}")
-        if x.ndim == 1:
-            return self.weights @ x + self.bias
+        if x.ndim != 2 or x.shape[1] != self.in_features:
+            raise ShapeError(f"expected rows [N, {self.in_features}], got {x.shape}")
         return x @ self.weights.T + self.bias
 
     def backward(self, grad_out: np.ndarray, saved_input: np.ndarray, *,
                  param_grads: bool = True, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate parameter gradients, return gradient wrt input.
 
-        The input gradient has saved_input's shape; with input_grad=False
-        nothing is returned.
+        The input gradient has saved_input's shape [N, in]; with
+        input_grad=False nothing is returned.
         """
-        if (grad_out.ndim not in (1, 2) or grad_out.shape[:-1] != saved_input.shape[:-1]
-                or grad_out.shape[-1] != self.out_features
-                or saved_input.shape[-1] != self.in_features):
-            raise ShapeError(
-                f"grad_out {grad_out.shape} and input {saved_input.shape} do not match "
-                f"[{self.out_features}] and [{self.in_features}] (or N rows of them)"
-            )
+        if (saved_input.ndim != 2 or saved_input.shape[1] != self.in_features
+                or grad_out.shape != (len(saved_input), self.out_features)):
+            raise ShapeError(f"grad_out {grad_out.shape} and input {saved_input.shape} are not "
+                             f"rows [N, {self.out_features}] and [N, {self.in_features}]")
         if param_grads:
-            g = grad_out.reshape(-1, self.out_features)
-            self.grad_bias += g.sum(axis=0)
-            for index, tile in self.weight_grad_tiles(g, saved_input.reshape(-1, self.in_features)):
+            self.grad_bias += grad_out.sum(axis=0)
+            for index, tile in self.weight_grad_tiles(grad_out, saved_input):
                 self.grad_weights[index] += tile
         if not input_grad:
             return None

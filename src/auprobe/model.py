@@ -207,8 +207,9 @@ class Network:
         """
         expected = (1, self.config.input_size, self.config.input_size)
         if xs.ndim != 4 or xs.shape[1:] != expected:
-            raise ShapeError(f"expected a chunk [N, {', '.join(map(str, expected))}] "
-                             f"(an image runs as a chunk of one), got {xs.shape}")
+            raise ShapeError(f"expected a chunk [N, {', '.join(map(str, expected))}], got "
+                             f"{xs.shape}; only forward_trace, for deconv.project, also takes "
+                             "one image")
         return xs.astype(self.config.np_dtype, copy=False).transpose(1, 0, 2, 3)
 
     def _conv_stack(self, a: np.ndarray, depth: int,
@@ -233,16 +234,13 @@ class Network:
 
     def forward(self, x: np.ndarray, *, keep: TrainBuffers | None = None,
                 drop_mask: np.ndarray | None = None) -> np.ndarray:
-        """Logits [N, classes] of a chunk x [N, 1, S, S], or [classes] of one image x [1, S, S].
+        """Logits [N, classes] of a chunk x [N, 1, S, S]; an image runs as a chunk of one.
 
         The chunk runs through the conv stack as [C, N, H, W] arrays and
-        through the head as N rows; one image runs as a chunk of one. With
-        `keep` this is the training forward: what backward needs is kept
-        in keep, and drop_mask [N, hidden], if given, scales the hidden
-        rows (dropout).
+        through the head as N rows. With `keep` this is the training
+        forward: what backward needs is kept in keep, and drop_mask
+        [N, hidden], if given, scales the hidden rows (dropout).
         """
-        if x.ndim == 3:
-            return self.forward(x[None], keep=keep, drop_mask=drop_mask)[0]
         pooled = self._conv_stack(self._chunk(x), len(self.convs), keep)
         flat = pooled.transpose(1, 0, 2, 3).reshape(pooled.shape[1], -1)
         fc1_out = self.fc1.forward(flat)
@@ -254,7 +252,7 @@ class Network:
 
     def forward_trace(self, x: np.ndarray,
                       image_id: int | tuple[int, ...] | None = None) -> ForwardTrace:
-        """The conv stages of a chunk x [N, 1, S, S]; one image x [1, S, S] is a chunk of one.
+        """The conv stages of a chunk x [N, 1, S, S], or of one image x [1, S, S] as a chunk.
 
         Each stage runs conv, in-place ReLU and the switch-recording pool;
         the convs share one Scratch, so the trace keeps no stage's input or

@@ -274,10 +274,10 @@ def resize_meshgrid(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def harvest_per_image(net, manifest, layer: int):
     """(values, rows, cols) of every image's per-map peaks, one image at a time.
 
-    Runs each image [1,S,S] through the convs up to `layer` as 3-D
-    ConvLayer.forward, relu_forward and maxpool_forward calls (the pool
-    keeps switches, as the earlier loop's did); raises NumericError for
-    the first non-finite peak in image, then map order.
+    Runs each image through the convs up to `layer` as a chunk of one
+    [1,1,S,S], by ConvLayer.forward, relu_forward and maxpool_forward calls
+    (the pool keeps switches, as the earlier loop's did); raises
+    NumericError for the first non-finite peak in image, then map order.
     """
     from auprobe import data
     from auprobe.layers import maxpool_forward, relu_forward
@@ -286,9 +286,10 @@ def harvest_per_image(net, manifest, layer: int):
     size, dtype = net.config.input_size, net.config.np_dtype
     results = []
     for i in range(len(manifest)):
-        fmap = data.eval_transform(data.load_image(manifest, i), size, dtype=dtype)
+        fmap = data.eval_transform(data.load_image(manifest, i), size, dtype=dtype)[:, None]
         for conv in net.convs[:layer]:
             fmap, _ = maxpool_forward(relu_forward(conv.forward(fmap)))
+        fmap = fmap[:, 0]
         num_maps = fmap.shape[0]
         flat = fmap.reshape(num_maps, -1)
         arg = flat.argmax(axis=1)
@@ -308,29 +309,28 @@ def map_responses_per_record(db, net, manifest, map_index: int, n: int) -> list[
     """(record, view, projection [S, S], box) of one map's top-n peaks, record by record.
 
     The earlier loop of report.map_responses: each peak's image is
-    loaded, transformed, traced and projected on its own. The trace and
-    the projection run as 3-D layer calls: conv, ReLU and pool with
-    switches up to db.layer, then unpool, ReLU and transposed conv back
-    down from the one kept activation.
+    loaded, transformed, traced and projected on its own, as a chunk of
+    one: conv, ReLU and pool with switches up to db.layer, then
+    project_stages' full-frame unpool, ReLU and transposed conv back down
+    from the one kept activation.
     """
     from auprobe import data, deconv, harvest
-    from auprobe.layers import maxpool_backward, maxpool_forward, relu_forward
+    from auprobe.layers import maxpool_forward, relu_forward
 
     config = net.config
     out = []
     for rec in harvest.top_n(db, map_index, range(db.num_images), n):
-        fmap, view = data.eval_input_and_view(data.load_image(manifest, rec.image_id),
-                                              config.input_size, dtype=config.np_dtype)
-        switches = []
+        image, view = data.eval_input_and_view(data.load_image(manifest, rec.image_id),
+                                               config.input_size, dtype=config.np_dtype)
+        fmap, stages = image[:, None], []
         for conv in net.convs[: db.layer]:
             fmap, record = maxpool_forward(relu_forward(conv.forward(fmap)))
-            switches.append(record)
-        signal = np.zeros_like(fmap)
-        signal[map_index, rec.row, rec.col] = fmap[map_index, rec.row, rec.col]
-        for conv, record in reversed(list(zip(net.convs, switches))):
-            signal = conv.transpose_apply(relu_forward(maxpool_backward(signal, record)))
+            stages.append(DeconvStage(conv, record))
+        at = (map_index, 0, rec.row, rec.col)
+        top = np.zeros_like(fmap)
+        top[at] = fmap[at]
         box = deconv.receptive_field(config, db.layer, (rec.row, rec.col))
-        out.append((rec, view, signal[0], box))
+        out.append((rec, view, project_stages(stages, top)[0, 0], box))
     return out
 
 
@@ -344,11 +344,12 @@ class DeconvStage:
 
 
 def project_stages(stages: list[DeconvStage], top: np.ndarray) -> np.ndarray:
-    """Run a full-image signal down a stage stack (listed bottom-up) to input space.
+    """Run a full-image chunk [C,N,h,w] down a stage stack (listed bottom-up) to input space.
 
     The earlier deconv pathway, built from the library's maxpool_backward,
     relu_forward and ConvLayer.transpose_apply: every stage transforms
-    the whole image, whatever part of it is zero.
+    the whole image, whatever part of it is zero, and keeps the in-frame
+    part of each transposed convolution.
     """
     from auprobe.layers import maxpool_backward, relu_forward
 
@@ -358,8 +359,19 @@ def project_stages(stages: list[DeconvStage], top: np.ndarray) -> np.ndarray:
             signal = maxpool_backward(signal, stage.switches)
         if stage.relu:
             signal = relu_forward(signal)
-        signal = stage.conv.transpose_apply(signal)
+        signal = transpose_in_frame(stage.conv, signal)
     return signal
+
+
+def transpose_in_frame(conv, y: np.ndarray) -> np.ndarray:
+    """The in-frame part of conv.transpose_apply(y) for a chunk y [out,N,H,W]: [in,N,H,W].
+
+    It is the same-size transposed convolution, and the bits of
+    conv.backward's input gradient.
+    """
+    h, w = y.shape[-2:]
+    p = conv.pad
+    return conv.transpose_apply(y)[..., p : p + h, p : p + w]
 
 
 def project_full_frame(trace, net, layer: int, map_index: int, locations) -> np.ndarray:
@@ -453,28 +465,28 @@ def sample_gradients(net, x: np.ndarray, label: int, drop_mask: np.ndarray | Non
     """One sample's forward and backward, added into net's gradient buffers.
 
     The earlier per-sample Network.forward(train=True) and
-    Network.backward: every layer runs on the single image x [1,S,S],
-    ReLU and pool go backward as two steps at full resolution, every conv
-    rebuilds its patch matrix, and fc1's parameter gradients are formed
-    per sample. Returns (loss, logits).
+    Network.backward: every layer runs on the image x [1,S,S] alone, as a
+    chunk of one and a row of one, ReLU and pool go backward as two steps
+    at full resolution, every conv rebuilds its patch matrix, and fc1's
+    parameter gradients are formed per sample. Returns (loss, logits).
     """
     from auprobe.layers import (maxpool_backward, maxpool_forward, relu_backward,
                                 relu_forward, softmax_cross_entropy)
 
-    a = x.astype(net.config.np_dtype)
+    a = x.astype(net.config.np_dtype)[:, None]
     stages = []
     for conv in net.convs:
         conv_out = conv.forward(a)
         pooled, switches = maxpool_forward(relu_forward(conv_out))
         stages.append((a, conv_out, switches))
         a = pooled
-    flat = a.reshape(-1)
+    flat = a.reshape(1, -1)
     fc1_out = net.fc1.forward(flat)
     hidden = relu_forward(fc1_out)
     fc2_in = hidden * drop_mask if drop_mask is not None else hidden
-    logits = net.fc2.forward(fc2_in)
+    logits = net.fc2.forward(fc2_in)[0]
     loss, grad = softmax_cross_entropy(logits, label)
-    g = net.fc2.backward(grad, fc2_in)
+    g = net.fc2.backward(grad[None], fc2_in)
     if drop_mask is not None:
         g = g * drop_mask
     g = net.fc1.backward(relu_backward(g, fc1_out), flat).reshape(a.shape)

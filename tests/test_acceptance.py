@@ -20,7 +20,8 @@ from auprobe.layers import ConvLayer, FCLayer, softmax_cross_entropy
 from oracles import inner_product
 
 from conftest import record_criterion
-from oracles import DeconvStage, central_difference, project_stages, relative_error
+from oracles import (DeconvStage, central_difference, project_stages, relative_error,
+                     transpose_in_frame)
 
 RNG = np.random.default_rng
 
@@ -35,8 +36,8 @@ def test_c1_gradient_correctness():
     worst = 0.0
 
     conv = ConvLayer(1, 3, 5, rng=rng)
-    x = rng.normal(size=(1, 6, 6))
-    target = rng.normal(size=(3, 6, 6))
+    x = rng.normal(size=(1, 1, 6, 6))
+    target = rng.normal(size=(3, 1, 6, 6))
     conv.zero_grad()
     conv.backward(target, x)
 
@@ -53,8 +54,8 @@ def test_c1_gradient_correctness():
         checked += 1
 
     fc = FCLayer(36, 16, rng=rng)
-    fx = rng.normal(size=36)
-    ftarget = rng.normal(size=16)
+    fx = rng.normal(size=(1, 36))
+    ftarget = rng.normal(size=(1, 16))
     fc.zero_grad()
     fc.backward(ftarget, fx)
 
@@ -110,10 +111,10 @@ def test_c2_adjoint_identity():
         layer = ConvLayer(cin, cout, cfg.kernel_size, rng=rng)  # zero bias
         s = sizes[idx]
         for _ in range(100):
-            x = rng.normal(size=(cin, s, s))
-            y = rng.normal(size=(cout, s, s))
+            x = rng.normal(size=(cin, 1, s, s))
+            y = rng.normal(size=(cout, 1, s, s))
             lhs = inner_product(layer.forward(x), y)
-            rhs = inner_product(x, layer.transpose_apply(y))
+            rhs = inner_product(x, transpose_in_frame(layer, y))
             rel = abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(y))
             worst = max(worst, rel)
     elapsed = time.time() - t0
@@ -134,10 +135,10 @@ def test_c3_deconvnet_reduction_and_support():
     rng = RNG(303)
     conv1 = ConvLayer(1, 2, 5, rng=rng)
     conv2 = ConvLayer(2, 3, 5, rng=rng)
-    x = rng.normal(size=(1, 12, 12))
+    x = rng.normal(size=(1, 1, 12, 12))
     mid = conv1.forward(x)
-    one_hot = np.zeros((3, 12, 12))
-    one_hot[2, 5, 7] = rng.normal() + 2.0
+    one_hot = np.zeros((3, 1, 12, 12))
+    one_hot[2, 0, 5, 7] = rng.normal() + 2.0
     stages = [
         DeconvStage(conv1, None, relu=False),
         DeconvStage(conv2, None, relu=False),

@@ -37,8 +37,8 @@ def small_net(seed=0, input_size=16):
 def test_identity_kernel_projects_to_itself():
     conv = ConvLayer(1, 1, 5)
     conv.kernels[0, 0, 2, 2] = 1.0
-    top = np.zeros((1, 8, 8))
-    top[0, 3, 5] = 1.0
+    top = np.zeros((1, 1, 8, 8))
+    top[0, 0, 3, 5] = 1.0
     out = project_stages([DeconvStage(conv, switches=None, relu=False)], top)
     np.testing.assert_array_equal(out, top)
 
@@ -68,10 +68,10 @@ def test_linear_toy_reduction_matches_conv_backward():
     rng = np.random.default_rng(3)
     conv1 = ConvLayer(1, 2, 5, rng=rng)
     conv2 = ConvLayer(2, 3, 5, rng=rng)
-    x = rng.normal(size=(1, 10, 10))
+    x = rng.normal(size=(1, 1, 10, 10))
     mid = conv1.forward(x)
-    one_hot = np.zeros((3, 10, 10))
-    one_hot[1, 4, 6] = 1.7
+    one_hot = np.zeros((3, 1, 10, 10))
+    one_hot[1, 0, 4, 6] = 1.7
     stages = [DeconvStage(conv1, None, relu=False), DeconvStage(conv2, None, relu=False)]
     via_project = project_stages(stages, one_hot)
     via_backward = conv1.backward(conv2.backward(one_hot.copy(), mid), x)

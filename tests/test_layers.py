@@ -33,6 +33,7 @@ from oracles import (
     maxpool_direct,
     relative_error,
     softmax_ce_direct,
+    transpose_in_frame,
 )
 
 
@@ -70,7 +71,7 @@ def test_conv_all_ones_kernel_counts_overlap(k, corner):
     layer = ConvLayer(1, 1, k)
     layer.kernels[...] = 1.0
     x = np.ones((1, 3, 3))
-    out = layer.forward(x)
+    out = layer.forward(x[:, None])[:, 0]
     np.testing.assert_array_equal(out, conv_direct(x, layer.kernels, layer.bias))
     assert out[0, 1, 1] == 9
     assert out[0, 0, 0] == corner
@@ -79,21 +80,19 @@ def test_conv_all_ones_kernel_counts_overlap(k, corner):
 def test_conv_identity_kernel():
     layer = ConvLayer(1, 1, 5)
     layer.kernels[0, 0, 2, 2] = 1.0
-    x = np.random.default_rng(1).normal(size=(1, 6, 6))
+    x = np.random.default_rng(1).normal(size=(1, 1, 6, 6))
     np.testing.assert_array_equal(layer.forward(x), x)
 
 
 def test_conv_zero_kernels_bias_only():
     layer = ConvLayer(2, 3, 5)
     layer.bias[...] = [1.0, -2.0, 0.5]
-    out = layer.forward(np.random.default_rng(2).normal(size=(2, 4, 4)))
+    out = layer.forward(np.random.default_rng(2).normal(size=(2, 1, 4, 4)))
     for o, b in enumerate(layer.bias):
-        np.testing.assert_array_equal(out[o], np.full((4, 4), b))
+        np.testing.assert_array_equal(out[o], np.full((1, 4, 4), b))
 
 
 def test_conv_channel_mismatch():
-    with pytest.raises(ShapeError):
-        make_conv(3, 4).forward(np.zeros((2, 6, 6)))
     with pytest.raises(ShapeError):
         make_conv(3, 4).forward(np.zeros((2, 2, 6, 6)))
     with pytest.raises(ShapeError):
@@ -106,25 +105,26 @@ def test_conv_matches_direct_summation(in_c, out_c, h, w, k):
     layer = ConvLayer(in_c, out_c, k, rng=rng)
     layer.bias[...] = rng.normal(size=out_c)
     x = rng.normal(size=(in_c, h, w))
-    np.testing.assert_allclose(layer.forward(x), conv_direct(x, layer.kernels, layer.bias), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(layer.forward(x[:, None])[:, 0],
+                               conv_direct(x, layer.kernels, layer.bias), rtol=1e-12, atol=1e-12)
 
 
 def test_conv_adjoint_identity():
     rng = np.random.default_rng(7)
     layer = ConvLayer(2, 3, 5, rng=rng)  # zero bias by default
     for _ in range(100):
-        x = rng.normal(size=(2, 8, 8))
-        y = rng.normal(size=(3, 8, 8))
+        x = rng.normal(size=(2, 1, 8, 8))
+        y = rng.normal(size=(3, 1, 8, 8))
         lhs = inner_product(layer.forward(x), y)
-        rhs = inner_product(x, layer.transpose_apply(y))
+        rhs = inner_product(x, transpose_in_frame(layer, y))
         denom = np.linalg.norm(x) * np.linalg.norm(y)
         assert abs(lhs - rhs) / denom < 1e-10
 
 
 def test_conv_backward_zero_grad_out():
     layer = make_conv(2, 3)
-    x = np.random.default_rng(3).normal(size=(2, 6, 6))
-    grad_in = layer.backward(np.zeros((3, 6, 6)), x)
+    x = np.random.default_rng(3).normal(size=(2, 1, 6, 6))
+    grad_in = layer.backward(np.zeros((3, 1, 6, 6)), x)
     assert not grad_in.any()
     assert not layer.grad_kernels.any()
     assert not layer.grad_bias.any()
@@ -133,16 +133,16 @@ def test_conv_backward_zero_grad_out():
 def test_conv_backward_matches_transpose():
     rng = np.random.default_rng(4)
     layer = ConvLayer(2, 3, 5, rng=rng)
-    x = rng.normal(size=(2, 6, 6))
-    g = rng.normal(size=(3, 6, 6))
-    np.testing.assert_allclose(layer.backward(g, x), layer.transpose_apply(g), rtol=0, atol=0)
+    x = rng.normal(size=(2, 1, 6, 6))
+    g = rng.normal(size=(3, 1, 6, 6))
+    assert layer.backward(g, x).tobytes() == transpose_in_frame(layer, g).tobytes()
 
 
 def test_conv_kernel_gradient_finite_difference():
     rng = np.random.default_rng(5)
     layer = ConvLayer(1, 1, 5, rng=rng)
-    x = rng.normal(size=(1, 4, 4))
-    target = rng.normal(size=(1, 4, 4))  # loss = <target, conv(x)>
+    x = rng.normal(size=(1, 1, 4, 4))
+    target = rng.normal(size=(1, 1, 4, 4))  # loss = <target, conv(x)>
 
     def loss():
         return inner_product(target, layer.forward(x))
@@ -157,8 +157,8 @@ def test_conv_kernel_gradient_finite_difference():
 def test_conv_input_gradient_finite_difference():
     rng = np.random.default_rng(6)
     layer = ConvLayer(2, 2, 3, rng=rng)
-    x = rng.normal(size=(2, 4, 4))
-    target = rng.normal(size=(2, 4, 4))
+    x = rng.normal(size=(2, 1, 4, 4))
+    target = rng.normal(size=(2, 1, 4, 4))
     layer.zero_grad()
     grad_in = layer.backward(target, x)
 
@@ -202,11 +202,11 @@ def test_im2col_col2im_equal_transposed_layout(dtype, geometry):
     in_c, _, h, w, k = geometry
     rng = np.random.default_rng(h * w)
     x = rng.normal(size=(in_c, h, w)).astype(dtype)
-    cols = im2col(x, k, k // 2)
+    cols = im2col(x[:, None], k, k // 2)
     assert cols.flags.c_contiguous and cols.dtype == dtype
     np.testing.assert_array_equal(cols, im2col_transposed(x, k, k // 2).T)
     patches = rng.normal(size=cols.shape).astype(dtype)
-    np.testing.assert_array_equal(col2im(patches, x.shape, k, k // 2),
+    np.testing.assert_array_equal(col2im(patches, (in_c, 1, h, w), k, k // 2)[:, 0],
                                   col2im_transposed(patches.T, x.shape, k, k // 2))
     # a chunk [C,N,H,W] gives each image's patch matrix in turn
     xs = np.stack([x, rng.normal(size=x.shape).astype(dtype)], axis=1)
@@ -214,17 +214,17 @@ def test_im2col_col2im_equal_transposed_layout(dtype, geometry):
     assert chunk.flags.c_contiguous and chunk.shape == (len(cols), 2 * h * w)
     for i in range(2):
         np.testing.assert_array_equal(chunk.reshape(len(cols), 2, -1)[:, i],
-                                      im2col(xs[:, i], k, k // 2))
+                                      im2col(xs[:, i : i + 1], k, k // 2))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("geometry", MODEL_GEOMETRIES)
 def test_conv_forward_equals_transposed_layout(dtype, geometry):
     layer, kmat, x, _ = _conv_case(dtype, *geometry)
-    out, _ = layer.forward(x, return_cols=True)
+    out, _ = layer.forward(x[:, None], return_cols=True)
     assert out.dtype == dtype
-    np.testing.assert_array_equal(out, _forward_reference(layer, kmat, x))
-    np.testing.assert_array_equal(layer.forward(x), out)
+    np.testing.assert_array_equal(out[:, 0], _forward_reference(layer, kmat, x))
+    np.testing.assert_array_equal(layer.forward(x[:, None]), out)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -239,9 +239,9 @@ def test_conv_chunk_forward_equals_stacked_images(dtype, geometry):
     np.testing.assert_array_equal(cols, im2col(xs, layer.kernel_size, layer.pad))
     kmat = layer.kernels.reshape(layer.out_channels, -1)
     for i in range(xs.shape[1]):
-        np.testing.assert_array_equal(out[:, i], layer.forward(xs[:, i]))
+        np.testing.assert_array_equal(out[:, i : i + 1], layer.forward(xs[:, i : i + 1]))
         # the bits of one plain 2-D GEMM over the image's own patch matrix
-        alone = kmat @ im2col(xs[:, i], layer.kernel_size, layer.pad)
+        alone = kmat @ im2col(xs[:, i : i + 1], layer.kernel_size, layer.pad)
         alone += layer.bias[:, None]
         np.testing.assert_array_equal(out[:, i], alone.reshape(out[:, i].shape))
 
@@ -256,7 +256,7 @@ def test_conv_forward_odd_extents_within_summation_bound(dtype, geometry):
     cols = im2col_transposed(x, layer.kernel_size, layer.pad).T
     n = kmat.shape[1] + 1
     bound = n * np.finfo(dtype).eps * (np.abs(kmat) @ np.abs(cols) + np.abs(layer.bias)[:, None])
-    diff = np.abs(layer.forward(x) - _forward_reference(layer, kmat, x))
+    diff = np.abs(layer.forward(x[:, None])[:, 0] - _forward_reference(layer, kmat, x))
     assert (diff.reshape(bound.shape) <= bound).all()
 
 
@@ -271,22 +271,22 @@ def test_conv_gradients_equal_transposed_layout(dtype, geometry):
     ref_bias = g.sum(axis=(1, 2))
     ref_input = col2im_transposed(grad_mat.T @ kmat, x.shape, k, pad)
 
-    grad_in = layer.backward(g, x)
-    np.testing.assert_array_equal(grad_in, ref_input)
+    grad_in = layer.backward(g[:, None], x[:, None])
+    np.testing.assert_array_equal(grad_in[:, 0], ref_input)
     np.testing.assert_array_equal(layer.grad_kernels, ref_kernels)
     np.testing.assert_array_equal(layer.grad_bias, ref_bias)
-    np.testing.assert_array_equal(layer.transpose_apply(g), ref_input)
+    np.testing.assert_array_equal(transpose_in_frame(layer, g[:, None])[:, 0], ref_input)
 
     # unclipped, it is the same-size transpose of g zero-padded by k // 2
     padded = np.pad(g, ((0, 0), (pad, pad), (pad, pad)))
     ref_unclipped = col2im_transposed(padded.reshape(layer.out_channels, -1).T @ kmat,
                                       (layer.in_channels,) + padded.shape[1:], k, pad)
-    np.testing.assert_array_equal(layer.transpose_apply(g, clip=False), ref_unclipped)
+    np.testing.assert_array_equal(layer.transpose_apply(g[:, None])[:, 0], ref_unclipped)
 
     # the forward's patch matrix, and no input gradient, give the same parameter gradients
     layer.zero_grad()
-    _, cols = layer.forward(x, return_cols=True)
-    assert layer.backward(g, x, cols=cols, input_grad=False) is None
+    _, cols = layer.forward(x[:, None], return_cols=True)
+    assert layer.backward(g[:, None], x[:, None], cols=cols, input_grad=False) is None
     np.testing.assert_array_equal(layer.grad_kernels, ref_kernels)
     np.testing.assert_array_equal(layer.grad_bias, ref_bias)
 
@@ -301,8 +301,8 @@ def test_chunk_col2im_equals_per_image(dtype, geometry):
     patches = rng.normal(size=(in_c * k * k, 3, h * w)).astype(dtype)
     for clip in (True, False):
         frame = (h, w) if clip else (h + k - 1, w + k - 1)
-        fresh = [col2im(np.ascontiguousarray(patches[:, i]), (in_c, h, w), k, k // 2, clip=clip)
-                 for i in range(3)]
+        fresh = [col2im(np.ascontiguousarray(patches[:, i]), (in_c, 1, h, w), k, k // 2,
+                        clip=clip)[:, 0] for i in range(3)]
         assert all(image.shape == (in_c,) + frame for image in fresh)
         # a smaller chunk, or a repeated one, takes views of the first
         # chunk's buffers, its slab frame a non-contiguous one
@@ -555,14 +555,14 @@ def test_fc_forward_hand():
     layer = FCLayer(2, 2)
     layer.weights[...] = [[1.0, 2.0], [3.0, 4.0]]
     layer.bias[...] = [10.0, 20.0]
-    np.testing.assert_array_equal(layer.forward(np.array([1.0, 1.0])), [13, 27])
+    np.testing.assert_array_equal(layer.forward(np.array([[1.0, 1.0]])), [[13, 27]])
 
 
 def test_fc_gradient_finite_difference():
     rng = np.random.default_rng(10)
     layer = FCLayer(5, 3, rng=rng)
-    x = rng.normal(size=5)
-    target = rng.normal(size=3)
+    x = rng.normal(size=(1, 5))
+    target = rng.normal(size=(1, 3))
     layer.zero_grad()
     grad_in = layer.backward(target, x)
 
@@ -610,11 +610,11 @@ def test_fc_backward_rows_equal_sum_of_outer_products(dtype, n, out_f, in_f):
 def test_fc_backward_one_sample_is_exact_outer_product():
     rng = np.random.default_rng(12)
     layer = FCLayer(5000, 40, rng=rng)
-    g, x = rng.normal(size=40), rng.normal(size=5000)
+    g, x = rng.normal(size=(1, 40)), rng.normal(size=(1, 5000))
     grad_in = layer.backward(g, x)
     assert np.array_equal(layer.grad_weights, np.outer(g, x))
-    assert np.array_equal(layer.grad_bias, g)
-    assert np.array_equal(grad_in, layer.weights.T @ g)
+    assert np.array_equal(layer.grad_bias, g[0])
+    assert np.array_equal(grad_in[0], layer.weights.T @ g[0])
 
 
 def test_fc_backward_skips_what_is_switched_off():

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from auprobe import data, layers, model
+from auprobe import data, deconv, layers, model
 from auprobe.data import DataError
 from auprobe.layers import (
     dropout_mask,
@@ -57,8 +57,8 @@ def test_default_config_layer3_shape():
 
 def test_num_classes_controls_logits():
     net = build_network(small_config(num_classes=7, fc_hidden=6))
-    x = np.zeros((1, 16, 16))
-    assert net.forward(x).shape == (7,)
+    x = np.zeros((1, 1, 16, 16))
+    assert net.forward(x).shape == (1, 7)
 
 
 def test_same_seed_identical_weights():
@@ -97,7 +97,40 @@ def test_init_modes_have_expected_scale():
 def test_wrong_input_shape_rejected():
     net = build_network(small_config())
     with pytest.raises(Exception):
-        net.forward(np.zeros((1, 8, 8)))
+        net.forward(np.zeros((1, 1, 8, 8)))
+
+
+def test_layer_stack_takes_chunks_and_only_the_traced_projection_one_image():
+    # layers and Network.forward take chunks [C, N, H, W] and rows [N, features]
+    # alone; forward_trace and deconv.project keep the single-image form
+    net = build_network(small_config(seed=13))
+    conv, fc = net.convs[1], net.fc2
+    x = np.zeros((conv.in_channels, 8, 8))
+    g = np.zeros((conv.out_channels, 8, 8))
+    single_forms = [
+        lambda: conv.forward(x),
+        lambda: conv.backward(g, x),
+        lambda: conv.transpose_apply(g),
+        lambda: fc.forward(np.zeros(fc.in_features)),
+        lambda: fc.backward(np.zeros(fc.out_features), np.zeros(fc.in_features)),
+        lambda: net.forward(np.zeros((1, 16, 16))),
+    ]
+    for call in single_forms:
+        with pytest.raises(layers.ShapeError):
+            call()
+    image = np.random.default_rng(13).normal(size=(1, 16, 16))
+    one, chunk = net.forward_trace(image), net.forward_trace(image[None])
+    for a, b in zip(one.stages, chunk.stages, strict=True):
+        assert a.pooled.tobytes() == b.pooled.tobytes()
+        assert a.switches.index.tobytes() == b.switches.index.tobytes()
+        assert a.switches.input_shape == b.switches.input_shape
+    for layer, stage in enumerate(chunk.stages, start=1):
+        peaks = stage.pooled[:, 0].reshape(len(stage.pooled), -1)
+        m = int(peaks.max(axis=1).argmax())
+        loc = np.unravel_index(int(peaks[m].argmax()), stage.pooled.shape[2:])
+        got = deconv.project(one, net, layer, m, loc)
+        assert got.any()
+        assert got.tobytes() == deconv.project(chunk, net, layer, m, [loc]).tobytes()
 
 
 # ---------------------------------------------------------------- trace
@@ -110,22 +143,22 @@ def test_forward_trace_replays_bit_identically():
     assert tr.image_id == (7, 8, 9)
     assert len(tr.stages) == len(net.convs)
     for k, x in enumerate(xs):
-        # each image of the chunk replays through single-image layer calls
-        a = x.astype(np.float32)
+        # each image of the chunk replays through layer calls on a chunk of one
+        a = x.astype(np.float32)[:, None]
         for stage, conv in zip(tr.stages, net.convs):
             assert [f.name for f in dataclasses.fields(stage)] == ["pooled", "switches"]
             conv_out = relu_forward(conv.forward(a))
             a, switches = maxpool_forward(conv_out)
             assert stage.pooled.dtype == np.float32
-            assert stage.switches.input_shape == (conv.out_channels, 3) + conv_out.shape[1:]
-            assert stage.pooled[:, k].tobytes() == a.tobytes()
-            np.testing.assert_array_equal(switches.rows, stage.switches.rows[:, k])
-            np.testing.assert_array_equal(switches.cols, stage.switches.cols[:, k])
+            assert stage.switches.input_shape == (conv.out_channels, 3) + conv_out.shape[2:]
+            assert stage.pooled[:, k].tobytes() == a[:, 0].tobytes()
+            np.testing.assert_array_equal(switches.rows[:, 0], stage.switches.rows[:, k])
+            np.testing.assert_array_equal(switches.cols[:, 0], stage.switches.cols[:, k])
 
 
 def test_inference_deterministic():
     net = build_network(small_config(seed=6))
-    x = np.random.default_rng(1).normal(size=(1, 16, 16))
+    x = np.random.default_rng(1).normal(size=(1, 1, 16, 16))
     assert net.forward(x).tobytes() == net.forward(x).tobytes()
     a = net.forward_trace(x)
     b = net.forward_trace(x)
@@ -406,7 +439,7 @@ def test_float64_input_runs_in_network_dtype():
     # a float64 image would otherwise promote every GEMM of a float32 network
     net = build_network(small_config())
     assert net.config.np_dtype == np.float32
-    x64 = np.random.default_rng(12).normal(size=(1, 16, 16))
+    x64 = np.random.default_rng(12).normal(size=(1, 1, 16, 16))
     x32 = x64.astype(np.float32)
 
     def arrays(trace):
@@ -414,10 +447,10 @@ def test_float64_input_runs_in_network_dtype():
             yield stage.pooled
 
     pairs = [(net.forward(x64), net.forward(x32)),
-             (net.stage_outputs(x64[None], 2), net.stage_outputs(x32[None], 2))]
+             (net.stage_outputs(x64, 2), net.stage_outputs(x32, 2))]
     pairs += zip(arrays(net.forward_trace(x64)), arrays(net.forward_trace(x32)))
     kept = [TrainBuffers(len(net.convs)) for _ in range(2)]
-    train_logits = [net.forward(x[None], keep=keep) for x, keep in zip((x64, x32), kept)]
+    train_logits = [net.forward(x, keep=keep) for x, keep in zip((x64, x32), kept)]
     pairs += [(train_logits[0], train_logits[1]),
               (kept[0].stages[0].cols, kept[1].stages[0].cols)]
     for got, want in pairs:
