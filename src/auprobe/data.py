@@ -536,6 +536,11 @@ def default_synthetic_spec(canvas_size: int = 48, samples_per_class: int = 100,
     )
 
 
+_SPEC_SCALARS = (("canvas_size", int), ("samples_per_class", int), ("position_jitter", int),
+                 ("intensity_range", lambda v: tuple(float(x) for x in v)),
+                 ("noise_sigma", float), ("background", float), ("seed", int))
+
+
 def load_synthetic_spec(path) -> SyntheticSpec:
     try:
         raw = json.loads(read_text(path))
@@ -547,17 +552,9 @@ def load_synthetic_spec(path) -> SyntheticSpec:
             for u in raw["units"]
         )
         rules = {str(k): frozenset(int(v) for v in vs) for k, vs in raw["class_rules"].items()}
-        spec = SyntheticSpec(
-            canvas_size=int(raw.get("canvas_size", 48)),
-            units=units,
-            class_rules=rules,
-            samples_per_class=int(raw.get("samples_per_class", 100)),
-            position_jitter=int(raw.get("position_jitter", 3)),
-            intensity_range=tuple(float(v) for v in raw.get("intensity_range", (0.75, 1.0))),
-            noise_sigma=float(raw.get("noise_sigma", 8.0)),
-            background=float(raw.get("background", 32.0)),
-            seed=int(raw.get("seed", 0)),
-        )
+        # an omitted field keeps SyntheticSpec's default
+        spec = SyntheticSpec(units=units, class_rules=rules,
+                             **{key: cast(raw[key]) for key, cast in _SPEC_SCALARS if key in raw})
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataError(f"malformed synthetic spec {path}: {exc}") from exc
     spec.validate()

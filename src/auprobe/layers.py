@@ -183,7 +183,7 @@ class ConvLayer:
     """Same-size convolution: stride 1, zero padding of kernel_size//2.
 
     kernels: [out_channels, in_channels, k, k], bias: [out_channels].
-    Gradient buffers accumulate across calls until zero_grad().
+    backward adds into the gradient buffers; the caller zeroes them.
 
     forward(x, return_cols=True) also returns the im2col patch matrix it
     multiplied; handing it to backward(cols=...) spares backward the
@@ -218,10 +218,6 @@ class ConvLayer:
     @property
     def _kernel_matrix(self) -> np.ndarray:
         return self.kernels.reshape(self.out_channels, -1)
-
-    def zero_grad(self) -> None:
-        self.grad_kernels[...] = 0
-        self.grad_bias[...] = 0
 
     def forward(self, x: np.ndarray, *, return_cols: bool = False,
                 scratch: Scratch | None = None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
@@ -306,11 +302,10 @@ class FCLayer:
     weight gradient is formed tile by tile, at most BLOCK_ELEMENTS at a
     time, by weight_grad_tiles, so no temporary the size of the weights
     is built; backward adds each tile into grad_weights. param_grads=False
-    leaves out the weight and bias gradients, input_grad=False the input
-    gradient: the trainer takes fc1's input gradient per chunk, and
-    model.sgd_step applies fc1's weight gradient tiles to the weights as
-    they are formed, once per batch from the stacked rows, so training
-    never writes grad_weights.
+    leaves out the weight and bias gradients: the trainer takes only fc1's
+    input gradient per chunk, and model.sgd_step applies fc1's weight
+    gradient tiles to the weights as they are formed, once per batch from
+    the stacked rows, so training never writes fc1's grad_weights.
     """
 
     def __init__(self, in_features: int, out_features: int,
@@ -327,22 +322,14 @@ class FCLayer:
         self.grad_weights = np.zeros(self.weights.shape, dtype=dtype)
         self.grad_bias = np.zeros_like(self.bias)
 
-    def zero_grad(self) -> None:
-        self.grad_weights[...] = 0
-        self.grad_bias[...] = 0
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"expected rows [N, {self.in_features}], got {x.shape}")
         return x @ self.weights.T + self.bias
 
     def backward(self, grad_out: np.ndarray, saved_input: np.ndarray, *,
-                 param_grads: bool = True, input_grad: bool = True) -> np.ndarray | None:
-        """Accumulate parameter gradients, return gradient wrt input.
-
-        The input gradient has saved_input's shape [N, in]; with
-        input_grad=False nothing is returned.
-        """
+                 param_grads: bool = True) -> np.ndarray:
+        """Accumulate parameter gradients, return gradient wrt input [N, in]."""
         if (saved_input.ndim != 2 or saved_input.shape[1] != self.in_features
                 or grad_out.shape != (len(saved_input), self.out_features)):
             raise ShapeError(f"grad_out {grad_out.shape} and input {saved_input.shape} are not "
@@ -351,8 +338,6 @@ class FCLayer:
             self.grad_bias += grad_out.sum(axis=0)
             for index, tile in self.weight_grad_tiles(grad_out, saved_input):
                 self.grad_weights[index] += tile
-        if not input_grad:
-            return None
         return grad_out @ self.weights
 
     def weight_grad_tiles(self, grad_rows: np.ndarray, input_rows: np.ndarray):
@@ -393,7 +378,7 @@ class SwitchRecord:
     index holds, per pooled position, the flat index of the window's
     argmax into the pre-pool activation of shape input_shape; ties are
     broken toward the smallest row-major index so unpooling is
-    reproducible. rows/cols give the same switches as coordinates.
+    reproducible.
     """
 
     index: np.ndarray
@@ -402,15 +387,6 @@ class SwitchRecord:
     @property
     def pooled_shape(self) -> tuple[int, ...]:
         return self.index.shape
-
-    @property
-    def rows(self) -> np.ndarray:
-        h, w = self.input_shape[-2:]
-        return (self.index // w % h).astype(np.int32)
-
-    @property
-    def cols(self) -> np.ndarray:
-        return (self.index % self.input_shape[-1]).astype(np.int32)
 
 
 def _window_corners(x: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -193,10 +193,6 @@ class Network:
         out.append(("fc2.bias", self.fc2.bias, self.fc2.grad_bias))
         return out
 
-    def zero_grads(self) -> None:
-        for layer in (*self.convs, self.fc1, self.fc2):
-            layer.zero_grad()
-
     # ----------------------------------------------------------- forward
 
     def _chunk(self, xs: np.ndarray) -> np.ndarray:
@@ -341,12 +337,12 @@ def _update_blocks(net: Network, velocity: dict[str, np.ndarray], fc1_rows):
     """
     for name, value, grad in net.parameters():
         vel = velocity[name]
-        if fc1_rows is not None and value is net.fc1.weights:
+        if value is net.fc1.weights:
             for index, tile in net.fc1.weight_grad_tiles(*fc1_rows):
                 tile += 0.0  # as if added into a zeroed buffer: -0.0 becomes +0.0
                 yield name, value[index], vel[index], tile
             continue
-        if fc1_rows is not None and value is net.fc1.bias:
+        if value is net.fc1.bias:
             grad = fc1_rows[0].sum(axis=0) + 0.0
         # views: every parameter array is C-contiguous
         flat, flat_vel, flat_grad = value.reshape(-1), vel.reshape(-1), grad.reshape(-1)
@@ -356,7 +352,7 @@ def _update_blocks(net: Network, velocity: dict[str, np.ndarray], fc1_rows):
 
 
 def sgd_step(net: Network, velocity: dict[str, np.ndarray], cfg: TrainConfig,
-             grad_scale: float, fc1_rows: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+             grad_scale: float, fc1_rows: tuple[np.ndarray, np.ndarray]) -> None:
     """One momentum + weight-decay update from the batch's gradients.
 
     Per element, in this order: step = grad * grad_scale + weight_decay *
@@ -364,20 +360,21 @@ def sgd_step(net: Network, velocity: dict[str, np.ndarray], cfg: TrainConfig,
     velocity. Whole-array expressions would build weight-sized
     temporaries (fc1 of ModelConfig() holds 151 MB in float32), so the
     update runs in place, a block of at most BLOCK_ELEMENTS at a time
-    through two block-sized scratch rows; the arithmetic is the same, so
-    the weights are too.
+    through two block-sized scratch rows.
 
-    Gradients are read from the gradient buffers, except fc1's when
-    fc1_rows, the batch's stacked rows (gradient wrt fc1's output
-    [N, hidden], fc1's input [N, features]), is given. fc1's bias gradient
-    is then the rows' column sum, and its weight gradient is formed tile
-    by tile (FCLayer.weight_grad_tiles), each tile updating its tile of
-    weights and velocity as soon as it is formed: fc1's gradient buffers
-    are neither read nor written. Each tile and the bias sum are added to
-    0.0 first, as they were when added into a zeroed buffer, so a -0.0
-    entry steps as +0.0 and the weights equal the buffered update's bit
-    for bit. Raises NumericError naming the parameter when a block is left
-    with a non-finite weight.
+    Gradients are read from the gradient buffers, except fc1's: fc1_rows
+    is the batch's stacked rows (gradient wrt fc1's output [N, hidden],
+    fc1's input [N, features]). fc1's bias gradient is the rows' column
+    sum, and its weight gradient is formed tile by tile
+    (FCLayer.weight_grad_tiles), each tile updating its tile of weights
+    and velocity as soon as it is formed: fc1's gradient buffers are
+    neither read nor written. Each tile and the bias sum are added to 0.0
+    first, as if added into a zeroed buffer, so a -0.0 entry steps as
+    +0.0. The weights and velocity equal bit for bit those of
+    oracles.sgd_step_reference, the whole-array update, run on the
+    gradients FCLayer.backward accumulates from the same rows into zeroed
+    buffers. Raises NumericError naming the parameter when a block is
+    left with a non-finite weight.
     """
     scratch = np.empty((2, BLOCK_ELEMENTS), dtype=net.config.np_dtype)
     for name, w, vel, grad in _update_blocks(net, velocity, fc1_rows):
@@ -465,19 +462,18 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
     TRAIN_CHUNK_BYTES, split as evenly as they go; a chunk never spans
     two batches. A chunk makes one forward and one backward pass, in
     buffers that the first chunk allocates and every later one of the
-    call reuses. Each image
-    keeps its own augmentation, dropout and loss draws, so a chunk's
-    gradients are the sum of its images' up to the order of float
-    additions. fc1's weight and bias gradients are deferred to the end of
-    each batch: every image's gradient wrt fc1's output and its fc1 input
-    are kept as rows of two [batch, features] buffers, and sgd_step forms
-    fc1's weight gradient from them tile by tile, applying each tile to
-    the weights and velocity at once. Training zeroes and accumulates
-    every gradient buffer but fc1's, which it never touches, so the pages
-    of fc1.grad_weights are never mapped: the only arrays of fc1's size
-    it holds are the weights and their velocity, and no step allocates a
-    temporary of that size. Without augmentation the eval tensors are one
-    stacked array.
+    call reuses. Each image keeps its own augmentation, dropout and loss
+    draws, so a chunk's gradients are the sum of its images' up to the
+    order of float additions. fc1's weight and bias gradients are
+    deferred to the end of each batch: every image's gradient wrt fc1's
+    output and its fc1 input are kept as rows of two [batch, features]
+    buffers, and sgd_step forms fc1's weight gradient from them tile by
+    tile, applying each tile to the weights and velocity at once. Before
+    each batch training zeroes every gradient buffer but fc1's, which
+    neither it nor sgd_step touches, so the pages of fc1.grad_weights are
+    never mapped: the only arrays of fc1's size it holds are the weights
+    and their velocity, and no step allocates a temporary of that size.
+    Without augmentation the eval tensors are one stacked array.
     """
     if len(manifest) == 0:
         raise data_mod.DataError("training manifest is empty")

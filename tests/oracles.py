@@ -94,6 +94,11 @@ def maxpool_argmax(x: np.ndarray):
     return out, rows, cols
 
 
+def switch_coords(switches) -> tuple[np.ndarray, np.ndarray]:
+    """A SwitchRecord's (rows, cols): its flat indices as coordinates in the last two axes."""
+    return np.unravel_index(switches.index, switches.input_shape)[-2:]
+
+
 def sgd_step_reference(params, velocity, cfg, grad_scale: float) -> None:
     """The SGD update as whole-array expressions (the earlier sgd_step).
 

@@ -38,7 +38,6 @@ def test_c1_gradient_correctness():
     conv = ConvLayer(1, 3, 5, rng=rng)
     x = rng.normal(size=(1, 1, 6, 6))
     target = rng.normal(size=(3, 1, 6, 6))
-    conv.zero_grad()
     conv.backward(target, x)
 
     def conv_loss():
@@ -56,7 +55,6 @@ def test_c1_gradient_correctness():
     fc = FCLayer(36, 16, rng=rng)
     fx = rng.normal(size=(1, 36))
     ftarget = rng.normal(size=(1, 16))
-    fc.zero_grad()
     fc.backward(ftarget, fx)
 
     def fc_loss():

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +349,18 @@ def test_spec_json_roundtrip(tmp_path):
     save_synthetic_spec(spec, tmp_path / "spec.json")
     again = load_synthetic_spec(tmp_path / "spec.json")
     assert again == spec
+
+
+def test_spec_json_omitted_fields_take_spec_defaults(tmp_path):
+    units = default_synthetic_spec().units
+    rules = {"A": frozenset({1, 2}), "B": frozenset({3, 4})}
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "units": [{"unit_id": u.unit_id, "glyph": u.glyph, "region": list(u.region)}
+                  for u in units],
+        "class_rules": {k: sorted(v) for k, v in rules.items()},
+    }))
+    assert load_synthetic_spec(tmp_path / "spec.json") == data.SyntheticSpec(
+        units=units, class_rules=rules)
 
 
 def test_spec_validation_errors():

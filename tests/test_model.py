@@ -28,7 +28,7 @@ from auprobe.model import (
     train,
 )
 
-from oracles import sample_gradients, sgd_step_reference
+from oracles import sample_gradients, sgd_step_reference, switch_coords
 
 
 @pytest.fixture(scope="module")
@@ -152,8 +152,8 @@ def test_forward_trace_replays_bit_identically():
             assert stage.pooled.dtype == np.float32
             assert stage.switches.input_shape == (conv.out_channels, 3) + conv_out.shape[2:]
             assert stage.pooled[:, k].tobytes() == a[:, 0].tobytes()
-            np.testing.assert_array_equal(switches.rows[:, 0], stage.switches.rows[:, k])
-            np.testing.assert_array_equal(switches.cols[:, 0], stage.switches.cols[:, k])
+            for got, want in zip(switch_coords(stage.switches), switch_coords(switches)):
+                np.testing.assert_array_equal(got[:, k], want[:, 0])
 
 
 def test_inference_deterministic():
@@ -219,14 +219,14 @@ def test_training_sample_builds_each_patch_matrix_once(monkeypatch):
     logits = net.forward(xs, keep=keep, drop_mask=masks)
     grad_logits = np.stack([softmax_cross_entropy(row, label)[1]
                             for row, label in zip(logits, [2, 0, 3])])
-    net.zero_grads()
+    _zero_grads(net)
     net.backward(keep, grad_logits)
     # one im2col per conv for the whole chunk, kept for backward; no col2im into the image
     assert calls == {"im2col": 3, "col2im": 2}
     cached = [grad.copy() for _, _, grad in net.parameters()]
 
     # reference: every conv rebuilds its patch matrix and returns an input gradient
-    net.zero_grads()
+    _zero_grads(net)
     g = net.fc2.backward(grad_logits, keep.fc2_in) * keep.drop_mask
     g = net.fc1.backward(relu_backward(g, keep.fc1_out), keep.flat)
     c, n, h, w = keep.stages[-1].pooled.shape
@@ -244,9 +244,11 @@ def test_weight_decay_alone_shrinks_norms():
     cfg = TrainConfig(learning_rate=0.05, weight_decay=0.01, momentum=0.9)
     velocity = {name: np.zeros_like(v) for name, v, _ in net.parameters()}
     norms = [np.linalg.norm(net.fc1.weights)]
-    net.zero_grads()  # zero gradient injection: only decay moves weights
+    # zero gradient injection, fc1's rows included: only decay moves weights
+    fc1_rows = (np.zeros((1, net.fc1.out_features), np.float32),
+                np.zeros((1, net.fc1.in_features), np.float32))
     for _ in range(200):
-        sgd_step(net, velocity, cfg, 1.0)
+        sgd_step(net, velocity, cfg, 1.0, fc1_rows)
         norms.append(np.linalg.norm(net.fc1.weights))
     diffs = np.diff(norms)
     assert (diffs < 0).all()
@@ -263,10 +265,13 @@ def test_sgd_step_equals_whole_array_reference(dtype):
     velocity = {name: rng.normal(size=v.shape).astype(v.dtype) for name, v, _ in net.parameters()}
     ref_velocity = {name: v.copy() for name, v in velocity.items()}
     for _ in range(4):
-        for (_, _, grad), (_, _, ref_grad) in zip(net.parameters(), ref.parameters()):
-            grad[...] = rng.normal(size=grad.shape)
-            ref_grad[...] = grad
-        sgd_step(net, velocity, train_cfg, 1.0 / 3)
+        for (name, _, grad), (_, _, ref_grad) in zip(net.parameters(), ref.parameters()):
+            grad[...] = rng.normal(size=grad.shape)  # fc1's too, which sgd_step must not read
+            ref_grad[...] = 0 if name.startswith("fc1.") else grad
+        G = rng.normal(size=(3, cfg.fc_hidden)).astype(cfg.np_dtype)
+        X = rng.normal(size=(3, cfg.flat_features)).astype(cfg.np_dtype)
+        ref.fc1.backward(G, X)
+        sgd_step(net, velocity, train_cfg, 1.0 / 3, (G, X))
         sgd_step_reference(ref.parameters(), ref_velocity, train_cfg, 1.0 / 3)
         for (name, value, _), (_, ref_value, _) in zip(net.parameters(), ref.parameters()):
             assert np.array_equal(value, ref_value), name
@@ -274,12 +279,26 @@ def test_sgd_step_equals_whole_array_reference(dtype):
 
 
 def test_sgd_step_non_finite_weight_names_parameter():
-    net = build_network(small_config(fc_hidden=5000))
+    net = build_network(small_config(fc_hidden=5000, num_classes=20))
     velocity = {name: np.zeros_like(v) for name, v, _ in net.parameters()}
-    net.zero_grads()
-    net.fc1.grad_weights[4999, 15] = np.inf  # in fc1's last, partial block
-    with pytest.raises(NumericError, match=r"fc1\.weights"):
+    fc1_rows = (np.zeros((1, 5000), np.float32), np.zeros((1, 16), np.float32))
+    # fc2 holds 20 x 5000 = 100000 weights: the flat index 99999 is in its last, partial block
+    assert net.fc2.weights.size % layers.BLOCK_ELEMENTS != 0
+    net.fc2.grad_weights[19, 4999] = np.inf
+    with pytest.raises(NumericError, match=r"fc2\.weights"):
+        sgd_step(net, velocity, TrainConfig(), 1.0, fc1_rows)
+
+
+def test_sgd_step_requires_fc1_rows():
+    net = build_network(small_config())
+    velocity = {name: np.zeros_like(v) for name, v, _ in net.parameters()}
+    with pytest.raises(TypeError):
         sgd_step(net, velocity, TrainConfig(), 1.0)
+
+
+def _zero_grads(net):
+    for _, _, grad in net.parameters():
+        grad[...] = 0
 
 
 def _same_bits(a, b) -> bool:
@@ -326,12 +345,11 @@ def _fused_case(dtype):
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_fused_fc1_step_equals_buffered_update(dtype):
     """sgd_step given fc1's batch rows leaves the same bits in every weight and
-    velocity as FCLayer.backward into zeroed buffers followed by the buffered
-    sgd_step, and as oracles.sgd_step_reference, -0.0 entries included; it
-    neither reads nor writes fc1's gradient buffers."""
+    velocity as oracles.sgd_step_reference on the gradients FCLayer.backward
+    accumulates from those rows into zeroed buffers, -0.0 entries included;
+    it neither reads nor writes fc1's gradient buffers."""
     fused, velocity, batch_rows = _fused_case(dtype)
-    buffered, ref = copy.deepcopy(fused), copy.deepcopy(fused)
-    buffered_velocity, ref_velocity = copy.deepcopy(velocity), copy.deepcopy(velocity)
+    ref, ref_velocity = copy.deepcopy(fused), copy.deepcopy(velocity)
     cfg = TrainConfig(learning_rate=0.05, weight_decay=0.01, momentum=0.9)
     rng = np.random.default_rng(12)
     for n in (5, 3):
@@ -340,25 +358,19 @@ def test_fused_fc1_step_equals_buffered_update(dtype):
                        for _, tile in fused.fc1.weight_grad_tiles(grad_rows, input_rows)]
         assert sum(int(z.sum()) for z in signed_zero) == 5 * 200, "tiles hold no -0.0"
         assert signed_zero[-1].any()  # the partial row tile of the partial column slab
-        for net in (fused, buffered, ref):
-            net.zero_grads()
+        _zero_grads(ref)
         fused.fc1.grad_weights[...] = np.nan
         fused.fc1.grad_bias[...] = np.nan
-        for (name, _, grad), (_, _, b_grad), (_, _, r_grad) in zip(
-                fused.parameters(), buffered.parameters(), ref.parameters()):
+        for (name, _, grad), (_, _, r_grad) in zip(fused.parameters(), ref.parameters()):
             if not name.startswith("fc1."):
-                grad[...] = b_grad[...] = r_grad[...] = rng.normal(size=grad.shape)
-        for net in (buffered, ref):
-            net.fc1.backward(grad_rows, input_rows, input_grad=False)
+                grad[...] = r_grad[...] = rng.normal(size=grad.shape)
+        ref.fc1.backward(grad_rows, input_rows)
         sgd_step(fused, velocity, cfg, 1.0 / n, (grad_rows, input_rows))
-        sgd_step(buffered, buffered_velocity, cfg, 1.0 / n)
         sgd_step_reference(ref.parameters(), ref_velocity, cfg, 1.0 / n)
         assert np.isnan(fused.fc1.grad_weights).all() and np.isnan(fused.fc1.grad_bias).all()
-        for (name, value, _), (_, b_value, _), (_, r_value, _) in zip(
-                fused.parameters(), buffered.parameters(), ref.parameters()):
-            for got, want in ((value, b_value), (velocity[name], buffered_velocity[name]),
-                              (value, r_value), (velocity[name], ref_velocity[name])):
-                assert _same_bits(got, want), name
+        for (name, value, _), (_, r_value, _) in zip(fused.parameters(), ref.parameters()):
+            assert _same_bits(value, r_value), name
+            assert _same_bits(velocity[name], ref_velocity[name]), name
     region = fused.fc1.weights[:3, :100]
     assert not region.any() and np.signbit(region).all()  # -0.0 stayed -0.0
 
@@ -420,7 +432,6 @@ def test_train_batch_gradients_match_per_sample_loop(tiny_manifest, monkeypatch)
         ref = build_network(config)
         assert serialize_network(ref) == initial
         order = np.random.default_rng([cfg.seed, 1, 0]).permutation(len(tiny_manifest))
-        ref.zero_grads()
         for idx in order[:batch_size]:
             idx = int(idx)
             x = data.eval_transform(data.load_image(tiny_manifest, idx), ref.config.input_size)
