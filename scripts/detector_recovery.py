@@ -9,6 +9,8 @@ harvest layer-3 activations, and test for every unit whether
   (b) at least half of the squared-pixel energy of that map's top-1
       deconvolution projection falls inside the unit's placement region.
 
+A seed passes, as in acceptance criterion C6, when its best epoch's
+training accuracy is at least 0.95 and at least 3 of its 4 units pass.
 Prints one line per unit and a per-seed verdict.
 
     python scripts/detector_recovery.py --seeds 1 2 3 --epochs 60
@@ -45,11 +47,11 @@ def run_seed(seed: int, epochs: int, out_dir: str, n: int = 9) -> bool:
     tcfg = model.reduced_train_config(seed=seed, epochs=epochs)
     t0 = time.time()
     metrics = model.train(net, manifest, tcfg)
-    acc = metrics[-1].train_acc
+    acc = max(m.train_acc for m in metrics)  # C6's rule: the best epoch's accuracy
     db = harvest.harvest(net, manifest)
     results = evaluate_recovery(net, manifest, spec, db, n=n)
     recovered = sum(1 for _, _, ratio, energy in results if ratio >= 2.0 and energy >= 0.5)
-    print(f"seed {seed}: train accuracy {acc:.3f} after {len(metrics)} epochs "
+    print(f"seed {seed}: best train accuracy {acc:.3f} over {len(metrics)} epochs "
           f"({time.time() - t0:.0f}s)")
     for unit_id, map_index, ratio, energy in results:
         mark = "ok" if ratio >= 2.0 and energy >= 0.5 else "--"

@@ -259,41 +259,47 @@ def _axis_plan(n: int, out: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return plan
 
 
-def _resample(image: np.ndarray, rows, cols) -> np.ndarray:
-    """image [H,W] sampled bilinearly through a row plan and a column plan, as float64.
+def _resample(images: np.ndarray, rows, cols) -> np.ndarray:
+    """images [..., H, W] sampled bilinearly through a row plan and a column plan, as float64.
 
-    The image is copied into float64 with a zero row and column appended,
-    which the outside taps read. Each column tap gathers its columns once;
-    each (row tap, column tap) pair then gathers its rows from those. Each
-    output pixel is the sum, from zero, of its four taps in (row tap,
-    column tap) order, each tap's weight product formed before it
-    multiplies the pixel: the same sum, bit for bit, as _bilinear_sample's
-    at the same coordinates, with inf or NaN on the last row or column
-    kept out of the weight-0 taps.
+    The images are copied, in their own dtype, with a zero row and
+    column appended, which the outside taps read. Each column tap gathers
+    its columns once; each (row tap, column tap) pair then gathers its
+    rows from those, so uint8 images are gathered as bytes. Each output
+    pixel is the sum, from zero, of its four taps in (row tap, column
+    tap) order, each tap's weight product formed before it multiplies the
+    pixel, which is first made float64 (exactly, for uint8 and float32):
+    the same sum, bit for bit, as _bilinear_sample's at the same
+    coordinates, with inf or NaN on the last row or column kept out of
+    the weight-0 taps. A stack [B, H, W] gives every image the bits it
+    would get alone.
     """
-    h, w = image.shape
-    padded = np.zeros((h + 1, w + 1))
-    padded[:h, :w] = image
-    columns = [(wx, padded.take(xx, axis=1)) for wx, xx in cols]
-    out = np.zeros((rows[0][0].size, cols[0][0].size))
+    *lead, h, w = images.shape
+    padded = np.zeros((*lead, h + 1, w + 1), dtype=images.dtype)
+    padded[..., :h, :w] = images
+    columns = [(wx, padded.take(xx, axis=-1)) for wx, xx in cols]
+    out = np.zeros((*lead, rows[0][0].size, cols[0][0].size))
     term = np.empty_like(out)
     for wy, yy in rows:
         for wx, picked in columns:
-            np.multiply(wy[:, None], wx, out=term)
-            term *= picked.take(yy, axis=0)
+            term[...] = picked.take(yy, axis=-2)
+            term *= wy[:, None] * wx
             out += term
     return out
 
 
 def standardize(img: np.ndarray) -> np.ndarray:
-    """Zero-mean unit-variance; guarded so constant images map to zeros.
+    """Zero-mean unit-variance over the last two axes; guarded so constant images map to zeros.
 
     The deviations from the mean are formed once and give both the
-    standard deviation and the result; for float64 images, the transforms'
-    crops, the bits are those of np.mean then np.std.
+    standard deviation and the result. Each image [H, W] of a C-contiguous
+    stack [B, H, W] is reduced as one run of H * W values, so it gets the
+    bits it would get alone; for float64 images, the transforms' crops,
+    those are the bits of np.mean then np.std.
     """
-    dev = img - img.mean()
-    dev /= max(np.sqrt(np.square(dev).sum() / dev.size), 1e-6)
+    dev = img - img.mean(axis=(-2, -1), keepdims=True)
+    count = img.shape[-2] * img.shape[-1]
+    dev /= np.maximum(np.sqrt(np.square(dev).sum(axis=(-2, -1), keepdims=True) / count), 1e-6)
     return dev
 
 
@@ -302,26 +308,22 @@ def standardize(img: np.ndarray) -> np.ndarray:
 _EVAL_MARGIN = 3
 
 
-def _resized_crop(image: np.ndarray, out_size: int, top: int = _EVAL_MARGIN // 2,
+def _resized_crop(images: np.ndarray, out_size: int, top: int = _EVAL_MARGIN // 2,
                   left: int = _EVAL_MARGIN // 2) -> np.ndarray:
-    """image resized to out_size + _EVAL_MARGIN (half-pixel-centre bilinear), then its
-    float64 out_size crop at (top, left).
+    """images [..., H, W] resized to out_size + _EVAL_MARGIN (half-pixel-centre bilinear),
+    then their float64 out_size crops at (top, left).
 
     Only the crop is sampled: its plans are slices of the resize's axis
     plans, out_size samples from top and from left.
     """
-    img = np.asarray(image)
-    if min(img.shape) < 8:
-        raise DataError(f"image too small to transform: {img.shape}")
-    h, w = img.shape
+    imgs = np.asarray(images)
+    h, w = imgs.shape[-2:]
+    if min(h, w) < 8:
+        raise DataError(f"image too small to transform: {(h, w)}")
     big = out_size + _EVAL_MARGIN
     rows = [(wy[top : top + out_size], yy[top : top + out_size]) for wy, yy in _axis_plan(h, big)]
     cols = [(wx[left : left + out_size], xx[left : left + out_size]) for wx, xx in _axis_plan(w, big)]
-    return _resample(img, rows, cols)
-
-
-def _network_input(crop: np.ndarray, dtype) -> np.ndarray:
-    return standardize(crop)[None, :, :].astype(dtype)
+    return _resample(imgs, rows, cols)
 
 
 def augment(image: np.ndarray, rng: np.random.Generator, out_size: int = 96,
@@ -338,23 +340,42 @@ def augment(image: np.ndarray, rng: np.random.Generator, out_size: int = 96,
         img = img[:, ::-1]
     top = int(rng.integers(0, _EVAL_MARGIN + 1))
     left = int(rng.integers(0, _EVAL_MARGIN + 1))
-    return _network_input(_resized_crop(img, out_size, top, left), dtype)
+    return standardize(_resized_crop(img, out_size, top, left))[None].astype(dtype)
+
+
+def eval_chunk(images, out_size: int = 96, dtype=np.float64, views: bool = False):
+    """Deterministic test-time transform of a chunk of images: resize, centre crop,
+    standardize -> [N, 1, out_size, out_size].
+
+    With views=True, also returns the crops as uint8 [N, out_size, out_size]
+    views: the images the network saw, in displayable range for rendering.
+    Images of one shape are transformed as one stack, so images of any
+    size mix, and each gets the bits it would get alone. Pass a chunk at a
+    time: each stack holds a few float64 copies of its images.
+    """
+    inputs = np.empty((len(images), 1, out_size, out_size), dtype=dtype)
+    seen = np.empty((len(images), out_size, out_size), dtype=np.uint8) if views else None
+    groups: dict[tuple, list[int]] = {}
+    for k, image in enumerate(images):
+        groups.setdefault(np.shape(image), []).append(k)
+    for members in groups.values():
+        crops = _resized_crop(np.stack([images[k] for k in members]), out_size)
+        inputs[members, 0] = standardize(crops)
+        if views:
+            seen[members] = np.clip(np.rint(crops), 0, 255)
+    return (inputs, seen) if views else inputs
 
 
 def eval_transform(image: np.ndarray, out_size: int = 96, dtype=np.float64) -> np.ndarray:
-    """Deterministic test-time transform: resize, center crop, standardize."""
-    return _network_input(_resized_crop(image, out_size), dtype)
+    """eval_chunk of one image -> [1, out_size, out_size]."""
+    return eval_chunk([image], out_size, dtype)[0]
 
 
 def eval_input_and_view(image: np.ndarray, out_size: int = 96,
                         dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """eval_transform(image) and the same crop as a uint8 [S, S] view, from one resize.
-
-    The view is the image the network saw, kept in displayable range for
-    rendering.
-    """
-    crop = _resized_crop(image, out_size)
-    return _network_input(crop, dtype), np.clip(np.rint(crop), 0, 255).astype(np.uint8)
+    """eval_transform(image) and the same crop as a uint8 [S, S] view, from one resize."""
+    inputs, seen = eval_chunk([image], out_size, dtype, views=True)
+    return inputs[0], seen[0]
 
 
 def eval_view(image: np.ndarray, out_size: int = 96) -> np.ndarray:

@@ -9,6 +9,7 @@ manifest that produced it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,14 +65,18 @@ class ActivationDB:
     # ------------------------------------------------------- persistence
 
     def save(self, path) -> None:
-        lines = [self._header_line(), DB_COLUMNS]
-        for i, img in enumerate(self.image_ids):
-            for j in range(self.num_maps):
-                lines.append(
-                    f"{img},{j},{repr(float(self.values[i, j]))},"
-                    f"{int(self.rows[i, j])},{int(self.cols[i, j])}"
-                )
-        data_mod.write_atomic(path, "\n".join(lines) + "\n")
+        """Write the header, the column names and one line per (image, map), image-major.
+
+        The body is formatted a column at a time: each value is repr of
+        its Python float, every other field its Python int.
+        """
+        m = self.num_maps
+        body = map("{},{},{},{},{}\n".format,
+                   itertools.chain.from_iterable(itertools.repeat(img, m) for img in self.image_ids),
+                   itertools.cycle(range(m)),
+                   map(repr, self.values.ravel().tolist()),
+                   self.rows.ravel().tolist(), self.cols.ravel().tolist())
+        data_mod.write_atomic(path, f"{self._header_line()}\n{DB_COLUMNS}\n" + "".join(body))
 
     def _header_line(self) -> str:
         fields = " ".join(f"{k}={v}" for k, v in sorted(self.provenance.items()))
@@ -82,9 +87,10 @@ class ActivationDB:
              expect_manifest: str | None = None) -> "ActivationDB":
         """Read a DB that save() wrote; DataError naming the file (and line) otherwise.
 
-        Each column goes through int() or float() straight into one
-        np.fromiter array, so the DB accepts what those accept (numpy's
-        string casts call the same functions, through a slower path).
+        The value column goes through float() into one np.fromiter array;
+        each int column is one numpy string cast, which accepts and
+        rejects what int() does and is faster than int() per token. So the
+        DB accepts what int() and float() accept.
         The checks run in this order, each naming the first offending
         line in file order: an empty body, field count and syntax, a
         repeated (image, map) row, maps of the lowest image id not
@@ -119,8 +125,8 @@ class ActivationDB:
         fields = ",".join(body).split(",")
         try:
             img, maps, values, rows, cols = (
-                np.fromiter(map(float if dtype is np.float64 else int, fields[k::5]),
-                            dtype, len(body))
+                np.fromiter(map(float, fields[k::5]), dtype, len(body)) if dtype is np.float64
+                else np.array(fields[k::5], dtype=dtype)
                 for k, dtype in enumerate(_DB_DTYPES))
         except (ValueError, OverflowError):
             raise _first_malformed_line(path, numbers, body) from None
@@ -180,6 +186,9 @@ def _first_malformed_line(path, numbers: list[int], body: list[str]) -> DataErro
 # Bytes of im2col patch matrix a chunk that runs only the conv stack (harvest,
 # report.map_responses' traces) may build at its largest conv: chunks bigger
 # than the caches made the GEMMs slower. No map's bits depend on the chunk.
+# Halving it to 2 MiB (4 images at reduced_config) took harvest from 343 to
+# 314 ms per 600 images but montages from 11.07 to 12.15 ms at the median, so
+# it stays at 4 MiB.
 CHUNK_BYTES = 4 << 20
 
 
@@ -188,11 +197,11 @@ def harvest(net: Network, manifest: DatasetManifest,
     """One record per (image, map) under the deterministic eval transform.
 
     Images run through convs 1..layer in chunks of images_per_chunk() at
-    CHUNK_BYTES; each is loaded and transformed on its own into the
-    chunk, so images of any size mix. Raises NumericError naming the
-    first image and, within it, the first map whose peak is not finite:
-    argmax would pick a NaN peak, and a NaN map would then win every
-    unit's profile.
+    CHUNK_BYTES; a chunk's images are loaded and transformed by one
+    data.eval_chunk call, which mixes images of any size. Raises
+    NumericError naming the first image and, within it, the first map
+    whose peak is not finite: argmax would pick a NaN peak, and a NaN map
+    would then win every unit's profile.
     """
     if len(manifest) == 0:
         raise DataError("cannot harvest an empty manifest")
@@ -205,16 +214,14 @@ def harvest(net: Network, manifest: DatasetManifest,
     num_maps = net.config.conv_channels[layer - 1]
     n = len(manifest)
     chunk = min(n, model_mod.images_per_chunk(net.config, CHUNK_BYTES, layer))
-    xs = np.empty((chunk, 1, size, size), dtype=dtype)
     values = np.empty((n, num_maps))
     rows = np.empty((n, num_maps), dtype=np.int32)
     cols = np.empty((n, num_maps), dtype=np.int32)
     for start in range(0, n, chunk):
         m = min(chunk, n - start)
-        for k in range(m):
-            xs[k] = data_mod.eval_transform(data_mod.load_image(manifest, start + k),
-                                            size, dtype=dtype)
-        fmaps = net.stage_outputs(xs[:m], layer)
+        xs = data_mod.eval_chunk([data_mod.load_image(manifest, start + k) for k in range(m)],
+                                 size, dtype)
+        fmaps = net.stage_outputs(xs, layer)
         flat = fmaps.reshape(m, num_maps, -1)
         arg = flat.argmax(axis=2)  # first max in row-major order on ties
         vals = np.take_along_axis(flat, arg[..., None], axis=2)[..., 0]
@@ -264,16 +271,17 @@ def top_n(db: ActivationDB, map_index: int, subset, n: int) -> list[ActivationRe
     """
     if n < 1:
         raise DataError(f"top-n count must be at least 1, got {n}")
-    ids = sorted(set(int(i) for i in subset))
+    ids = sorted(set(map(int, subset)))
     if not ids:
         raise DataError("top_n needs a nonempty image subset")
     if not 0 <= map_index < db.num_maps:
         raise DataError(f"map {map_index} outside 0..{db.num_maps - 1}")
-    missing = [i for i in ids if i not in db._index_of]
-    if missing:
-        raise DataError(f"image ids not in activation db: {missing[:5]}")
-    values = db.values[[db._index_of[i] for i in ids], map_index]
-    order = np.lexsort((ids, -values))[:n]
+    try:
+        rows = np.fromiter(map(db._index_of.__getitem__, ids), np.intp, len(ids))
+    except KeyError:
+        missing = [i for i in ids if i not in db._index_of]
+        raise DataError(f"image ids not in activation db: {missing[:5]}") from None
+    order = np.lexsort((ids, -db.values[rows, map_index]))[:n]
     return [db.record(ids[i], map_index) for i in order]
 
 

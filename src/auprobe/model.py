@@ -431,21 +431,19 @@ def _chunks(indices: np.ndarray, chunk: int) -> list[np.ndarray]:
 def evaluate(net: Network, manifest: data_mod.DatasetManifest) -> float:
     """Accuracy: the share of images whose largest logit is their label.
 
-    Images are eval-transformed and run through the network in chunks of
-    images_per_chunk() at TRAIN_CHUNK_BYTES.
+    Images run through the network in chunks of images_per_chunk() at
+    TRAIN_CHUNK_BYTES, each chunk eval-transformed by one data.eval_chunk call.
     """
     labels = np.array(_label_indices(manifest, net.config.num_classes))
     size = net.config.input_size
     dtype = net.config.np_dtype
     n = len(manifest)
     chunk = min(n, images_per_chunk(net.config, TRAIN_CHUNK_BYTES))
-    xs = np.empty((chunk, 1, size, size), dtype=dtype)
     correct = 0
-    for part in _chunks(np.arange(n), len(xs)):
-        for k, i in enumerate(part):
-            xs[k] = data_mod.eval_transform(data_mod.load_image(manifest, int(i)), size,
-                                            dtype=dtype)
-        logits = net.forward(xs[: len(part)])
+    for part in _chunks(np.arange(n), chunk):
+        xs = data_mod.eval_chunk([data_mod.load_image(manifest, i) for i in part.tolist()],
+                                 size, dtype)
+        logits = net.forward(xs)
         correct += int((np.argmax(logits, axis=1) == labels[part]).sum())
     return correct / n
 
@@ -473,7 +471,8 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
     neither it nor sgd_step touches, so the pages of fc1.grad_weights are
     never mapped: the only arrays of fc1's size it holds are the weights
     and their velocity, and no step allocates a temporary of that size.
-    Without augmentation the eval tensors are one stacked array.
+    Without augmentation the eval tensors are one stacked array, transformed
+    a chunk at a time.
     """
     if len(manifest) == 0:
         raise data_mod.DataError("training manifest is empty")
@@ -487,15 +486,15 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
     images = [data_mod.load_image(train_manifest, i) for i in range(n)]
     size = net.config.input_size
     dtype = net.config.np_dtype
-    eval_tensors = None
-    if not cfg.augment:
-        eval_tensors = np.empty((n, 1, size, size), dtype=dtype)
-        for i, img in enumerate(images):
-            eval_tensors[i] = data_mod.eval_transform(img, size, dtype=dtype)
     rows = min(cfg.batch_size, n)
     fc1_grads = np.empty((rows, net.fc1.out_features), dtype=dtype)
     fc1_inputs = np.empty((rows, net.fc1.in_features), dtype=dtype)
     chunk = min(rows, images_per_chunk(net.config, TRAIN_CHUNK_BYTES))
+    eval_tensors = None
+    if not cfg.augment:
+        eval_tensors = np.empty((n, 1, size, size), dtype=dtype)
+        for i in range(0, n, chunk):
+            eval_tensors[i : i + chunk] = data_mod.eval_chunk(images[i : i + chunk], size, dtype)
     xs = np.empty((chunk, 1, size, size), dtype=dtype)
     drop_masks = np.empty((chunk, net.config.fc_hidden), dtype=dtype)
     grad_logits = np.empty((chunk, net.config.num_classes), dtype=dtype)

@@ -119,13 +119,12 @@ def map_responses(db: ActivationDB, net: Network, manifest: data_mod.DatasetMani
     chunk = images_per_chunk(config, CHUNK_BYTES)
     for start in range(0, len(records), chunk):
         part = records[start : start + chunk]
-        pairs = [data_mod.eval_input_and_view(data_mod.load_image(manifest, rec.image_id),
-                                              config.input_size, dtype=config.np_dtype)
-                 for rec in part]
-        trace = net.forward_trace(np.stack([x for x, _ in pairs]),
-                                  image_id=tuple(rec.image_id for rec in part))
+        xs, views = data_mod.eval_chunk([data_mod.load_image(manifest, rec.image_id)
+                                         for rec in part],
+                                        config.input_size, config.np_dtype, views=True)
+        trace = net.forward_trace(xs, image_id=tuple(rec.image_id for rec in part))
         projections = project(trace, net, db.layer, map_index, [(rec.row, rec.col) for rec in part])
-        for rec, (_, view), proj in zip(part, pairs, projections):
+        for rec, view, proj in zip(part, views, projections):
             yield rec, view, proj, receptive_field(config, db.layer, (rec.row, rec.col))
 
 

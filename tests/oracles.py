@@ -235,7 +235,7 @@ def cell_anchor(box, row: int, col: int, config, layer: int) -> tuple[int, int]:
 
 # Earlier per-image and per-line implementations, kept as references:
 # the chunked harvest, the planned resize, the one-pass standardize and
-# the column-wise DB parse must reproduce them exactly. harvest_per_image
+# the column-wise DB parse and format must reproduce them exactly. harvest_per_image
 # runs its own per-image stage loop of single-image layer calls, so it
 # does not share the chunked stage runner it checks.
 
@@ -464,6 +464,19 @@ def load_activation_db(path):
                 raise DataError(f"{path} line {ln}: negative peak {field!r}; "
                                 "peaks are maxima of ReLU outputs")
     return image_ids, values, rows, cols, layer, meta
+
+
+def save_activation_db_text(db) -> str:
+    """The earlier ActivationDB.save's text: one f-string per (image, map), indexing the arrays."""
+    fields = " ".join(f"{k}={v}" for k, v in sorted(db.provenance.items()))
+    lines = [f"# auprobe-activation-db v=1 layer={db.layer} {fields}", "image_id,map,value,row,col"]
+    for i, img in enumerate(db.image_ids):
+        for j in range(db.num_maps):
+            lines.append(
+                f"{img},{j},{repr(float(db.values[i, j]))},"
+                f"{int(db.rows[i, j])},{int(db.cols[i, j])}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def sample_gradients(net, x: np.ndarray, label: int, drop_mask: np.ndarray | None):

@@ -177,6 +177,44 @@ def test_separable_resize_equals_meshgrid_sampling(h, w):
                               np.clip(np.rint(view), 0, 255).astype(np.uint8))
 
 
+@pytest.mark.parametrize("size", [48, 96])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_chunk_equals_per_image_transform(size, dtype):
+    # same-size chunks and chunks mixing crop boxes of one image, as load_image cuts them
+    rng = np.random.default_rng(size)
+    same = [rng.integers(0, 256, (48, 48)).astype(np.uint8) for _ in range(5)]
+    base = rng.integers(0, 256, (120, 120)).astype(np.uint8)
+    boxes = [(0, 0, 48, 48), (3, 5, 60, 41), (10, 0, 18, 100), (0, 0, 120, 120), (3, 5, 60, 41)]
+    crops = [base[y0:y1, x0:x1] for x0, y0, x1, y1 in boxes]
+    constant = np.full((48, 48), 77, dtype=np.uint8)
+    for chunk in (same, crops, same[:2] + crops + [constant] + same[2:], [constant]):
+        xs, views = data.eval_chunk(chunk, size, dtype, views=True)
+        assert xs.shape == (len(chunk), 1, size, size) and xs.dtype == dtype
+        assert views.shape == (len(chunk), size, size) and views.dtype == np.uint8
+        assert data.eval_chunk(chunk, size, dtype).tobytes() == xs.tobytes()
+        for image, x, view in zip(chunk, xs, views):
+            # contiguous, as the transform's crop: a strided mean sums in another order
+            crop = np.ascontiguousarray(
+                resize_meshgrid(image, size + 3, size + 3)[1 : 1 + size, 1 : 1 + size])
+            assert x.tobytes() == standardize_two_pass(crop)[None].astype(dtype).tobytes()
+            assert view.tobytes() == np.clip(np.rint(crop), 0, 255).astype(np.uint8).tobytes()
+            assert x.tobytes() == eval_transform(image, size, dtype).tobytes()
+    # a black image meets standardize's guard: zeros, not NaN
+    assert not data.eval_chunk([np.zeros((40, 40), dtype=np.uint8)] * 2, size, dtype).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_chunk_nan_pixel_stays_in_its_image(dtype):
+    rng = np.random.default_rng(4)
+    chunk = [rng.uniform(0, 255, (48, 48)) for _ in range(3)]
+    chunk[1][20, 30] = np.nan
+    with np.errstate(invalid="ignore"):
+        xs = data.eval_chunk(chunk, 48, dtype)
+        alone = [eval_transform(image, 48, dtype) for image in chunk]
+    assert np.isnan(xs[1]).all() and np.isfinite(xs[[0, 2]]).all()
+    assert [x.tobytes() for x in xs] == [x.tobytes() for x in alone]
+
+
 def test_bilinear_sample_equals_masked_gathers_out_of_range():
     # rotate's coordinates fall outside the image near the corners
     rng = np.random.default_rng(3)

@@ -7,7 +7,7 @@ from auprobe import data, harvest as harvest_mod, imageio, model
 from auprobe.data import DataError
 from auprobe.harvest import ActivationDB, harvest, partition_by_au, top_n
 
-from oracles import harvest_per_image, load_activation_db, top_n_records
+from oracles import harvest_per_image, load_activation_db, save_activation_db_text, top_n_records
 
 
 @pytest.fixture(scope="module")
@@ -224,17 +224,19 @@ def test_harvest_past_the_plan_cache_equals_per_image_loop(tmp_path, setup):
 @pytest.mark.parametrize("bad_image", [0, 5, 11])
 def test_harvest_nan_image_names_that_image(setup, four_image_chunks, monkeypatch, bad_image):
     # a NaN pixel in one image, in the first, second or third chunk
+    # the chunk transform serves harvest's chunks and the oracle's per-image eval_transform
     net, manifest = setup
-    transform, calls = data.eval_transform, []
+    transform, calls = data.eval_chunk, []
 
-    def nan_at_bad_image(image, *args, **kwargs):
-        x = transform(image, *args, **kwargs)
-        if len(calls) % len(manifest) == bad_image:
-            x[0, 20, 30] = np.nan
-        calls.append(1)
-        return x
+    def nan_at_bad_image(images, *args, **kwargs):
+        xs = transform(images, *args, **kwargs)
+        for k in range(len(images)):
+            if len(calls) % len(manifest) == bad_image:
+                xs[k, 0, 20, 30] = np.nan
+            calls.append(1)
+        return xs
 
-    monkeypatch.setattr(data, "eval_transform", nan_at_bad_image)
+    monkeypatch.setattr(data, "eval_chunk", nan_at_bad_image)
     with pytest.raises(model.NumericError) as expected:
         harvest_per_image(net, manifest, 3)
     assert f"of image {bad_image} (" in str(expected.value)
@@ -298,6 +300,49 @@ def test_db_load_equals_per_line_parse(tmp_path):
         assert db.rows.tobytes() == rows.tobytes() and db.cols.tobytes() == cols.tobytes()
         outcomes.add("loaded")
     assert len(outcomes) >= 6  # loads and several kinds of error
+
+
+def test_db_save_equals_per_line_format(tmp_path):
+    # signed zero, the smallest subnormal, tiny and float32-origin values; negative and large ids
+    values = np.array([[-0.0, 5e-324, 1e-300, 0.1], [1.5, 2.0, 1e300, 0.0],
+                       [0.30000000000000004, 7e2, 3.0, 1.0]])
+    rows = np.arange(12, dtype=np.int32).reshape(3, 4)
+    cols = rows[::-1].copy()
+    ids = [-7, 2**62, 10**12]
+    provenance = {"checkpoint": "abc", "manifest": "def"}
+    f32 = np.float32(np.random.default_rng(3).uniform(0, 9, (3, 4)))
+    for vals in (values, f32, f32.astype(np.float64)):
+        db = ActivationDB(ids, vals, rows, cols, 2, provenance)
+        db.save(tmp_path / "db.csv")
+        assert (tmp_path / "db.csv").read_text() == save_activation_db_text(db)
+
+
+INT_TOKENS = ["7", "-0", "+5", " 7", "7 ", "\t3", "1_0", "_1", "1__0", "1_", "\u0661\u0662", "1.0",
+              "1e3", "", "0x10", "010", "nan", "2147483647", "2147483648", "-2147483649",
+              "9223372036854775807", "9223372036854775808", "-9223372036854775809"]
+
+
+@pytest.mark.parametrize("column", ["image_id", "row"])
+@pytest.mark.parametrize("token", INT_TOKENS)
+def test_db_load_int_column_parses_as_int(tmp_path, column, token):
+    # the int64 id and int32 row columns accept what int() accepts and the dtype holds
+    line = f"{token},0,2.5,4,5" if column == "image_id" else f"5,0,2.5,{token},5"
+    p = tmp_path / "db.csv"
+    p.write_text("# auprobe-activation-db v=1 layer=2\n"
+                 f"image_id,map,value,row,col\n1000,0,1.5,2,3\n{line}\n")
+    dtype = np.int64 if column == "image_id" else np.int32
+    try:
+        want = int(dtype(int(token)))
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(DataError) as got:
+            ActivationDB.load(p)
+        assert str(got.value) == f"{p} line 4: {exc}"
+        return
+    db = ActivationDB.load(p)
+    if column == "image_id":
+        assert db.image_ids == sorted([1000, want])
+    else:
+        assert db.record(5, 0).row == want
 
 
 def test_harvest_empty_manifest_rejected(setup):
@@ -368,6 +413,14 @@ def test_top_n_matches_sort_of_all_records():
         got = top_n(db, j, subset, n)
         assert [(r.value, r.image_id) for r in got] == top_n_records(values, j, subset, n)
         assert all(r.map_index == j and r.row == db.rows[r.image_id, j] for r in got)
+
+
+def test_top_n_unknown_ids_rejected():
+    db = build_db(np.ones((3, 1)))
+    with pytest.raises(DataError, match=r"not in activation db: \[7, 9\]$"):
+        top_n(db, 0, [0, 9, 7, 9], 2)
+    with pytest.raises(DataError, match="not in activation db"):
+        top_n(db, 0, [1, 2**70], 2)
 
 
 def test_top_n_duplicate_free():

@@ -1,9 +1,10 @@
 """scripts/detector_recovery.py, loaded by path and run for one seed and one epoch."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
-from auprobe import association, data, deconv, harvest
+from auprobe import association, data, deconv, harvest, model
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "detector_recovery.py"
 
@@ -51,3 +52,23 @@ def test_detector_recovery_run_seed(tmp_path, capsys, monkeypatch):
         assert type(energy) is type(direct) and energy == direct, (unit_id, energy, direct)
         assert line.startswith(f"  unit {unit_id}: map {map_index:3d}")
         assert f"region energy {energy:.2f}" in line
+
+
+def test_detector_recovery_judges_the_best_epoch(tmp_path, capsys, monkeypatch):
+    # C6's rule: a seed whose last epoch fell below 0.95 passes on its best epoch
+    script = load_script()
+    train = model.train
+
+    def best_then_worse(net, manifest, cfg):
+        [first] = train(net, manifest, cfg)
+        return [dataclasses.replace(first, train_acc=0.97),
+                dataclasses.replace(first, epoch=2, train_acc=0.5)]
+
+    monkeypatch.setattr(model, "train", best_then_worse)
+    monkeypatch.setattr(script, "evaluate_recovery",
+                        lambda net, manifest, spec, db, n=9: [(u.unit_id, 0, 3.0, 0.9)
+                                                              for u in spec.units])
+    assert script.run_seed(1, epochs=1, out_dir=tmp_path) is True
+    out = capsys.readouterr().out
+    assert "best train accuracy 0.970 over 2 epochs" in out
+    assert out.rstrip().endswith("4/4 units recovered; seed verdict: PASS")
