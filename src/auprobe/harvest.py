@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,10 +88,13 @@ class ActivationDB:
              expect_manifest: str | None = None) -> "ActivationDB":
         """Read a DB that save() wrote; DataError naming the file (and line) otherwise.
 
-        The value column goes through float() into one np.fromiter array;
-        each int column is one numpy string cast, which accepts and
-        rejects what int() does and is faster than int() per token. So the
-        DB accepts what int() and float() accept.
+        The header's v must be 1. A body in save()'s alphabet (digits,
+        '.', ',', '-', '+', 'e' and '\\n') is read by one np.loadtxt call,
+        numpy's C text reader, whose int and float parses agree with int()
+        and float() on that alphabet. Anything else, and any body that
+        reader rejects or warns about, goes to the per-token path
+        (_parse_per_token), which decides what the format accepts (what
+        int() and float() accept) and gives every parse error.
         The checks run in this order, each naming the first offending
         line in file order: an empty body, field count and syntax, a
         repeated (image, map) row, maps of the lowest image id not
@@ -100,42 +104,41 @@ class ActivationDB:
         path = Path(path)
         if not path.is_file():
             raise DataError(f"activation db not found: {path}")
-        lines = data_mod.read_text(path).splitlines()
+        text = data_mod.read_text(path)
+        # canonical text: the two header lines and a body split at '\n'
+        # alone are what splitlines() makes of it
+        lines = text.split("\n", 2)
+        canonical = (len(lines) == 3 and "\n".join(lines[:2]).splitlines() == lines[:2]
+                     and not lines[2].encode().translate(None, _CANONICAL_BODY))
+        if not canonical:
+            lines = text.splitlines()
         if not lines or not lines[0].startswith("# auprobe-activation-db"):
             raise DataError(f"{path}: not an activation db")
         tokens = lines[0].split()[2:]
         meta = dict(t.split("=", 1) for t in tokens if "=" in t)
+        version = meta.pop("v", None)
+        if version != "1":
+            raise DataError(f"{path}: unsupported activation db version {version!r}")
         try:
             layer = int(meta.pop("layer", "0"))
         except ValueError as exc:
             raise DataError(f"{path} line 1: {exc}") from exc
-        meta.pop("v", None)
         if expect_checkpoint is not None and meta.get("checkpoint") != expect_checkpoint:
             raise DataError(f"{path}: produced by a different checkpoint")
         if expect_manifest is not None and meta.get("manifest") != expect_manifest:
             raise DataError(f"{path}: produced by a different manifest")
         if len(lines) < 2 or lines[1] != DB_COLUMNS:
             raise DataError(f"{path}: missing column header")
-        numbers = [ln for ln, line in enumerate(lines[2:], start=3) if line]
-        body = [lines[ln - 1] for ln in numbers]
-        if not body:
-            raise DataError(f"{path}: empty activation db")
-        if any(line.count(",") != 4 for line in body):
-            raise _first_malformed_line(path, numbers, body)
-        fields = ",".join(body).split(",")
-        try:
-            img, maps, values, rows, cols = (
-                np.fromiter(map(float, fields[k::5]), dtype, len(body)) if dtype is np.float64
-                else np.array(fields[k::5], dtype=dtype)
-                for k, dtype in enumerate(_DB_DTYPES))
-        except (ValueError, OverflowError):
-            raise _first_malformed_line(path, numbers, body) from None
+        body = lines[2].split("\n") if canonical else lines[2:]
+        columns = _parse_canonical(body) if canonical else None
+        img, maps, values, rows, cols = columns or _parse_per_token(path, body)
 
         order = np.lexsort((maps, img))  # stable: repeats keep their file order
         img_sorted, maps_sorted = img[order], maps[order]
         repeats = (img_sorted[1:] == img_sorted[:-1]) & (maps_sorted[1:] == maps_sorted[:-1])
         if repeats.any():
             k = order[1:][repeats].min()
+            numbers, _ = _nonempty(body)
             raise DataError(f"{path} line {numbers[k]}: repeats image {img[k]} map {maps[k]}")
         image_ids, starts, counts = np.unique(img_sorted, return_index=True, return_counts=True)
         # with no repeats, an image's maps are 0..m-1 iff each sits at its rank
@@ -150,7 +153,8 @@ class ActivationDB:
         valid = (values >= 0) & (values < np.inf)  # NaN fails both
         if not valid.all():
             k = int(valid.argmin())
-            field = fields[5 * k + 2]
+            numbers, nonempty = _nonempty(body)
+            field = nonempty[k].split(",")[2]
             if not math.isfinite(values[k]):
                 raise DataError(f"{path} line {numbers[k]}: non-finite value {field!r}")
             raise DataError(f"{path} line {numbers[k]}: negative peak {field!r}; "
@@ -162,6 +166,56 @@ class ActivationDB:
 
 DB_COLUMNS = "image_id,map,value,row,col"
 _DB_DTYPES = (np.int64, np.int64, np.float64, np.int32, np.int32)
+_DB_RECORD = np.dtype([(name, dtype) for name, dtype in zip(DB_COLUMNS.split(","), _DB_DTYPES)])
+# every byte save() writes after the header lines
+_CANONICAL_BODY = b"0123456789.,-+e\n"
+
+
+def _nonempty(body: list[str]) -> tuple[list[int], list[str]]:
+    """File line numbers and text of the nonempty lines of a DB body (file line 3 on)."""
+    numbers = [ln for ln, line in enumerate(body, start=3) if line]
+    return numbers, [body[ln - 3] for ln in numbers]
+
+
+def _parse_canonical(body: list[str]) -> tuple[np.ndarray, ...] | None:
+    """A canonical body's five columns from numpy's C text reader; None if it rejects them.
+
+    Within save()'s alphabet the reader parses the values int() and
+    float() parse, or fails: the float parse is Python's own (correctly
+    rounded), and a token an int column's dtype cannot hold is an error
+    or, on numpy 1.23-1.24, a DeprecationWarning, which counts as
+    rejection. Blank lines are skipped, so row k is the k-th nonempty
+    line; a body with none warns and is rejected.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(body, delimiter=",", dtype=_DB_RECORD, comments=None, ndmin=1)
+        except (ValueError, OverflowError, Warning):
+            return None
+    return tuple(table[name] for name in _DB_RECORD.names)
+
+
+def _parse_per_token(path, body: list[str]) -> tuple[np.ndarray, ...]:
+    """A body's five columns, a token at a time; DataError naming the first bad line.
+
+    The value column goes through float() into one np.fromiter array;
+    each int column is one numpy string cast, which accepts and rejects
+    what int() does.
+    """
+    numbers, nonempty = _nonempty(body)
+    if not nonempty:
+        raise DataError(f"{path}: empty activation db")
+    if any(line.count(",") != 4 for line in nonempty):
+        raise _first_malformed_line(path, numbers, nonempty)
+    fields = ",".join(nonempty).split(",")
+    try:
+        return tuple(
+            np.fromiter(map(float, fields[k::5]), dtype, len(nonempty)) if dtype is np.float64
+            else np.array(fields[k::5], dtype=dtype)
+            for k, dtype in enumerate(_DB_DTYPES))
+    except (ValueError, OverflowError):
+        raise _first_malformed_line(path, numbers, nonempty) from None
 
 
 def _first_malformed_line(path, numbers: list[int], body: list[str]) -> DataError:

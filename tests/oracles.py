@@ -398,7 +398,8 @@ def load_activation_db(path):
     """(image ids, values, rows, cols, layer, provenance) by the per-line parse.
 
     The earlier ActivationDB.load: a dict of dicts filled line by line
-    through int() and float(); raises the same DataError messages.
+    through int() and float(); raises the same DataError messages, and
+    like the loader rejects a header whose v is not 1.
     """
     from pathlib import Path
 
@@ -410,11 +411,13 @@ def load_activation_db(path):
         raise DataError(f"{path}: not an activation db")
     tokens = lines[0].split()[2:]
     meta = dict(t.split("=", 1) for t in tokens if "=" in t)
+    version = meta.pop("v", None)
+    if version != "1":
+        raise DataError(f"{path}: unsupported activation db version {version!r}")
     try:
         layer = int(meta.pop("layer", "0"))
     except ValueError as exc:
         raise DataError(f"{path} line 1: {exc}") from exc
-    meta.pop("v", None)
     if len(lines) < 2 or lines[1] != "image_id,map,value,row,col":
         raise DataError(f"{path}: missing column header")
     by_image: dict[int, dict[int, tuple[float, int, int]]] = {}

@@ -151,6 +151,17 @@ def test_associate_non_numeric_db_field_exits_2(tmp_path, dataset, capsys):
     assert err.startswith("error: ") and "db.csv line 3" in err
 
 
+def test_associate_db_of_another_version_exits_2(tmp_path, dataset, capsys):
+    db_path = tmp_path / "db.csv"
+    db_path.write_text("# auprobe-activation-db v=2 layer=3\n"
+                       "image_id,map,value,row,col\n0,0,1.5,1,1\n")
+    rc = main(["associate", "--db", str(db_path), "--manifest", str(dataset),
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {db_path}: unsupported activation db version '2'\n"
+
+
 def test_associate_non_utf8_db_exits_2(tmp_path, dataset, capsys):
     db_path = tmp_path / "db.csv"
     db_path.write_bytes(b"\xff\xfe\x00# auprobe-activation-db v=1 layer=3\n")

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,8 @@ def _random_db_lines(rng):
         lambda t: ",".join(t.split(",")[:1] + [str(maps + 1)] + t.split(",")[2:]),
         lambda t: ",".join(t.split(",")[:4] + [" 7"]),
         lambda t: ",".join(t.split(",")[:4] + ["1_0"]),
+        lambda t: t + "\r",  # a CRLF line ending
+        lambda t: t.replace(",", "\r,", 1),  # a lone CR inside the line
     ]
     for _ in range(int(rng.integers(0, 3))):
         k = int(rng.integers(len(lines)))
@@ -343,6 +346,117 @@ def test_db_load_int_column_parses_as_int(tmp_path, column, token):
         assert db.image_ids == sorted([1000, want])
     else:
         assert db.record(5, 0).row == want
+
+
+DB_HEADER = "# auprobe-activation-db v=1 layer=2\nimage_id,map,value,row,col\n"
+DB_TEXT = DB_HEADER + "1000,0,1.5,2,3\n5,0,2.5,4,5\n"
+
+
+@pytest.mark.parametrize("header, version", [("# auprobe-activation-db v=2 layer=3", "'2'"),
+                                             ("# auprobe-activation-db layer=3", "None")])
+def test_db_version_other_than_1_rejected(tmp_path, header, version):
+    p = tmp_path / "db.csv"
+    p.write_text(f"{header}\nimage_id,map,value,row,col\n0,0,1.5,2,3\n")
+    for load in (ActivationDB.load, load_activation_db):
+        with pytest.raises(DataError) as got:
+            load(p)
+        assert str(got.value) == f"{p}: unsupported activation db version {version}"
+
+
+def assert_loads_as_oracle(p):
+    """ActivationDB.load(p) equals the per-line oracle byte for byte, or raises its message."""
+    try:
+        image_ids, values, rows, cols, layer, meta = load_activation_db(p)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            ActivationDB.load(p)
+        assert str(got.value) == str(exc)
+        return
+    db = ActivationDB.load(p)
+    assert db.image_ids == image_ids and (db.layer, db.provenance) == (layer, meta)
+    assert db.values.tobytes() == values.tobytes()
+    assert db.rows.tobytes() == rows.tobytes() and db.cols.tobytes() == cols.tobytes()
+
+
+@pytest.fixture
+def per_token_calls(monkeypatch):
+    """A list that gets one entry each time load falls back to the per-token parse."""
+    calls, parse = [], harvest_mod._parse_per_token
+
+    def counted(*args):
+        calls.append(1)
+        return parse(*args)
+
+    monkeypatch.setattr(harvest_mod, "_parse_per_token", counted)
+    return calls
+
+
+def test_saved_db_is_read_by_the_c_reader(tmp_path, monkeypatch):
+    # every token save() writes, '+' of 1e+300 too, parses without the per-token path
+    values = np.array([[-0.0, 5e-324, 1e-300, 0.1], [1.5, 2.0, 1e300, 0.0],
+                       [0.30000000000000004, 7e2, 3.0, 1.0]])
+    rows = np.arange(12, dtype=np.int32).reshape(3, 4)
+    p = tmp_path / "db.csv"
+    ActivationDB([-7, 2**62, 10**12], values, rows, rows[::-1].copy(), 2,
+                 {"checkpoint": "abc"}).save(p)
+
+    def fail(*args):
+        raise AssertionError("per-token path used")
+
+    monkeypatch.setattr(harvest_mod, "_parse_per_token", fail)
+    assert_loads_as_oracle(p)
+
+
+def test_db_reader_warning_falls_back_to_per_token(tmp_path, monkeypatch, per_token_calls):
+    # numpy 1.23-1.24 parse '1.0' into an int column with only a DeprecationWarning
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("parsing an integer via a float", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(harvest_mod.np, "loadtxt", warning_loadtxt)
+    p = tmp_path / "db.csv"
+    p.write_text(DB_TEXT)
+    assert_loads_as_oracle(p)
+    assert len(per_token_calls) == 1
+    p.write_text(DB_HEADER + "1000,0,1.5,2,3\n5,0,2.5,1.0,5\n")
+    with pytest.raises(DataError, match=r"line 4: invalid literal for int\(\) with base 10: '1\.0'"):
+        ActivationDB.load(p)
+    assert len(per_token_calls) == 2
+
+
+@pytest.mark.parametrize("line, reader", [
+    ("1_0,0,2.5,4,5", "per-token"),
+    ("\u0661\u0662,0,2.5,4,5", "per-token"),
+    ("5,0,2.5, 7,5", "per-token"),
+    ("5,0,2.5,4,5\r", "per-token"),  # CRLF ending of one line
+    ("5,0,2.5\r,4,5", "per-token"),  # a lone CR splits the line
+    ("5,0,nan,4,5", "per-token"),
+    ("5,0,inf,4,5", "per-token"),
+    ("5,0,2.5,1.0,5", "per-token"),  # the C reader rejects it
+    ("1e3,0,2.5,4,5", "per-token"),
+    ("+5,0,+2.5,+4,5", "c"),  # in save()'s alphabet, and int() reads '+5'
+    ("5,0,1e999,4,5", "c"),  # parses to inf on both paths
+], ids=["underscore", "arabic-indic", "space", "crlf-line", "lone-cr", "nan", "inf",
+        "float-in-int", "exponent-in-int", "plus", "float-overflow"])
+def test_db_load_picks_its_parse_path(tmp_path, per_token_calls, line, reader):
+    p = tmp_path / "db.csv"
+    p.write_bytes((DB_HEADER + f"1000,0,1.5,2,3\n{line}\n").encode())
+    assert_loads_as_oracle(p)
+    assert len(per_token_calls) == (reader == "per-token")
+
+
+@pytest.mark.parametrize("text, per_token", [
+    (DB_TEXT.replace("\n", "\r\n"), 1),
+    (DB_TEXT.replace("col\n", "col\r\n"), 1),  # the body alone is in save()'s alphabet
+    (DB_TEXT.replace(" layer", "\x0c layer"), 0),  # splitlines() breaks the line: no column header
+], ids=["crlf-file", "crlf-column-line", "form-feed"])
+def test_db_line_breaks_split_as_splitlines(tmp_path, per_token_calls, text, per_token):
+    p = tmp_path / "db.csv"
+    p.write_bytes(text.encode())
+    assert_loads_as_oracle(p)
+    assert len(per_token_calls) == per_token
 
 
 def test_harvest_empty_manifest_rejected(setup):
