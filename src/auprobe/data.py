@@ -367,20 +367,13 @@ def eval_chunk(images, out_size: int = 96, dtype=np.float64, views: bool = False
 
 
 def eval_transform(image: np.ndarray, out_size: int = 96, dtype=np.float64) -> np.ndarray:
-    """eval_chunk of one image -> [1, out_size, out_size]."""
+    """eval_chunk of one image -> [1, out_size, out_size].
+
+    No code in the package calls it; it stays for the benchmark's
+    detector-recovery check (perfbench/workloads.py) and tests that
+    transform one image.
+    """
     return eval_chunk([image], out_size, dtype)[0]
-
-
-def eval_input_and_view(image: np.ndarray, out_size: int = 96,
-                        dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """eval_transform(image) and the same crop as a uint8 [S, S] view, from one resize."""
-    inputs, seen = eval_chunk([image], out_size, dtype, views=True)
-    return inputs[0], seen[0]
-
-
-def eval_view(image: np.ndarray, out_size: int = 96) -> np.ndarray:
-    """eval_input_and_view's uint8 view alone."""
-    return eval_input_and_view(image, out_size)[1]
 
 
 def eval_coordinate_map(src_size: int, out_size: int) -> tuple[float, float]:

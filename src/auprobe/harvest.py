@@ -88,13 +88,15 @@ class ActivationDB:
              expect_manifest: str | None = None) -> "ActivationDB":
         """Read a DB that save() wrote; DataError naming the file (and line) otherwise.
 
-        The header's v must be 1. A body in save()'s alphabet (digits,
-        '.', ',', '-', '+', 'e' and '\\n') is read by one np.loadtxt call,
-        numpy's C text reader, whose int and float parses agree with int()
-        and float() on that alphabet. Anything else, and any body that
-        reader rejects or warns about, goes to the per-token path
-        (_parse_per_token), which decides what the format accepts (what
-        int() and float() accept) and gives every parse error.
+        Lines are split as str.splitlines() splits them, and the header's
+        v must be 1. A body made only of save()'s characters (digits, '.',
+        ',', '-', '+' and 'e', broken by '\\n', '\\r\\n' or '\\r') is read
+        by one np.loadtxt call, numpy's C text reader, whose int and float
+        parses agree with int() and float() on that alphabet. Any other
+        body, and any body that reader rejects or warns about, is read a
+        line at a time (_parse_per_line) to the same values and messages:
+        a field is accepted if int() (or float(), for value) accepts it and
+        its column's dtype holds it.
         The checks run in this order, each naming the first offending
         line in file order: an empty body, field count and syntax, a
         repeated (image, map) row, maps of the lowest image id not
@@ -105,13 +107,7 @@ class ActivationDB:
         if not path.is_file():
             raise DataError(f"activation db not found: {path}")
         text = data_mod.read_text(path)
-        # canonical text: the two header lines and a body split at '\n'
-        # alone are what splitlines() makes of it
-        lines = text.split("\n", 2)
-        canonical = (len(lines) == 3 and "\n".join(lines[:2]).splitlines() == lines[:2]
-                     and not lines[2].encode().translate(None, _CANONICAL_BODY))
-        if not canonical:
-            lines = text.splitlines()
+        lines = text.splitlines()
         if not lines or not lines[0].startswith("# auprobe-activation-db"):
             raise DataError(f"{path}: not an activation db")
         tokens = lines[0].split()[2:]
@@ -129,9 +125,11 @@ class ActivationDB:
             raise DataError(f"{path}: produced by a different manifest")
         if len(lines) < 2 or lines[1] != DB_COLUMNS:
             raise DataError(f"{path}: missing column header")
-        body = lines[2].split("\n") if canonical else lines[2:]
-        columns = _parse_canonical(body) if canonical else None
-        img, maps, values, rows, cols = columns or _parse_per_token(path, body)
+        body = lines[2:]
+        table = _parse_c_reader(text, lines)
+        if table is None:
+            table = _parse_per_line(path, body)
+        img, maps, values, rows, cols = (table[name] for name in _DB_RECORD.names)
 
         order = np.lexsort((maps, img))  # stable: repeats keep their file order
         img_sorted, maps_sorted = img[order], maps[order]
@@ -167,8 +165,8 @@ class ActivationDB:
 DB_COLUMNS = "image_id,map,value,row,col"
 _DB_DTYPES = (np.int64, np.int64, np.float64, np.int32, np.int32)
 _DB_RECORD = np.dtype([(name, dtype) for name, dtype in zip(DB_COLUMNS.split(","), _DB_DTYPES)])
-# every byte save() writes after the header lines
-_CANONICAL_BODY = b"0123456789.,-+e\n"
+# every byte save() writes after the header lines, and the CR of a CRLF file
+_CANONICAL_BODY = b"0123456789.,-+e\n\r"
 
 
 def _nonempty(body: list[str]) -> tuple[list[int], list[str]]:
@@ -177,64 +175,51 @@ def _nonempty(body: list[str]) -> tuple[list[int], list[str]]:
     return numbers, [body[ln - 3] for ln in numbers]
 
 
-def _parse_canonical(body: list[str]) -> tuple[np.ndarray, ...] | None:
-    """A canonical body's five columns from numpy's C text reader; None if it rejects them.
+def _parse_c_reader(text: str, lines: list[str]) -> np.ndarray | None:
+    """The body of text (lines[2:]) as a _DB_RECORD table from numpy's C text reader;
+    None if it has a byte outside save()'s alphabet, or the reader rejects it.
 
-    Within save()'s alphabet the reader parses the values int() and
-    float() parse, or fails: the float parse is Python's own (correctly
-    rounded), and a token an int column's dtype cannot hold is an error
-    or, on numpy 1.23-1.24, a DeprecationWarning, which counts as
-    rejection. Blank lines are skipped, so row k is the k-th nonempty
-    line; a body with none warns and is rejected.
+    Deleting _CANONICAL_BODY's bytes from text leaves exactly what it
+    leaves of the two header lines iff their line breaks and the body
+    have no other byte; that skips joining the body's lines. Within that
+    alphabet the reader parses the values int() and float() parse, or
+    fails: the float parse is Python's own (correctly rounded), and a
+    token an int column's dtype cannot hold is an error or, on numpy
+    1.23-1.24, a DeprecationWarning, which counts as rejection. Blank
+    lines are skipped, so row k is the k-th nonempty line; a body with
+    none warns and is rejected.
     """
+    header = (lines[0] + lines[1]).encode().translate(None, _CANONICAL_BODY)
+    if text.encode().translate(None, _CANONICAL_BODY) != header:
+        return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            table = np.loadtxt(body, delimiter=",", dtype=_DB_RECORD, comments=None, ndmin=1)
+            return np.loadtxt(lines[2:], delimiter=",", dtype=_DB_RECORD, comments=None, ndmin=1)
         except (ValueError, OverflowError, Warning):
             return None
-    return tuple(table[name] for name in _DB_RECORD.names)
 
 
-def _parse_per_token(path, body: list[str]) -> tuple[np.ndarray, ...]:
-    """A body's five columns, a token at a time; DataError naming the first bad line.
+def _parse_per_line(path, body: list[str]) -> np.ndarray:
+    """A body as a _DB_RECORD table, a line at a time; DataError naming the first bad line.
 
-    The value column goes through float() into one np.fromiter array;
-    each int column is one numpy string cast, which accepts and rejects
-    what int() does.
+    Each field goes through int() (float() for value), then its column's
+    dtype, which raises OverflowError for a value it cannot hold.
     """
     numbers, nonempty = _nonempty(body)
     if not nonempty:
         raise DataError(f"{path}: empty activation db")
-    if any(line.count(",") != 4 for line in nonempty):
-        raise _first_malformed_line(path, numbers, nonempty)
-    fields = ",".join(nonempty).split(",")
-    try:
-        return tuple(
-            np.fromiter(map(float, fields[k::5]), dtype, len(nonempty)) if dtype is np.float64
-            else np.array(fields[k::5], dtype=dtype)
-            for k, dtype in enumerate(_DB_DTYPES))
-    except (ValueError, OverflowError):
-        raise _first_malformed_line(path, numbers, nonempty) from None
-
-
-def _first_malformed_line(path, numbers: list[int], body: list[str]) -> DataError:
-    """The error for the first DB line without 5 fields or with one that does not parse.
-
-    Runs only once a line count or a column cast has failed. int() and
-    float() give the messages; each value must also fit its column's
-    dtype, as in the cast.
-    """
-    for ln, line in zip(numbers, body):
-        parts = line.split(",")
-        if len(parts) != 5:
-            return DataError(f"{path} line {ln}: expected 5 fields")
+    records = []
+    for ln, line in zip(numbers, nonempty):
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise DataError(f"{path} line {ln}: expected 5 fields")
         try:
-            for text, dtype in zip(parts, _DB_DTYPES):
-                dtype((float if dtype is np.float64 else int)(text))
+            records.append(tuple(dtype((float if dtype is np.float64 else int)(text))
+                                 for text, dtype in zip(fields, _DB_DTYPES)))
         except (ValueError, OverflowError) as exc:
-            return DataError(f"{path} line {ln}: {exc}")
-    return DataError(f"{path}: a column does not parse")
+            raise DataError(f"{path} line {ln}: {exc}") from exc
+    return np.array(records, dtype=_DB_RECORD)
 
 
 # Bytes of im2col patch matrix a chunk that runs only the conv stack (harvest,

@@ -192,7 +192,7 @@ def au_summary(profiles: list[AUDistanceProfile], db: ActivationDB,
         with_au, _ = partition_by_au(manifest, prof.au_id)
         best = top_n(db, prof.argmax_map, with_au, 1)[0]
         img = data_mod.load_image(manifest, best.image_id)
-        view = data_mod.eval_view(img, config.input_size)
+        view = data_mod.eval_chunk([img], config.input_size, views=True)[1][0]
         box = receptive_field(config, db.layer, (best.row, best.col))
         exemplar = out_dir / "summary" / f"au_{prof.au_id}_exemplar.png"
         imageio.write_image(exemplar, view[box[1] : box[3] + 1, box[0] : box[2] + 1])

@@ -325,9 +325,9 @@ def map_responses_per_record(db, net, manifest, map_index: int, n: int) -> list[
     config = net.config
     out = []
     for rec in harvest.top_n(db, map_index, range(db.num_images), n):
-        image, view = data.eval_input_and_view(data.load_image(manifest, rec.image_id),
-                                               config.input_size, dtype=config.np_dtype)
-        fmap, stages = image[:, None], []
+        images, views = data.eval_chunk([data.load_image(manifest, rec.image_id)],
+                                        config.input_size, config.np_dtype, views=True)
+        fmap, stages, view = images, [], views[0]
         for conv in net.convs[: db.layer]:
             fmap, record = maxpool_forward(relu_forward(conv.forward(fmap)))
             stages.append(DeconvStage(conv, record))
@@ -394,11 +394,17 @@ def project_full_frame(trace, net, layer: int, map_index: int, locations) -> np.
     return project_stages(stages, top)[0]
 
 
+# each DB field's parse and the dtype of its column: image_id, map, value, row, col
+DB_FIELD_TYPES = ((int, np.int64), (int, np.int64), (float, np.float64), (int, np.int32),
+                  (int, np.int32))
+
+
 def load_activation_db(path):
     """(image ids, values, rows, cols, layer, provenance) by the per-line parse.
 
     The earlier ActivationDB.load: a dict of dicts filled line by line
-    through int() and float(); raises the same DataError messages, and
+    through int() and float(), each value checked against its column's
+    dtype as its line is read; raises the same DataError messages, and
     like the loader rejects a header whose v is not 1.
     """
     from pathlib import Path
@@ -427,12 +433,15 @@ def load_activation_db(path):
         parts = line.split(",")
         if len(parts) != 5:
             raise DataError(f"{path} line {ln}: expected 5 fields")
+        fields = []
         try:
-            img, j = int(parts[0]), int(parts[1])
-            entry = (float(parts[2]), int(parts[3]), int(parts[4]))
-        except ValueError as exc:
+            for text, (parse, dtype) in zip(parts, DB_FIELD_TYPES):
+                fields.append(parse(text))
+                dtype(fields[-1])  # OverflowError unless the column's dtype holds it
+        except (ValueError, OverflowError) as exc:
             raise DataError(f"{path} line {ln}: {exc}") from exc
-        by_image.setdefault(img, {})[j] = entry
+        img, j, value, row, col = fields
+        by_image.setdefault(img, {})[j] = (value, row, col)
     if not by_image:
         raise DataError(f"{path}: empty activation db")
     if len(lines) - 2 - lines[2:].count("") != sum(map(len, by_image.values())):

@@ -173,7 +173,7 @@ def test_separable_resize_equals_meshgrid_sampling(h, w):
     for size in (8, 45, 96):
         view = resize_meshgrid(img, size + 3, size + 3)[1 : 1 + size, 1 : 1 + size]
         assert np.array_equal(eval_transform(img, size), data.standardize(view)[None])
-        assert np.array_equal(data.eval_view(img, size),
+        assert np.array_equal(data.eval_chunk([img], size, views=True)[1][0],
                               np.clip(np.rint(view), 0, 255).astype(np.uint8))
 
 

@@ -265,6 +265,9 @@ def _random_db_lines(rng):
         lambda t: ",".join(t.split(",")[:4] + ["1_0"]),
         lambda t: t + "\r",  # a CRLF line ending
         lambda t: t.replace(",", "\r,", 1),  # a lone CR inside the line
+        lambda t: ",".join(t.split(",")[:3] + ["2147483648"] + t.split(",")[4:]),  # int32 row
+        lambda t: ",".join(t.split(",")[:4] + ["2147483648"]),  # int32 col
+        lambda t: "9223372036854775808," + t.split(",", 1)[1],  # int64 image id
     ]
     for _ in range(int(rng.integers(0, 3))):
         k = int(rng.integers(len(lines)))
@@ -379,35 +382,64 @@ def assert_loads_as_oracle(p):
 
 
 @pytest.fixture
-def per_token_calls(monkeypatch):
-    """A list that gets one entry each time load falls back to the per-token parse."""
-    calls, parse = [], harvest_mod._parse_per_token
+def per_line_calls(monkeypatch):
+    """A list that gets one entry each time load falls back to the per-line parse."""
+    calls, parse = [], harvest_mod._parse_per_line
 
     def counted(*args):
         calls.append(1)
         return parse(*args)
 
-    monkeypatch.setattr(harvest_mod, "_parse_per_token", counted)
+    monkeypatch.setattr(harvest_mod, "_parse_per_line", counted)
     return calls
 
 
-def test_saved_db_is_read_by_the_c_reader(tmp_path, monkeypatch):
-    # every token save() writes, '+' of 1e+300 too, parses without the per-token path
+def save_every_token(p):
+    """Save a DB with every kind of token save() writes: signed zero, a subnormal,
+    '+' of 1e+300, negative and large ids."""
     values = np.array([[-0.0, 5e-324, 1e-300, 0.1], [1.5, 2.0, 1e300, 0.0],
                        [0.30000000000000004, 7e2, 3.0, 1.0]])
     rows = np.arange(12, dtype=np.int32).reshape(3, 4)
-    p = tmp_path / "db.csv"
     ActivationDB([-7, 2**62, 10**12], values, rows, rows[::-1].copy(), 2,
                  {"checkpoint": "abc"}).save(p)
 
-    def fail(*args):
-        raise AssertionError("per-token path used")
 
-    monkeypatch.setattr(harvest_mod, "_parse_per_token", fail)
+def fail_per_line(*args):
+    raise AssertionError("per-line parse used")
+
+
+def test_saved_db_is_read_by_the_c_reader(tmp_path, monkeypatch):
+    p = tmp_path / "db.csv"
+    save_every_token(p)
+    monkeypatch.setattr(harvest_mod, "_parse_per_line", fail_per_line)
     assert_loads_as_oracle(p)
 
 
-def test_db_reader_warning_falls_back_to_per_token(tmp_path, monkeypatch, per_token_calls):
+def test_crlf_copy_of_a_saved_db_is_read_by_the_c_reader(tmp_path, monkeypatch):
+    # splitlines() drops the CRs, so the body's lines stay in save()'s alphabet
+    p = tmp_path / "db.csv"
+    save_every_token(p)
+    p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+    monkeypatch.setattr(harvest_mod, "_parse_per_line", fail_per_line)
+    assert_loads_as_oracle(p)
+
+
+@pytest.mark.parametrize("where", ["mid-line", "line-end"])
+def test_c_reader_refuses_every_character_outside_saves_alphabet(tmp_path, where):
+    # line breaks included: a body the C reader takes has only the characters save() writes
+    p = tmp_path / "db.csv"
+    for code in [*range(128), 0x85, 0xE9, 0x661, 0x2028]:
+        char = chr(code)
+        if char in "0123456789.,-+e" or (where == "line-end" and char in "\r\n"):
+            continue
+        line = "5,0,2" + char + ".5,4,5" if where == "mid-line" else "5,0,2.5,4,5" + char
+        text = DB_HEADER + f"1000,0,1.5,2,3\n{line}\n"
+        assert harvest_mod._parse_c_reader(text, text.splitlines()) is None, repr(char)
+        p.write_bytes(text.encode())
+        assert_loads_as_oracle(p)
+
+
+def test_db_reader_warning_falls_back_to_per_line(tmp_path, monkeypatch, per_line_calls):
     # numpy 1.23-1.24 parse '1.0' into an int column with only a DeprecationWarning
     loadtxt = np.loadtxt
 
@@ -419,44 +451,44 @@ def test_db_reader_warning_falls_back_to_per_token(tmp_path, monkeypatch, per_to
     p = tmp_path / "db.csv"
     p.write_text(DB_TEXT)
     assert_loads_as_oracle(p)
-    assert len(per_token_calls) == 1
+    assert len(per_line_calls) == 1
     p.write_text(DB_HEADER + "1000,0,1.5,2,3\n5,0,2.5,1.0,5\n")
     with pytest.raises(DataError, match=r"line 4: invalid literal for int\(\) with base 10: '1\.0'"):
         ActivationDB.load(p)
-    assert len(per_token_calls) == 2
+    assert len(per_line_calls) == 2
 
 
 @pytest.mark.parametrize("line, reader", [
-    ("1_0,0,2.5,4,5", "per-token"),
-    ("\u0661\u0662,0,2.5,4,5", "per-token"),
-    ("5,0,2.5, 7,5", "per-token"),
-    ("5,0,2.5,4,5\r", "per-token"),  # CRLF ending of one line
-    ("5,0,2.5\r,4,5", "per-token"),  # a lone CR splits the line
-    ("5,0,nan,4,5", "per-token"),
-    ("5,0,inf,4,5", "per-token"),
-    ("5,0,2.5,1.0,5", "per-token"),  # the C reader rejects it
-    ("1e3,0,2.5,4,5", "per-token"),
+    ("1_0,0,2.5,4,5", "per-line"),
+    ("\u0661\u0662,0,2.5,4,5", "per-line"),
+    ("5,0,2.5, 7,5", "per-line"),
+    ("5,0,2.5,4,5\r", "c"),  # CRLF ending of one line: splitlines() drops it
+    ("5,0,2.5\r,4,5", "per-line"),  # a lone CR splits the line; the C reader rejects the parts
+    ("5,0,nan,4,5", "per-line"),
+    ("5,0,inf,4,5", "per-line"),
+    ("5,0,2.5,1.0,5", "per-line"),  # the C reader rejects it
+    ("1e3,0,2.5,4,5", "per-line"),
     ("+5,0,+2.5,+4,5", "c"),  # in save()'s alphabet, and int() reads '+5'
     ("5,0,1e999,4,5", "c"),  # parses to inf on both paths
 ], ids=["underscore", "arabic-indic", "space", "crlf-line", "lone-cr", "nan", "inf",
         "float-in-int", "exponent-in-int", "plus", "float-overflow"])
-def test_db_load_picks_its_parse_path(tmp_path, per_token_calls, line, reader):
+def test_db_load_picks_its_parse_path(tmp_path, per_line_calls, line, reader):
     p = tmp_path / "db.csv"
     p.write_bytes((DB_HEADER + f"1000,0,1.5,2,3\n{line}\n").encode())
     assert_loads_as_oracle(p)
-    assert len(per_token_calls) == (reader == "per-token")
+    assert len(per_line_calls) == (reader == "per-line")
 
 
-@pytest.mark.parametrize("text, per_token", [
-    (DB_TEXT.replace("\n", "\r\n"), 1),
-    (DB_TEXT.replace("col\n", "col\r\n"), 1),  # the body alone is in save()'s alphabet
+@pytest.mark.parametrize("text, per_line", [
+    (DB_TEXT.replace("\n", "\r\n"), 0),
+    (DB_TEXT.replace("col\n", "col\r\n"), 0),
     (DB_TEXT.replace(" layer", "\x0c layer"), 0),  # splitlines() breaks the line: no column header
 ], ids=["crlf-file", "crlf-column-line", "form-feed"])
-def test_db_line_breaks_split_as_splitlines(tmp_path, per_token_calls, text, per_token):
+def test_db_line_breaks_split_as_splitlines(tmp_path, per_line_calls, text, per_line):
     p = tmp_path / "db.csv"
     p.write_bytes(text.encode())
     assert_loads_as_oracle(p)
-    assert len(per_token_calls) == per_token
+    assert len(per_line_calls) == per_line
 
 
 def test_harvest_empty_manifest_rejected(setup):
