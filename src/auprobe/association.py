@@ -88,8 +88,6 @@ def profile(db: ActivationDB, manifest: DatasetManifest, au_id: int,
         raise DataError(
             f"activation db covers {db.num_images} images, manifest has {len(manifest)}"
         )
-    if db.image_ids != list(range(len(manifest))):
-        raise DataError("activation db image ids are not the manifest's row indices")
     if n < 1:
         raise DataError(f"top-n count must be at least 1, got {n}")
     with_au, without = partition_by_au(manifest, au_id)

@@ -229,8 +229,9 @@ def _load_db(path, manifest: data.DatasetManifest,
              net: model.Network | None) -> harvest_mod.ActivationDB:
     """The activation DB at path, which must come from manifest (and net, if given).
 
-    Every peak must lie in a manifest image and in the grid of the DB's
-    layer: the net's, or without a net the one harvest.recorded_config reads.
+    Every peak must lie in a manifest image (so the DB's images 0..n-1 may
+    not outnumber its rows) and in the grid of the DB's layer: the net's,
+    or without a net the one harvest.recorded_config reads.
     """
     db = harvest_mod.ActivationDB.load(
         path, expect_checkpoint=model.checkpoint_hash(net) if net is not None else None,
@@ -239,7 +240,7 @@ def _load_db(path, manifest: data.DatasetManifest,
     grids = config.stage_sizes()
     if not (1 <= db.layer <= len(grids)
             and db.num_maps == config.conv_channels[db.layer - 1]
-            and 0 <= min(db.image_ids) and max(db.image_ids) < len(manifest)
+            and db.num_images <= len(manifest)
             and all(((0 <= a) & (a < grids[db.layer - 1])).all() for a in (db.rows, db.cols))):
         raise DataError(f"{path}: peaks outside the manifest or the layer {db.layer} maps "
                         f"of the {'checkpoint' if net is not None else 'recorded geometry'}")

@@ -503,6 +503,9 @@ class SyntheticSpec:
                 raise DataError(f"class {cls!r} references undefined units {sorted(missing)}")
         if self.samples_per_class < 1 or self.seed < 0:
             raise DataError("samples_per_class must be >= 1 and seed >= 0")
+        r = self.intensity_range
+        if not (len(r) == 2 and -np.inf < r[0] <= r[1] < np.inf):
+            raise DataError(f"intensity_range {list(r)} must be two finite numbers, low <= high")
 
     def unit_by_id(self, unit_id: int) -> UnitSpec:
         for u in self.units:

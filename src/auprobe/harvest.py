@@ -33,34 +33,35 @@ class ActivationRecord:
 
 
 class ActivationDB:
-    """Peak activations for one (network, dataset) pair, indexed both ways."""
+    """harvest's [images, maps] table of peaks; an image id is its row (and manifest) index."""
 
-    def __init__(self, image_ids: list[int], values: np.ndarray, rows: np.ndarray,
-                 cols: np.ndarray, layer: int, provenance: dict[str, str]):
-        self.image_ids = list(image_ids)
+    def __init__(self, values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 layer: int, provenance: dict[str, str]):
         self.values = values
         self.rows = rows
         self.cols = cols
         self.layer = layer
         self.provenance = dict(provenance)
-        self._index_of = {img: i for i, img in enumerate(self.image_ids)}
+
+    @property
+    def image_ids(self) -> list[int]:
+        return list(range(self.num_images))
 
     @property
     def num_images(self) -> int:
-        return len(self.image_ids)
+        return len(self.values)
 
     @property
     def num_maps(self) -> int:
         return self.values.shape[1]
 
     def record(self, image_id: int, map_index: int) -> ActivationRecord:
-        i = self._index_of[image_id]
         return ActivationRecord(
             image_id=image_id,
             map_index=map_index,
-            value=float(self.values[i, map_index]),
-            row=int(self.rows[i, map_index]),
-            col=int(self.cols[i, map_index]),
+            value=float(self.values[image_id, map_index]),
+            row=int(self.rows[image_id, map_index]),
+            col=int(self.cols[image_id, map_index]),
         )
 
     # ------------------------------------------------------- persistence
@@ -73,7 +74,7 @@ class ActivationDB:
         """
         m = self.num_maps
         body = map("{},{},{},{},{}\n".format,
-                   itertools.chain.from_iterable(itertools.repeat(img, m) for img in self.image_ids),
+                   np.arange(self.num_images).repeat(m).tolist(),
                    itertools.cycle(range(m)),
                    map(repr, self.values.ravel().tolist()),
                    self.rows.ravel().tolist(), self.cols.ravel().tolist())
@@ -97,11 +98,13 @@ class ActivationDB:
         line at a time (_parse_per_line) to the same values and messages:
         a field is accepted if int() (or float(), for value) accepts it and
         its column's dtype holds it.
-        The checks run in this order, each naming the first offending
-        line in file order: an empty body, field count and syntax, a
-        repeated (image, map) row, maps of the lowest image id not
-        0..m-1, an image with another map set, a negative or non-finite
-        peak.
+        The rows must be laid out as save() writes harvest's table:
+        nonempty body line k holds image k // m and map k % m, where m
+        counts the rows of image 0 that lead the body. The checks run in
+        this order, each naming the first offending line in file order (a
+        missing last row, the line after the end): an empty body, field
+        count and syntax, a row out of that layout, a negative or
+        non-finite peak.
         """
         path = Path(path)
         if not path.is_file():
@@ -130,24 +133,17 @@ class ActivationDB:
         if table is None:
             table = _parse_per_line(path, body)
         img, maps, values, rows, cols = (table[name] for name in _DB_RECORD.names)
-
-        order = np.lexsort((maps, img))  # stable: repeats keep their file order
-        img_sorted, maps_sorted = img[order], maps[order]
-        repeats = (img_sorted[1:] == img_sorted[:-1]) & (maps_sorted[1:] == maps_sorted[:-1])
-        if repeats.any():
-            k = order[1:][repeats].min()
+        other = img != 0
+        m = max(1, int(other.argmax())) if other.any() else len(img)  # image 0's leading rows
+        k = np.arange(len(img))
+        misplaced = (img != k // m) | (maps != k % m)
+        if misplaced.any() or len(img) % m:
+            k = int(misplaced.argmax()) if misplaced.any() else len(img)
             numbers, _ = _nonempty(body)
-            raise DataError(f"{path} line {numbers[k]}: repeats image {img[k]} map {maps[k]}")
-        image_ids, starts, counts = np.unique(img_sorted, return_index=True, return_counts=True)
-        # with no repeats, an image's maps are 0..m-1 iff each sits at its rank
-        in_place = maps_sorted == np.arange(len(order)) - np.repeat(starts, counts)
-        num_maps = int(counts[0])
-        if not in_place[:num_maps].all():
-            raise DataError(f"{path}: map indices are not dense")
-        other_set = (counts != num_maps) | ~np.logical_and.reduceat(in_place, starts)
-        if other_set.any():
-            raise DataError(f"{path}: image {image_ids[other_set.argmax()]} "
-                            "has a different map set")
+            where, found = ((numbers[k], f"image {img[k]} map {maps[k]}") if k < len(img)
+                            else (len(lines) + 1, "the end of the file"))
+            raise DataError(f"{path} line {where}: expected image {k // m} map {k % m}, "
+                            f"found {found}")
         valid = (values >= 0) & (values < np.inf)  # NaN fails both
         if not valid.all():
             k = int(valid.argmin())
@@ -157,9 +153,8 @@ class ActivationDB:
                 raise DataError(f"{path} line {numbers[k]}: non-finite value {field!r}")
             raise DataError(f"{path} line {numbers[k]}: negative peak {field!r}; "
                             "peaks are maxima of ReLU outputs")
-        shape = (len(image_ids), num_maps)
-        return cls(image_ids.tolist(), values[order].reshape(shape),
-                   rows[order].reshape(shape), cols[order].reshape(shape), layer, meta)
+        shape = (len(img) // m, m)
+        return cls(values.reshape(shape), rows.reshape(shape), cols.reshape(shape), layer, meta)
 
 
 DB_COLUMNS = "image_id,map,value,row,col"
@@ -282,7 +277,7 @@ def harvest(net: Network, manifest: DatasetManifest,
         "conv_channels": ";".join(str(c) for c in net.config.conv_channels),
         "kernel_size": str(net.config.kernel_size),
     }
-    return ActivationDB(list(range(n)), values, rows, cols, layer, provenance)
+    return ActivationDB(values, rows, cols, layer, provenance)
 
 
 def recorded_config(db: ActivationDB) -> model_mod.ModelConfig:
@@ -305,8 +300,9 @@ def recorded_config(db: ActivationDB) -> model_mod.ModelConfig:
 def top_n(db: ActivationDB, map_index: int, subset, n: int) -> list[ActivationRecord]:
     """The n largest peak activations of one map over an image subset.
 
-    Sorted by value descending; equal values order by smaller image id.
-    Returns fewer than n records when the subset is smaller than n.
+    Each id must be a row of the table. Sorted by value descending; equal
+    values order by smaller image id. Returns fewer than n records when
+    the subset is smaller than n.
     """
     if n < 1:
         raise DataError(f"top-n count must be at least 1, got {n}")
@@ -315,12 +311,11 @@ def top_n(db: ActivationDB, map_index: int, subset, n: int) -> list[ActivationRe
         raise DataError("top_n needs a nonempty image subset")
     if not 0 <= map_index < db.num_maps:
         raise DataError(f"map {map_index} outside 0..{db.num_maps - 1}")
-    try:
-        rows = np.fromiter(map(db._index_of.__getitem__, ids), np.intp, len(ids))
-    except KeyError:
-        missing = [i for i in ids if i not in db._index_of]
-        raise DataError(f"image ids not in activation db: {missing[:5]}") from None
-    order = np.lexsort((ids, -db.values[rows, map_index]))[:n]
+    if ids[0] < 0 or ids[-1] >= db.num_images:
+        missing = [i for i in ids if not 0 <= i < db.num_images]
+        raise DataError(f"image ids not in activation db: {missing[:5]}")
+    # ids ascend, so a stable sort breaks ties by the smaller id
+    order = np.argsort(-db.values[ids, map_index], kind="stable")[:n]
     return [db.record(ids[i], map_index) for i in order]
 
 

@@ -612,13 +612,13 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Network
         raise data_mod.DataError(f"{path}: truncated checkpoint header")
     try:
         header = json.loads(blob[len(CHECKPOINT_MAGIC) : end].decode("utf-8"))
+        # before the config: another version's config may have other fields
+        if header["version"] != 1:
+            raise data_mod.DataError(f"{path}: unsupported checkpoint version {header['version']}")
         config = _config_from_header(header["config"])
         declared = [(spec["name"], tuple(spec["shape"])) for spec in header["params"]]
-        version = header["version"]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise data_mod.DataError(f"{path}: malformed checkpoint header: {exc}") from exc
-    if version != 1:
-        raise data_mod.DataError(f"{path}: unsupported checkpoint version {version}")
     if expected_config is not None and config != expected_config:
         diffs = [
             f"{key}: checkpoint={getattr(config, key)!r} expected={getattr(expected_config, key)!r}"

@@ -402,10 +402,12 @@ DB_FIELD_TYPES = ((int, np.int64), (int, np.int64), (float, np.float64), (int, n
 def load_activation_db(path):
     """(image ids, values, rows, cols, layer, provenance) by the per-line parse.
 
-    The earlier ActivationDB.load: a dict of dicts filled line by line
-    through int() and float(), each value checked against its column's
-    dtype as its line is read; raises the same DataError messages, and
-    like the loader rejects a header whose v is not 1.
+    Each line is read through int() and float(), each value checked
+    against its column's dtype as its line is read; then the lines are
+    walked in file order against harvest's layout (image-major, images
+    0..n-1, maps 0..m-1 for m leading rows of image 0). Raises the same
+    DataError messages as ActivationDB.load, and like it rejects a header
+    whose v is not 1.
     """
     from pathlib import Path
 
@@ -426,7 +428,7 @@ def load_activation_db(path):
         raise DataError(f"{path} line 1: {exc}") from exc
     if len(lines) < 2 or lines[1] != "image_id,map,value,row,col":
         raise DataError(f"{path}: missing column header")
-    by_image: dict[int, dict[int, tuple[float, int, int]]] = {}
+    records = []  # (line number, image, map, value, row, col)
     for ln, line in enumerate(lines[2:], start=3):
         if not line:
             continue
@@ -440,42 +442,35 @@ def load_activation_db(path):
                 dtype(fields[-1])  # OverflowError unless the column's dtype holds it
         except (ValueError, OverflowError) as exc:
             raise DataError(f"{path} line {ln}: {exc}") from exc
-        img, j, value, row, col = fields
-        by_image.setdefault(img, {})[j] = (value, row, col)
-    if not by_image:
+        records.append((ln, *fields))
+    if not records:
         raise DataError(f"{path}: empty activation db")
-    if len(lines) - 2 - lines[2:].count("") != sum(map(len, by_image.values())):
-        seen = set()
-        for ln, line in enumerate(lines[2:], start=3):
-            if not line:
-                continue
-            key = tuple(int(f) for f in line.split(",")[:2])
-            if key in seen:
-                raise DataError(f"{path} line {ln}: repeats image {key[0]} map {key[1]}")
-            seen.add(key)
-    image_ids = sorted(by_image)
-    maps = sorted(by_image[image_ids[0]])
-    num_maps = len(maps)
-    if maps != list(range(num_maps)):
-        raise DataError(f"{path}: map indices are not dense")
-    values = np.zeros((len(image_ids), num_maps))
-    rows = np.zeros((len(image_ids), num_maps), dtype=np.int32)
-    cols = np.zeros((len(image_ids), num_maps), dtype=np.int32)
-    for i, img in enumerate(image_ids):
-        if sorted(by_image[img]) != maps:
-            raise DataError(f"{path}: image {img} has a different map set")
-        for j in maps:
-            values[i, j], rows[i, j], cols[i, j] = by_image[img][j]
-    if not ((values >= 0) & (values < np.inf)).all():
-        for ln, line in enumerate(lines[2:], start=3):
-            field = line.split(",")[2] if line else "0"
-            value = float(field)
-            if not math.isfinite(value):
-                raise DataError(f"{path} line {ln}: non-finite value {field!r}")
-            if value < 0:
-                raise DataError(f"{path} line {ln}: negative peak {field!r}; "
-                                "peaks are maxima of ReLU outputs")
-    return image_ids, values, rows, cols, layer, meta
+    num_maps = 0
+    while num_maps < len(records) and records[num_maps][1] == 0:
+        num_maps += 1
+    num_maps = max(num_maps, 1)
+    num_images = -(-len(records) // num_maps)
+    for k in range(num_images * num_maps):
+        want = (k // num_maps, k % num_maps)
+        if k == len(records):
+            raise DataError(f"{path} line {len(lines) + 1}: expected image {want[0]} "
+                            f"map {want[1]}, found the end of the file")
+        ln, img, j = records[k][:3]
+        if (img, j) != want:
+            raise DataError(f"{path} line {ln}: expected image {want[0]} map {want[1]}, "
+                            f"found image {img} map {j}")
+    for ln, _, _, value, _, _ in records:
+        field = lines[ln - 1].split(",")[2]
+        if not math.isfinite(value):
+            raise DataError(f"{path} line {ln}: non-finite value {field!r}")
+        if value < 0:
+            raise DataError(f"{path} line {ln}: negative peak {field!r}; "
+                            "peaks are maxima of ReLU outputs")
+    shape = (num_images, num_maps)
+    values = np.array([r[3] for r in records]).reshape(shape)
+    rows = np.array([r[4] for r in records], dtype=np.int32).reshape(shape)
+    cols = np.array([r[5] for r in records], dtype=np.int32).reshape(shape)
+    return list(range(num_images)), values, rows, cols, layer, meta
 
 
 def save_activation_db_text(db) -> str:

@@ -324,29 +324,36 @@ def test_deconv_db_of_another_checkpoint_exits_2(tmp_path, dataset, config_file,
     assert not (tmp_path / "dec").exists()
 
 
-@pytest.mark.parametrize("field,value", [(0, "12"), (3, "6"), (4, "-1")],
-                         ids=["image-outside-manifest", "row-outside-grid", "negative-col"])
+def _set_field(lines, key, match, field, value):
+    """A DB's lines with value in field of each body line whose field key is match."""
+    rows = [line.split(",") for line in lines[2:]]
+    return lines[:2] + [",".join(f[:field] + [value] + f[field + 1:]) if f[key] == match
+                        else ",".join(f) for f in rows]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: _set_field(t, 0, "11", 0, "12"), "expected image 11 map 0, found image 12 map 0"),
+    (lambda t: t + ["12," + line.split(",", 1)[1] for line in t if line.startswith("11,")],
+     "peaks outside the manifest"),
+    (lambda t: _set_field(t, 1, "0", 3, "6"), "peaks outside the manifest"),
+    (lambda t: _set_field(t, 1, "0", 4, "-1"), "peaks outside the manifest"),
+], ids=["image-outside-manifest", "image-appended", "row-outside-grid", "negative-col"])
 def test_deconv_db_peak_outside_the_network_exits_2(tmp_path, dataset, config_file, capsys,
-                                                    field, value):
+                                                    edit, message):
+    # the 12-image DB's image 11 becomes 12 (out of the layout, at load), a 13th image
+    # follows it (in the layout, past the manifest), or every map-0 peak moves
     ckpt = tmp_path / "run.ckpt"
     db_path = tmp_path / "db.csv"
     model.save_checkpoint(model.build_network(parse_config_file(config_file)[0]), ckpt)
     assert main(["harvest", "--checkpoint", str(ckpt), "--manifest", str(dataset),
                  "--out", str(db_path)]) == 0
-    lines = db_path.read_text().splitlines()
-    # image 11 becomes 12 in every row, or every map-0 peak moves
-    for k, line in enumerate(lines[2:], start=2):
-        fields = line.split(",")
-        if fields[0] == "11" if field == 0 else fields[1] == "0":
-            fields[field] = value
-            lines[k] = ",".join(fields)
-    db_path.write_text("\n".join(lines) + "\n")
+    db_path.write_text("\n".join(edit(db_path.read_text().splitlines())) + "\n")
     capsys.readouterr()
     rc = main(["deconv", "--checkpoint", str(ckpt), "--manifest", str(dataset),
                "--map", "0", "--db", str(db_path), "--out", str(tmp_path / "dec")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "peaks outside the manifest" in err
+    assert err.count("\n") == 1 and message in err
 
 
 def test_deconv_map_out_of_range_exits_2_before_harvest(tmp_path, dataset, config_file,

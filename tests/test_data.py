@@ -578,7 +578,7 @@ def test_artifact_writers_keep_earlier_file_on_failure(tmp_path, monkeypatch):
 
     net = model.build_network(model.ModelConfig(input_size=16, conv_channels=(2, 3),
                                                 fc_hidden=4, num_classes=2))
-    db = ActivationDB([0, 1], np.array([[1.0, 2.0], [3.0, 0.5]]), np.zeros((2, 2), np.int32),
+    db = ActivationDB(np.array([[1.0, 2.0], [3.0, 0.5]]), np.zeros((2, 2), np.int32),
                       np.ones((2, 2), np.int32), 2, {"checkpoint": "c"})
     prof = association.AUDistanceProfile(au_id=1, distances=np.array([0.5, 2.0]),
                                          argmax_map=1, n=3, provenance={})

@@ -60,6 +60,7 @@ def test_db_csv_roundtrip(tmp_path, setup):
     p = tmp_path / "db.csv"
     db.save(p)
     again = ActivationDB.load(p)
+    assert again.image_ids == db.image_ids == list(range(len(manifest)))
     np.testing.assert_array_equal(db.values, again.values)
     np.testing.assert_array_equal(db.rows, again.rows)
     np.testing.assert_array_equal(db.cols, again.cols)
@@ -133,11 +134,13 @@ def test_db_negative_zero_loads(tmp_path):
 
 @pytest.mark.parametrize("first", ["nan", "2.0"])
 def test_db_repeated_image_map_is_data_error(tmp_path, first):
-    # a repeated (image, map) row would overwrite the first one, NaN or not
+    # a repeated (image, map) row would overwrite the first one, NaN or not; it is out of
+    # the layout, and that check runs before the value checks
     p = tmp_path / "db.csv"
     p.write_text("# auprobe-activation-db v=1 layer=3\nimage_id,map,value,row,col\n"
                  f"0,0,{first},0,0\n\n1,0,1.0,0,0\n\n0,0,5.0,0,0\n")
-    with pytest.raises(DataError, match=r"db\.csv line 7: repeats image 0 map 0"):
+    with pytest.raises(DataError, match=r"db\.csv line 7: expected image 2 map 0, "
+                                        r"found image 0 map 0$"):
         ActivationDB.load(p)
 
 
@@ -248,12 +251,12 @@ def test_harvest_nan_image_names_that_image(setup, four_image_chunks, monkeypatc
 
 
 def _random_db_lines(rng):
+    """A DB body in harvest's layout, often edited out of it or given a bad field."""
     images, maps = int(rng.integers(1, 7)), int(rng.integers(1, 5))
-    ids = rng.choice(50, images, replace=False) - 5  # negative ids parse too
+    first = int(rng.random() < 0.1)  # or start at image 1
     values = ["-0.0", "0.0", "1.5", "2", "1e-300", "0.30000000000000004", "7e2"]
     lines = [f"{i},{j},{rng.choice(values)},{rng.integers(0, 9)},{rng.integers(0, 9)}"
-             for i in ids for j in range(maps)]
-    rng.shuffle(lines)
+             for i in range(first, first + images) for j in range(maps)]
     corrupt = [
         lambda t: "1,2,3,4", lambda t: t + ",5", lambda t: t.replace(",", ",x", 1),
         lambda t: t.split(",", 1)[0] + ",1.0," + t.split(",", 2)[2],
@@ -268,14 +271,20 @@ def _random_db_lines(rng):
         lambda t: ",".join(t.split(",")[:3] + ["2147483648"] + t.split(",")[4:]),  # int32 row
         lambda t: ",".join(t.split(",")[:4] + ["2147483648"]),  # int32 col
         lambda t: "9223372036854775808," + t.split(",", 1)[1],  # int64 image id
+        lambda t: "-7," + t.split(",", 1)[1],  # a negative image id
     ]
     for _ in range(int(rng.integers(0, 3))):
         k = int(rng.integers(len(lines)))
         lines[k] = corrupt[int(rng.integers(len(corrupt)))](lines[k])
-    if rng.random() < 0.3:
-        lines.insert(int(rng.integers(len(lines) + 1)), lines[int(rng.integers(len(lines)))])
     if rng.random() < 0.2:
-        lines = [t for t in lines if not t.startswith(f"{ids[-1]},")] or lines
+        a, b = rng.integers(len(lines), size=2)
+        lines[a], lines[b] = lines[b], lines[a]
+    if rng.random() < 0.2:
+        lines.insert(int(rng.integers(len(lines) + 1)), lines[int(rng.integers(len(lines)))])
+    if rng.random() < 0.2 and len(lines) > 1:
+        del lines[int(rng.integers(len(lines)))]
+    if rng.random() < 0.1:
+        lines = [t for t in lines if not t.startswith(f"{first + images - 1},")] or lines
     for _ in range(int(rng.integers(0, 3))):
         lines.insert(int(rng.integers(len(lines) + 1)), "")
     if rng.random() < 0.05:
@@ -309,33 +318,34 @@ def test_db_load_equals_per_line_parse(tmp_path):
 
 
 def test_db_save_equals_per_line_format(tmp_path):
-    # signed zero, the smallest subnormal, tiny and float32-origin values; negative and large ids
+    # signed zero, the smallest subnormal, tiny and float32-origin values
     values = np.array([[-0.0, 5e-324, 1e-300, 0.1], [1.5, 2.0, 1e300, 0.0],
                        [0.30000000000000004, 7e2, 3.0, 1.0]])
     rows = np.arange(12, dtype=np.int32).reshape(3, 4)
     cols = rows[::-1].copy()
-    ids = [-7, 2**62, 10**12]
     provenance = {"checkpoint": "abc", "manifest": "def"}
     f32 = np.float32(np.random.default_rng(3).uniform(0, 9, (3, 4)))
     for vals in (values, f32, f32.astype(np.float64)):
-        db = ActivationDB(ids, vals, rows, cols, 2, provenance)
+        db = ActivationDB(vals, rows, cols, 2, provenance)
         db.save(tmp_path / "db.csv")
         assert (tmp_path / "db.csv").read_text() == save_activation_db_text(db)
 
 
-INT_TOKENS = ["7", "-0", "+5", " 7", "7 ", "\t3", "1_0", "_1", "1__0", "1_", "\u0661\u0662", "1.0",
-              "1e3", "", "0x10", "010", "nan", "2147483647", "2147483648", "-2147483649",
-              "9223372036854775807", "9223372036854775808", "-9223372036854775809"]
+INT_TOKENS = ["1", "7", "-0", "+1", "+5", " 7", "7 ", "\t3", "0_1", "1_0", "_1", "1__0", "1_",
+              "\u0661", "\u0661\u0662", "1.0", "1e3", "", "0x10", "010", "nan", "2147483647",
+              "2147483648", "-2147483649", "9223372036854775807", "9223372036854775808",
+              "-9223372036854775809"]
 
 
 @pytest.mark.parametrize("column", ["image_id", "row"])
 @pytest.mark.parametrize("token", INT_TOKENS)
 def test_db_load_int_column_parses_as_int(tmp_path, column, token):
-    # the int64 id and int32 row columns accept what int() accepts and the dtype holds
-    line = f"{token},0,2.5,4,5" if column == "image_id" else f"5,0,2.5,{token},5"
+    # the int64 id and int32 row columns accept what int() accepts and the dtype holds;
+    # an id that parses to anything but 1 is out of the layout, and the message names it
+    line = f"{token},0,2.5,4,5" if column == "image_id" else f"1,0,2.5,{token},5"
     p = tmp_path / "db.csv"
     p.write_text("# auprobe-activation-db v=1 layer=2\n"
-                 f"image_id,map,value,row,col\n1000,0,1.5,2,3\n{line}\n")
+                 f"image_id,map,value,row,col\n0,0,1.5,2,3\n{line}\n")
     dtype = np.int64 if column == "image_id" else np.int32
     try:
         want = int(dtype(int(token)))
@@ -344,15 +354,18 @@ def test_db_load_int_column_parses_as_int(tmp_path, column, token):
             ActivationDB.load(p)
         assert str(got.value) == f"{p} line 4: {exc}"
         return
-    db = ActivationDB.load(p)
-    if column == "image_id":
-        assert db.image_ids == sorted([1000, want])
+    if column == "row":
+        assert ActivationDB.load(p).record(1, 0).row == want
+    elif want == 1:
+        assert ActivationDB.load(p).image_ids == [0, 1]
     else:
-        assert db.record(5, 0).row == want
+        with pytest.raises(DataError) as got:
+            ActivationDB.load(p)
+        assert str(got.value).endswith(f"found image {want} map 0")
 
 
 DB_HEADER = "# auprobe-activation-db v=1 layer=2\nimage_id,map,value,row,col\n"
-DB_TEXT = DB_HEADER + "1000,0,1.5,2,3\n5,0,2.5,4,5\n"
+DB_TEXT = DB_HEADER + "0,0,1.5,2,3\n1,0,2.5,4,5\n"
 
 
 @pytest.mark.parametrize("header, version", [("# auprobe-activation-db v=2 layer=3", "'2'"),
@@ -396,12 +409,11 @@ def per_line_calls(monkeypatch):
 
 def save_every_token(p):
     """Save a DB with every kind of token save() writes: signed zero, a subnormal,
-    '+' of 1e+300, negative and large ids."""
+    '+' of 1e+300."""
     values = np.array([[-0.0, 5e-324, 1e-300, 0.1], [1.5, 2.0, 1e300, 0.0],
                        [0.30000000000000004, 7e2, 3.0, 1.0]])
     rows = np.arange(12, dtype=np.int32).reshape(3, 4)
-    ActivationDB([-7, 2**62, 10**12], values, rows, rows[::-1].copy(), 2,
-                 {"checkpoint": "abc"}).save(p)
+    ActivationDB(values, rows, rows[::-1].copy(), 2, {"checkpoint": "abc"}).save(p)
 
 
 def fail_per_line(*args):
@@ -432,8 +444,8 @@ def test_c_reader_refuses_every_character_outside_saves_alphabet(tmp_path, where
         char = chr(code)
         if char in "0123456789.,-+e" or (where == "line-end" and char in "\r\n"):
             continue
-        line = "5,0,2" + char + ".5,4,5" if where == "mid-line" else "5,0,2.5,4,5" + char
-        text = DB_HEADER + f"1000,0,1.5,2,3\n{line}\n"
+        line = "1,0,2" + char + ".5,4,5" if where == "mid-line" else "1,0,2.5,4,5" + char
+        text = DB_HEADER + f"0,0,1.5,2,3\n{line}\n"
         assert harvest_mod._parse_c_reader(text, text.splitlines()) is None, repr(char)
         p.write_bytes(text.encode())
         assert_loads_as_oracle(p)
@@ -452,29 +464,33 @@ def test_db_reader_warning_falls_back_to_per_line(tmp_path, monkeypatch, per_lin
     p.write_text(DB_TEXT)
     assert_loads_as_oracle(p)
     assert len(per_line_calls) == 1
-    p.write_text(DB_HEADER + "1000,0,1.5,2,3\n5,0,2.5,1.0,5\n")
+    p.write_text(DB_HEADER + "0,0,1.5,2,3\n1,0,2.5,1.0,5\n")
     with pytest.raises(DataError, match=r"line 4: invalid literal for int\(\) with base 10: '1\.0'"):
         ActivationDB.load(p)
     assert len(per_line_calls) == 2
 
 
 @pytest.mark.parametrize("line, reader", [
-    ("1_0,0,2.5,4,5", "per-line"),
-    ("\u0661\u0662,0,2.5,4,5", "per-line"),
-    ("5,0,2.5, 7,5", "per-line"),
-    ("5,0,2.5,4,5\r", "c"),  # CRLF ending of one line: splitlines() drops it
-    ("5,0,2.5\r,4,5", "per-line"),  # a lone CR splits the line; the C reader rejects the parts
-    ("5,0,nan,4,5", "per-line"),
-    ("5,0,inf,4,5", "per-line"),
-    ("5,0,2.5,1.0,5", "per-line"),  # the C reader rejects it
+    ("0_1,0,2.5,4,5", "per-line"),
+    ("\u0661,0,2.5,4,5", "per-line"),
+    ("1,0,2.5, 7,5", "per-line"),
+    ("1,0,2.5,4,5\r", "c"),  # CRLF ending of one line: splitlines() drops it
+    ("1,0,2.5\r,4,5", "per-line"),  # a lone CR splits the line; the C reader rejects the parts
+    ("1,0,nan,4,5", "per-line"),
+    ("1,0,inf,4,5", "per-line"),
+    ("1,0,2.5,1.0,5", "per-line"),  # the C reader rejects it
     ("1e3,0,2.5,4,5", "per-line"),
-    ("+5,0,+2.5,+4,5", "c"),  # in save()'s alphabet, and int() reads '+5'
-    ("5,0,1e999,4,5", "c"),  # parses to inf on both paths
+    ("+1,0,+2.5,+4,5", "c"),  # in save()'s alphabet, and int() reads '+1'
+    ("1,0,1e999,4,5", "c"),  # parses to inf on both paths
+    ("-7,0,2.5,4,5", "c"),  # parses, then is out of the layout
+    ("9223372036854775807,0,2.5,4,5", "c"),
+    ("9223372036854775808,0,2.5,4,5", "per-line"),  # the C reader rejects int64 overflow
 ], ids=["underscore", "arabic-indic", "space", "crlf-line", "lone-cr", "nan", "inf",
-        "float-in-int", "exponent-in-int", "plus", "float-overflow"])
+        "float-in-int", "exponent-in-int", "plus", "float-overflow", "negative-id", "int64-max-id",
+        "int64-overflow-id"])
 def test_db_load_picks_its_parse_path(tmp_path, per_line_calls, line, reader):
     p = tmp_path / "db.csv"
-    p.write_bytes((DB_HEADER + f"1000,0,1.5,2,3\n{line}\n").encode())
+    p.write_bytes((DB_HEADER + f"0,0,1.5,2,3\n{line}\n").encode())
     assert_loads_as_oracle(p)
     assert len(per_line_calls) == (reader == "per-line")
 
@@ -491,6 +507,40 @@ def test_db_line_breaks_split_as_splitlines(tmp_path, per_line_calls, text, per_
     assert len(per_line_calls) == per_line
 
 
+def _swap(lines, a, b):
+    lines[a], lines[b] = lines[b], lines[a]
+
+
+def _renumber(lines, old, new):
+    lines[:] = [f"{new},{t.split(',', 1)[1]}" if t.startswith(f"{old},") else t for t in lines]
+
+
+# file line 3 + 4 * i + j (list index 2 + 4 * i + j) of the saved 3-image, 4-map DB holds
+# image i map j
+@pytest.mark.parametrize("edit, line, found, expected", [
+    (lambda t: _swap(t, 7, 8), 8, "image 1 map 2", "image 1 map 1"),
+    (lambda t: _swap(t, 2, 3), 3, "image 0 map 1", "image 0 map 0"),
+    (lambda t: t.pop(7), 8, "image 1 map 2", "image 1 map 1"),
+    (lambda t: t.pop(), 14, "the end of the file", "image 2 map 3"),
+    (lambda t: t.insert(8, t[7]), 9, "image 1 map 1", "image 1 map 2"),
+    (lambda t: t.append(t[2]), 15, "image 0 map 0", "image 3 map 0"),
+    (lambda t: _renumber(t, 2, 5), 11, "image 5 map 0", "image 2 map 0"),
+    (lambda t: [_renumber(t, i, i + 1) for i in (2, 1, 0)], 3, "image 1 map 0", "image 0 map 0"),
+], ids=["swap", "swap-in-image-0", "drop", "drop-last", "duplicate", "duplicate-at-end",
+        "renumber", "start-at-image-1"])
+def test_db_row_out_of_layout_names_its_line(tmp_path, edit, line, found, expected):
+    # save() writes image-major rows, images 0..n-1 and maps 0..m-1; any other order is an error
+    p = tmp_path / "db.csv"
+    save_every_token(p)
+    lines = p.read_text().splitlines()
+    edit(lines)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError) as got:
+        ActivationDB.load(p)
+    assert str(got.value) == f"{p} line {line}: expected {expected}, found {found}"
+    assert_loads_as_oracle(p)
+
+
 def test_harvest_empty_manifest_rejected(setup):
     net, _ = setup
     with pytest.raises(DataError):
@@ -501,9 +551,8 @@ def test_harvest_empty_manifest_rejected(setup):
 
 
 def build_db(values: np.ndarray) -> ActivationDB:
-    n, m = values.shape
-    zeros = np.zeros((n, m), dtype=np.int32)
-    return ActivationDB(list(range(n)), values.astype(float), zeros, zeros, 3, {})
+    zeros = np.zeros(values.shape, dtype=np.int32)
+    return ActivationDB(values.astype(float), zeros, zeros, 3, {})
 
 
 def test_top_n_sorting():
@@ -567,6 +616,8 @@ def test_top_n_unknown_ids_rejected():
         top_n(db, 0, [0, 9, 7, 9], 2)
     with pytest.raises(DataError, match="not in activation db"):
         top_n(db, 0, [1, 2**70], 2)
+    with pytest.raises(DataError, match=r"not in activation db: \[-1\]$"):
+        top_n(db, 0, [-1, 0], 2)  # not the last row
 
 
 def test_top_n_duplicate_free():

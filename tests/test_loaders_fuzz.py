@@ -32,7 +32,7 @@ def _valid_files(directory) -> dict[str, bytes]:
     net = model.build_network(model.ModelConfig(input_size=8, conv_channels=(1, 2), fc_hidden=2,
                                                 num_classes=2, seed=1))
     model.save_checkpoint(net, directory / "valid.ckpt")
-    ActivationDB([0, 1], np.array([[1.5, 0.0], [2.25, 3.0]]), np.array([[0, 1], [2, 3]]),
+    ActivationDB(np.array([[1.5, 0.0], [2.25, 3.0]]), np.array([[0, 1], [2, 3]]),
                  np.array([[1, 0], [3, 2]]), 3, {"checkpoint": "abc"}).save(directory / "valid.db")
     save_profile_csv(AUDistanceProfile(au_id=1, distances=np.array([0.5, 2.0]), argmax_map=1,
                                        n=3, provenance={}), directory / "valid.profile.csv")
@@ -176,7 +176,13 @@ def test_loader_on_known_crashers(fuzz_dir, name, payload):
     lambda raw: raw["units"][0].update(region=[1, 1, 18]),
     lambda raw: raw.update(class_rules=[]),
     lambda raw: raw.update(seed=-3),  # loaded, then failed in synth with a traceback
-], ids=["infinite-unit-id", "three-value-region", "list-class-rules", "negative-seed"])
+    lambda raw: raw.update(intensity_range=[0.5, 0.9, 1.0]),  # the same, for these three
+    lambda raw: raw.update(intensity_range=[1.0, 0.5]),
+    lambda raw: raw.update(intensity_range=[0.9]),  # ran with numpy's default bounds
+    lambda raw: raw.update(intensity_range=[]),
+], ids=["infinite-unit-id", "three-value-region", "list-class-rules", "negative-seed",
+        "three-value-intensity-range", "reversed-intensity-range", "one-value-intensity-range",
+        "empty-intensity-range"])
 def test_synthetic_spec_with_bad_field(fuzz_dir, valid_files, edit):
     raw = json.loads(valid_files["load_synthetic_spec"])
     edit(raw)

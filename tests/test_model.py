@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -583,6 +584,22 @@ def test_checkpoint_config_mismatch_named(tmp_path):
     with pytest.raises(DataError, match="fc_hidden"):
         load_checkpoint(p, expected_config=other)
     load_checkpoint(p, expected_config=small_config(seed=10))  # exact match fine
+
+
+@pytest.mark.parametrize("config_edit", [{}, {"new_field": 1}], ids=["same-config", "new-field"])
+def test_checkpoint_of_another_version_names_the_version(tmp_path, config_edit):
+    # the version is checked before the config, whose fields another version may change
+    p = tmp_path / "v2.ckpt"
+    save_checkpoint(build_network(small_config(seed=10)), p)
+    magic, blob = model.CHECKPOINT_MAGIC, p.read_bytes()
+    end = blob.index(b"\n", len(magic))
+    header = json.loads(blob[len(magic) : end])
+    header["version"] = 2
+    header["config"].update(config_edit)
+    p.write_bytes(magic + json.dumps(header).encode() + blob[end:])
+    with pytest.raises(DataError) as got:
+        load_checkpoint(p)
+    assert str(got.value) == f"{p}: unsupported checkpoint version 2"
 
 
 def test_checkpoint_not_a_checkpoint(tmp_path):
