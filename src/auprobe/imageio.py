@@ -100,13 +100,11 @@ def write_png(path, image: np.ndarray) -> None:
     image = _as_uint8(image)
     h, w = image.shape
     header = struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)
-    raw = bytearray()
-    for row in image:
-        raw.append(0)  # filter type: none
-        raw.extend(row.tobytes())
+    # each row led by its filter type byte, 0: none
+    raw = np.hstack([np.zeros((h, 1), dtype=np.uint8), image]).tobytes()
     from .data import write_atomic  # here, not at the top: data imports this module
     write_atomic(path, PNG_SIGNATURE + _png_chunk(b"IHDR", header)
-                 + _png_chunk(b"IDAT", zlib.compress(bytes(raw), 6)) + _png_chunk(b"IEND", b""))
+                 + _png_chunk(b"IDAT", zlib.compress(raw, 6)) + _png_chunk(b"IEND", b""))
 
 
 def _paeth(a: int, b: int, c: int) -> int:
@@ -170,11 +168,18 @@ def _decode_png(data: bytes, path) -> np.ndarray:
             break
     if width is None:
         raise ImageFormatError(f"{path}: missing IHDR")
+    # inflate at most one byte past the scanlines, so a stream that inflates
+    # far past them is rejected without being held in memory
+    size = height * (width + 1)
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        raw = inflater.decompress(bytes(idat), size + 1)
     except zlib.error as exc:
         raise ImageFormatError(f"{path}: corrupt PNG image data: {exc}") from exc
-    if len(raw) != height * (width + 1):
+    if not inflater.eof and len(raw) <= size:
+        raise ImageFormatError(f"{path}: corrupt PNG image data: Error -5 while "
+                               "decompressing data: incomplete or truncated stream")
+    if len(raw) != size:
         raise ImageFormatError(f"{path}: scanline data has wrong length")
     out = np.empty((height, width), dtype=np.uint8)
     prev = np.zeros(width, dtype=np.uint8)

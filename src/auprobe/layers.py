@@ -4,15 +4,17 @@ Convolution is realized as an explicit matrix multiply over unrolled
 patches (im2col). The patch matrix of an image [C,H,W] is a C-contiguous
 [C*k*k, H*W] array: row (c, u, v) holds channel c shifted by kernel
 offset (u, v), so with K the [out, C*k*k] kernel matrix the three GEMMs
-are `K @ cols` (forward), `grad @ cols.T` (kernel gradient) and
-`K.T @ grad` (input gradient), and none of their results is transposed
-or copied. The unrolled-kernel matrix is the linear operator of the
-convolution, so the backward/deconvolution path is literally its
-transpose: `backward` and `transpose_apply` both form `K.T @ y` and
-scatter-add it with col2im, the exact adjoint of the im2col gather and
-the one scatter of the transposed convolution, so backward's input
-gradient is the in-frame part of transpose_apply's unclipped result bit
-for bit.
+are `K @ cols` (forward), `(cols @ grad.T).T` (kernel gradient) and
+`K.T @ grad` (input gradient). The kernel gradient keeps the patch
+matrix BLAS's untransposed operand, as `grad @ cols.T` has the same bits
+but makes BLAS pack it from its transpose, 1.5-1.7x slower in training
+chunks; its transposed result is added into the gradient in place. The
+unrolled-kernel matrix is the linear operator of the convolution, so the
+backward/deconvolution path is literally its transpose: `backward` and
+`transpose_apply` both form `K.T @ y` and scatter-add it with col2im,
+the exact adjoint of the im2col gather and the one scatter of the
+transposed convolution, so backward's input gradient is the in-frame
+part of transpose_apply's unclipped result bit for bit.
 
 Conv operands are chunks of images shaped [channels, images, height,
 width], which training, inference and deconvolution run in one pass:
@@ -51,6 +53,13 @@ _FC_TILE_ROWS = 16
 # matrices and its blocks few: 7 and 26 channels there, and one block for
 # a reduced_config training chunk.
 SCATTER_BYTES = 2 << 20
+# Bytes of im2col's column-shifted planes of a block of channels, k
+# copies of each padded channel, which the second pass reads back while
+# they are in cache. 512 KiB holds every channel of a reduced_config
+# training chunk in one block, and 10 and 39 channels of ModelConfig()'s
+# conv2 and conv3 in float32, whose im2col it sped up about 1.5x over
+# unblocked planes.
+SHIFT_BYTES = 512 << 10
 
 
 class Scratch:
@@ -94,19 +103,29 @@ def im2col(x: np.ndarray, kernel_size: int, pad: int,
     """Unroll a chunk x [C,N,H,W] into the patch matrix [C*k*k, N*H*W], zero padded.
 
     Each image's H*W columns come in turn, each image padded on its own.
-    x is copied once into a zero-padded canvas, so each of the k*k slabs
-    of the patch matrix is written by one whole-slab copy and never
-    zero-filled first.
+    x is copied once into a zero-padded canvas. Then, a block of channels
+    at a time, two passes of k copies fill the patch matrix: the first
+    copies k column shifts of the canvas into planes [k,N,H+2*pad,W] per
+    channel, the second k row shifts of those planes, each image's H rows
+    one contiguous run. k*k copies straight from the canvas, each of runs
+    of one image row, took about twice as long at a training chunk's
+    shapes.
     """
     scratch = scratch or Scratch()
     c, n, h, w = x.shape
     k = kernel_size
-    canvas = scratch.canvas("canvas", (c, n, h + 2 * pad, w + 2 * pad), x.dtype)
+    tall = h + 2 * pad
+    canvas = scratch.canvas("canvas", (c, n, tall, w + 2 * pad), x.dtype)
     cols = scratch.empty("cols", (c, k, k, n, h, w), x.dtype)
     canvas[:, :, pad : pad + h, pad : pad + w] = x
-    for u in range(k):
+    block = max(1, min(c, SHIFT_BYTES // (k * n * tall * w * x.itemsize)))
+    for c0 in range(0, c, block):
+        part = canvas[c0 : c0 + block]
+        shifts = scratch.empty("shifts", (len(part), k, n, tall, w), x.dtype)
         for v in range(k):
-            cols[:, u, v] = canvas[:, :, u : u + h, v : v + w]
+            shifts[:, v] = part[..., v : v + w]
+        for u in range(k):
+            cols[c0 : c0 + len(part), u] = shifts[:, :, :, u : u + h]
     return cols.reshape(c * k * k, n * h * w)
 
 
@@ -196,6 +215,14 @@ class ConvLayer:
     the GEMM K.T @ y scattered by col2im, so the gradient is the in-frame
     part of transpose_apply's unclipped result bit for bit. Every operand
     is a chunk [channels,N,H,W]; anything else raises ShapeError.
+
+    The kernel gradient is `(cols @ grad.T).T`, added in place: the patch
+    matrix is BLAS's first operand, untransposed. `grad @ cols.T` gives
+    the same bits, but BLAS then packs the patch matrix, the large
+    operand, from its transpose, which took 1.7x and 1.5x as long at
+    reduced_config's conv2 and conv3 in training chunks and 1.1x at
+    ModelConfig()'s. Only at ModelConfig()'s conv1, whose patch matrix
+    has 25 rows, is `grad @ cols.T` faster, by about 10% of 0.7 ms.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 5,
@@ -260,7 +287,12 @@ class ConvLayer:
         grad_mat = grad_out.reshape(self.out_channels, -1)
         if cols is None:
             cols = im2col(saved_input, self.kernel_size, self.pad, scratch)
-        self.grad_kernels += (grad_mat @ cols.T).reshape(self.kernels.shape)
+        # rows padded by 16 elements: read transposed with a power-of-two row
+        # stride, the product took 6-7 ms to add at ModelConfig()'s conv3, not 1
+        product = np.empty((len(cols), self.out_channels + 16), np.result_type(cols, grad_mat))
+        product = np.matmul(cols, grad_mat.T, out=product[:, : self.out_channels])
+        grad_kernels = self.grad_kernels.reshape(self.out_channels, -1)
+        grad_kernels += product.T
         self.grad_bias += grad_out.sum(axis=(1, 2, 3))
         if not input_grad:
             return None

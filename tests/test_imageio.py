@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -149,6 +150,50 @@ def test_png_chunk_past_end_of_file_names_chunk(tmp_path, gradient):
     p.write_bytes(PNG_SIGNATURE + _png_chunk(b"IHDR", header + b"\0"))
     with pytest.raises(ImageFormatError, match="'IHDR' has 14 bytes"):
         read_image(p)
+
+
+def test_png_truncated_image_data_keeps_zlib_message(tmp_path, gradient):
+    p = tmp_path / "cut.png"
+    write_png(p, gradient)
+    data = p.read_bytes()
+    start, end = _idat_bounds(data)
+    payload = data[start + 8 : end - 4][:-6]  # the stream loses its last block's end
+    with pytest.raises(zlib.error) as inflating:
+        zlib.decompress(payload)
+    p.write_bytes(data[:start] + _png_chunk(b"IDAT", payload) + data[end:])
+    with pytest.raises(ImageFormatError) as reading:
+        read_image(p)
+    assert str(reading.value) == f"{p}: corrupt PNG image data: {inflating.value}"
+
+
+def test_png_inflating_past_its_scanlines_is_rejected_in_bounded_memory(tmp_path):
+    # 16 x 16 pixels take 272 bytes of scanlines; this IDAT inflates to 64 MB
+    deflate = zlib.compressobj(9)
+    stream = b"".join(deflate.compress(bytes(10 ** 6)) for _ in range(64)) + deflate.flush()
+    header = struct.pack(">IIBBBBB", 16, 16, 8, 0, 0, 0, 0)
+    p = tmp_path / "bomb.png"
+    p.write_bytes(PNG_SIGNATURE + _png_chunk(b"IHDR", header) + _png_chunk(b"IDAT", stream)
+                  + _png_chunk(b"IEND", b""))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ImageFormatError, match="bomb.png: scanline data has wrong length"):
+            read_image(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (0, 5), (112, 112)])
+def test_write_png_equals_per_row_scanlines(tmp_path, shape):
+    image = np.random.default_rng(shape[1]).integers(0, 256, size=shape, dtype=np.uint8)
+    scanlines = b"".join(b"\0" + row.tobytes() for row in image)
+    want = (PNG_SIGNATURE + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", *shape[::-1], 8, 0, 0, 0, 0))
+            + _png_chunk(b"IDAT", zlib.compress(scanlines, 6)) + _png_chunk(b"IEND", b""))
+    p = tmp_path / "rows.png"
+    write_png(p, image)
+    assert p.read_bytes() == want
+    np.testing.assert_array_equal(read_image(p), image)
 
 
 @pytest.fixture(scope="module")

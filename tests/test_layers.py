@@ -344,6 +344,45 @@ def test_col2im_blocks_of_channels(monkeypatch, clip):
                 blocked[:, i], col2im_transposed(image.T, (in_c, h, w), k, k // 2))
 
 
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_im2col_blocks_and_chunks_equal_transposed_layout(monkeypatch, k):
+    # a shift budget of 3 channels' planes of 3 images splits 8 channels
+    # into blocks of 3, 3 and 2, and 2 images into blocks of 4; extents
+    # down to one pixel, narrower than the padding, and chunks of every
+    # size on one Scratch, whose canvas must keep its zero border
+    in_c, pad = 8, k // 2
+    rng = np.random.default_rng(k)
+    for h, w in [(1, 1), (1, 2), (2, 1), (3, 4), (7, 6)]:
+        monkeypatch.setattr(layers, "SHIFT_BYTES", 3 * k * 3 * (h + 2 * pad) * w * 8 + 1)
+        scratch = Scratch()
+        for n in (3, 2, 1, 3):
+            xs = rng.normal(size=(in_c, n, h, w))
+            cols = im2col(xs, k, pad, scratch).reshape(in_c * k * k, n, h * w)
+            for i in range(n):
+                np.testing.assert_array_equal(cols[:, i], im2col_transposed(xs[:, i], k, pad).T)
+
+
+# one image at ModelConfig(), a training chunk of 2 and a harvest chunk of 9 at reduced_config
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("geometry, n", [(g, n) for g in MODEL_GEOMETRIES[:3] for n in (2, 9)]
+                         + [(g, 1) for g in MODEL_GEOMETRIES[3:]])
+def test_chunk_kernel_gradient_equals_transposed_operand(dtype, geometry, n):
+    # (cols @ grad.T).T, the backward's kernel gradient, has the bits of
+    # grad @ cols.T, from forward's patch matrix or from backward's own
+    in_c, out_c, h, w, k = geometry
+    rng = np.random.default_rng(in_c + n)
+    layer = ConvLayer(in_c, out_c, k, rng=rng, dtype=dtype)
+    xs = rng.normal(size=(in_c, n, h, w)).astype(dtype)
+    g = rng.normal(size=(out_c, n, h, w)).astype(dtype)
+    _, kept = layer.forward(xs, return_cols=True)
+    grad_mat = g.reshape(out_c, -1)
+    want = (grad_mat @ im2col(xs, k, k // 2).T).reshape(layer.kernels.shape)
+    for cols in (kept, None):
+        layer.grad_kernels[...] = 0
+        layer.backward(g, xs, cols=cols, input_grad=False)
+        np.testing.assert_array_equal(layer.grad_kernels, want)
+
+
 def _assert_fused_backward_equals_two_steps(conv_out, grad):
     """maxpool_backward with the pooled values equals relu then pool backward, per image."""
     pooled, switches = maxpool_forward(relu_forward(conv_out), Scratch())
