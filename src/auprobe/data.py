@@ -678,7 +678,8 @@ def split(manifest: DatasetManifest, test_count: int, seed: int) -> tuple[Datase
 
     Shuffled sequences are moved into the test side until it holds at
     least test_count images, so the test set is the smallest union of
-    whole sequences reaching the requested size.
+    whole sequences reaching the requested size. Raises DataError when
+    that leaves no training image.
     """
     if not 0 < test_count < len(manifest):
         raise DataError(f"test_count {test_count} not in (0, {len(manifest)})")
@@ -694,6 +695,9 @@ def split(manifest: DatasetManifest, test_count: int, seed: int) -> tuple[Datase
             break
         test_idx.update(sequences[seq])
     train_rows = [r for i, r in enumerate(manifest.rows) if i not in test_idx]
+    if not train_rows:
+        raise DataError(f"test_count {test_count} takes every image: the test side's whole "
+                        f"sequences hold all {len(manifest)}, leaving none to train on")
     test_rows = [r for i, r in enumerate(manifest.rows) if i in test_idx]
     return (
         DatasetManifest(rows=train_rows, base_dir=manifest.base_dir),

@@ -335,7 +335,7 @@ class FCLayer:
     time, by weight_grad_tiles, so no temporary the size of the weights
     is built; backward adds each tile into grad_weights. param_grads=False
     leaves out the weight and bias gradients: the trainer takes only fc1's
-    input gradient per chunk, and model.sgd_step applies fc1's weight
+    input gradient per head pass, and model.sgd_step applies fc1's weight
     gradient tiles to the weights as they are formed, once per batch from
     the stacked rows, so training never writes fc1's grad_weights.
     """

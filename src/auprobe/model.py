@@ -9,7 +9,9 @@ run seed so identical runs produce identical weights.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -130,8 +132,13 @@ class TraceStage:
 
 @dataclass
 class _KeptStage(TraceStage):  # a trace stage plus what training's backward reads
-    conv_in: np.ndarray  # the chunk [C,N,H,W] the conv read
-    cols: np.ndarray  # its patch matrix, the operand of the kernel gradient
+    cols: np.ndarray | None  # its input's patch matrix; None once dropped, and backward rebuilds it
+
+
+@dataclass
+class _KeptChunk:
+    x: np.ndarray  # the chunk [1,N,S,S] the first conv read; each later conv reads the stage before
+    stages: list[_KeptStage]
 
 
 @dataclass
@@ -148,20 +155,45 @@ class ForwardTrace:
 
 
 class TrainBuffers:
-    """What a training forward keeps for backward, for one chunk of images.
+    """What training keeps for backward: the chunks not yet gone backward, and the head's rows.
 
-    forward(keep=...) fills it and backward reads it. Per conv stage it
-    keeps the stage's input and, in the stage's Scratch, its patch
-    matrix, pooled output and switches; for the head, the fc rows. The
-    arrays of one chunk stay valid until the next training forward, and
-    each Scratch hands every chunk of a train call the buffers the first
-    chunk allocated.
+    Each forward(keep=...) pushes a chunk and each backward pops the last
+    one, so the chunks of a head pass go backward in reverse order. A
+    chunk's stages compute in the stage Scratches, where its patch
+    matrices, pooled maps and switches stay while it is the last chunk
+    forwarded. The next forward would overwrite them, so it first copies
+    the pending chunk's pooled maps and switches into that chunk's place
+    in `held` and drops its patch matrices, which backward then rebuilds.
+    A chunk that goes backward before the next one goes forward is never
+    copied. head(keep=...) keeps the fc rows of the chunks it ran over.
+    Every Scratch hands each chunk of a train call the buffers the first
+    chunk at its place allocated.
     """
 
     def __init__(self, num_stages: int):
         self.scratch = [Scratch() for _ in range(num_stages)]
-        self.stages: list[_KeptStage] = []
+        self.chunks: list[_KeptChunk] = []
+        self.held: list[Scratch] = []  # a Scratch per place below the last chunk
         self.flat = self.fc1_out = self.fc2_in = self.drop_mask = None
+
+    def hold_last(self) -> None:
+        """Copy the last chunk's pooled maps and switches out of the stage Scratches.
+
+        A held switch index takes the narrowest unsigned type that holds
+        its stage's flat indices, half of intp's bytes at ModelConfig().
+        """
+        place = len(self.chunks) - 1
+        if place == len(self.held):
+            self.held.append(Scratch())
+        stages = self.chunks[-1].stages
+        for i, stage in enumerate(stages):
+            switches = stage.switches
+            pooled = self.held[place].empty(f"pooled{i}", stage.pooled.shape, stage.pooled.dtype)
+            index = self.held[place].empty(f"switch{i}", switches.index.shape,
+                                           np.min_scalar_type(math.prod(switches.input_shape)))
+            pooled[...] = stage.pooled
+            index[...] = switches.index
+            stages[i] = _KeptStage(pooled, SwitchRecord(index, switches.input_shape), None)
 
 
 class Network:
@@ -213,10 +245,14 @@ class Network:
         """Pooled maps [C, N, h, w] of stage `depth` for the chunk a [1, N, S, S].
 
         Without `keep` no switch or patch matrix is formed. With it, each
-        stage computes in its Scratch and keeps what backward needs.
+        stage computes in its Scratch, and the chunk is pushed on
+        keep.chunks with what backward needs.
         """
         if keep is not None:
-            keep.stages = []
+            if keep.chunks:
+                keep.hold_last()
+            chunk = _KeptChunk(a, [])
+            keep.chunks.append(chunk)
         for i, conv in enumerate(self.convs[:depth]):
             if keep is None:
                 a = maxpool_values(relu_forward(conv.forward(a)))
@@ -224,21 +260,31 @@ class Network:
             conv_out, cols = conv.forward(a, return_cols=True, scratch=keep.scratch[i])
             pooled, switches = maxpool_forward(relu_forward(conv_out, out=conv_out),
                                                keep.scratch[i])
-            keep.stages.append(_KeptStage(pooled, switches, a, cols))
+            chunk.stages.append(_KeptStage(pooled, switches, cols))
             a = pooled
         return a
 
-    def forward(self, x: np.ndarray, *, keep: TrainBuffers | None = None,
-                drop_mask: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, keep: TrainBuffers | None = None) -> np.ndarray:
         """Logits [N, classes] of a chunk x [N, 1, S, S]; an image runs as a chunk of one.
 
         The chunk runs through the conv stack as [C, N, H, W] arrays and
         through the head as N rows. With `keep` this is the training
-        forward: what backward needs is kept in keep, and drop_mask
-        [N, hidden], if given, scales the hidden rows (dropout).
+        forward, which stops at fc1: the chunk is kept in keep for
+        backward, and the return is fc1's input rows [N, features], which
+        head() runs over alone or stacked with other chunks' rows.
         """
         pooled = self._conv_stack(self._chunk(x), len(self.convs), keep)
         flat = pooled.transpose(1, 0, 2, 3).reshape(pooled.shape[1], -1)
+        return flat if keep is not None else self.head(flat)
+
+    def head(self, flat: np.ndarray, *, keep: TrainBuffers | None = None,
+             drop_mask: np.ndarray | None = None) -> np.ndarray:
+        """Logits [N, classes] of fc1's input rows flat [N, features].
+
+        With `keep` this is the training head: what head_backward reads is
+        kept in keep, and drop_mask [N, hidden], if given, scales the
+        hidden rows (dropout). Each layer is one GEMM over all N rows.
+        """
         fc1_out = self.fc1.forward(flat)
         hidden = relu_forward(fc1_out)
         fc2_in = hidden * drop_mask if drop_mask is not None else hidden
@@ -277,29 +323,40 @@ class Network:
 
     # ---------------------------------------------------------- backward
 
-    def backward(self, keep: TrainBuffers, grad_logits: np.ndarray) -> np.ndarray:
-        """Accumulate the gradients of the chunk forward(keep=keep) ran, but fc1's.
+    def head_backward(self, keep: TrainBuffers,
+                      grad_logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Accumulate fc2's gradients of the rows head(keep=keep) ran, and go back through fc1.
 
-        grad_logits: [N, classes]. Each conv's kernel gradient is one GEMM
-        over the chunk's patch matrix, kept from forward; the first conv
-        computes no gradient wrt the image. The ReLU and pool of a stage
-        go backward in one pass at pooled resolution. Returns the gradient
-        wrt fc1's output [N, hidden]: `train` stacks these rows and
-        keep.flat over a batch, and sgd_step forms fc1's weight and bias
-        gradients from them once per batch.
+        grad_logits: [N, classes]. Returns the gradient wrt fc1's output
+        [N, hidden] and wrt fc1's input [N, features]. fc1's own weight and
+        bias gradients are left out: `train` stacks the first and keep.flat
+        over a batch, and sgd_step forms them once per batch.
         """
         g = self.fc2.backward(grad_logits, keep.fc2_in)
         if keep.drop_mask is not None:
             g *= keep.drop_mask
         fc1_grad = relu_backward(g, keep.fc1_out)
-        g = self.fc1.backward(fc1_grad, keep.flat, param_grads=False)
-        c, n, h, w = keep.stages[-1].pooled.shape
-        g = g.reshape(n, c, h, w).transpose(1, 0, 2, 3)
-        for stage, conv, scratch in reversed(list(zip(keep.stages, self.convs, keep.scratch))):
+        return fc1_grad, self.fc1.backward(fc1_grad, keep.flat, param_grads=False)
+
+    def backward(self, keep: TrainBuffers, grad_flat: np.ndarray) -> None:
+        """Accumulate the conv gradients of the last chunk kept in keep, and pop it.
+
+        grad_flat: the gradient wrt the chunk's fc1 input rows [N,
+        features]. Each conv's kernel gradient is one GEMM over the chunk's
+        patch matrix, kept from forward or, for a chunk that was held,
+        rebuilt; the first conv computes no gradient wrt the image. The
+        ReLU and pool of a stage go backward in one pass at pooled
+        resolution.
+        """
+        chunk = keep.chunks.pop()
+        c, n, h, w = chunk.stages[-1].pooled.shape
+        g = grad_flat.reshape(n, c, h, w).transpose(1, 0, 2, 3)
+        ins = [chunk.x] + [stage.pooled for stage in chunk.stages[:-1]]
+        for stage, conv_in, conv, scratch in reversed(list(zip(chunk.stages, ins, self.convs,
+                                                               keep.scratch))):
             g = maxpool_backward(g, stage.switches, stage.pooled, scratch)
-            g = conv.backward(g, stage.conv_in, cols=stage.cols,
+            g = conv.backward(g, conv_in, cols=stage.cols,
                               input_grad=conv is not self.convs[0], scratch=scratch)
-        return fc1_grad
 
 
 def build_network(config: ModelConfig) -> Network:
@@ -402,11 +459,20 @@ def _label_indices(manifest: data_mod.DatasetManifest, num_classes: int) -> list
 
 # Bytes of im2col patch matrix a chunk that runs the classifier head
 # (training, evaluate) may build at its largest conv: chunks of 2 images at
-# reduced_config() and of 1 at ModelConfig() in float32. A head row's last
-# bits depend on the chunk's row count, so this also fixes the logits'; a
-# conv-stack-only chunk takes harvest.CHUNK_BYTES. When this was set, chunks
-# of 4 trained about 5% faster than 2 but raised the peak RSS by 3 MB.
+# reduced_config() and of 1 at ModelConfig() in float32. Where the head runs
+# once per chunk (evaluate, and training unless head_per_batch), a head
+# row's last bits depend on the chunk's row count, so this also fixes the
+# logits'; a conv-stack-only chunk takes harvest.CHUNK_BYTES. When this was
+# set, chunks of 4 trained about 5% faster than 2 but raised the peak RSS by
+# 3 MB. A 2-row fc1 GEMM at ModelConfig() took longer than two 1-row GEMVs.
 TRAIN_CHUNK_BYTES = 1 << 20
+
+
+def _patch_elements(config: ModelConfig) -> list[int]:
+    """Elements of one image's im2col patch matrix at each conv."""
+    in_channels = (1,) + tuple(config.conv_channels[:-1])
+    sizes = [config.input_size] + config.stage_sizes()
+    return [c * config.kernel_size ** 2 * size ** 2 for c, size in zip(in_channels, sizes)]
 
 
 def images_per_chunk(config: ModelConfig, budget: int, depth: int | None = None) -> int:
@@ -416,11 +482,23 @@ def images_per_chunk(config: ModelConfig, budget: int, depth: int | None = None)
     image. conv2's patch matrix is the largest at reduced_config() (0.46
     MB per image in float32) and at ModelConfig() (14.7 MB).
     """
-    in_channels = (1,) + tuple(config.conv_channels[:-1])
-    sizes = [config.input_size] + config.stage_sizes()
-    largest = max(c * config.kernel_size ** 2 * size ** 2
-                  for c, size in zip(in_channels[:depth], sizes))
+    largest = max(_patch_elements(config)[:depth])
     return max(1, budget // (largest * np.dtype(config.np_dtype).itemsize))
+
+
+def head_per_batch(config: ModelConfig) -> bool:
+    """Whether training runs the classifier head once per SGD batch, not once per chunk.
+
+    Once per batch, fc1's forward and input gradient are one GEMM each
+    over the batch's rows, which reads fc1's weights once where a head
+    pass per chunk reads them once a chunk; but every chunk except the
+    last forwarded rebuilds its patch matrices in backward. So the head
+    runs per batch when fc1's weights outweigh one image's patch matrices
+    summed over the convs: at ModelConfig() 151 MB against 23.0 MB in
+    float32 (about 15% more samples a second at batches of 8), at
+    reduced_config() 0.59 MB against 0.92 MB (per batch, about 8% fewer).
+    """
+    return config.fc_hidden * config.flat_features > sum(_patch_elements(config))
 
 
 def _chunks(indices: np.ndarray, chunk: int) -> list[np.ndarray]:
@@ -456,23 +534,28 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
     the held-out accuracy is logged each epoch. Stops early once the
     train loss has improved by less than 1e-4 for 5 consecutive epochs.
 
-    Each batch runs as chunks of at most images_per_chunk() images at
-    TRAIN_CHUNK_BYTES, split as evenly as they go; a chunk never spans
-    two batches. A chunk makes one forward and one backward pass, in
-    buffers that the first chunk allocates and every later one of the
-    call reuses. Each image keeps its own augmentation, dropout and loss
-    draws, so a chunk's gradients are the sum of its images' up to the
-    order of float additions. fc1's weight and bias gradients are
-    deferred to the end of each batch: every image's gradient wrt fc1's
-    output and its fc1 input are kept as rows of two [batch, features]
-    buffers, and sgd_step forms fc1's weight gradient from them tile by
-    tile, applying each tile to the weights and velocity at once. Before
-    each batch training zeroes every gradient buffer but fc1's, which
-    neither it nor sgd_step touches, so the pages of fc1.grad_weights are
-    never mapped: the only arrays of fc1's size it holds are the weights
-    and their velocity, and no step allocates a temporary of that size.
-    Without augmentation the eval tensors are one stacked array, transformed
-    a chunk at a time.
+    Each batch runs its conv stack as chunks of at most images_per_chunk()
+    images at TRAIN_CHUNK_BYTES, split as evenly as they go; a chunk never
+    spans two batches. A head pass covers one chunk, or the whole batch
+    where head_per_batch(net.config) holds: its chunks go forward, the
+    classifier head runs once over their rows, with the losses, and the
+    chunks go backward in reverse order. The last chunk forwarded still
+    has its patch matrices; each earlier one rebuilds its own
+    (TrainBuffers), so with one chunk per head pass nothing is rebuilt.
+    Every pass works in buffers that the first allocates and every later
+    one of the call reuses. Each image
+    keeps its own augmentation, dropout and loss draws, so a batch's
+    gradients are the sum of its images' up to the order of float
+    additions. fc1's weight and bias gradients are deferred to the end of
+    each batch: every image's gradient wrt fc1's output and its fc1 input
+    are kept as rows of two [batch, features] buffers, and sgd_step forms
+    fc1's weight gradient from them tile by tile, applying each tile to
+    the weights and velocity at once. Before each batch training zeroes
+    every gradient buffer but fc1's, which neither it nor sgd_step
+    touches, so the pages of fc1.grad_weights are never mapped: the only
+    arrays of fc1's size it holds are the weights and their velocity, and
+    no step allocates a temporary of that size. Without augmentation the
+    eval tensors are one stacked array, transformed a chunk at a time.
     """
     if len(manifest) == 0:
         raise data_mod.DataError("training manifest is empty")
@@ -490,14 +573,16 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
     fc1_grads = np.empty((rows, net.fc1.out_features), dtype=dtype)
     fc1_inputs = np.empty((rows, net.fc1.in_features), dtype=dtype)
     chunk = min(rows, images_per_chunk(net.config, TRAIN_CHUNK_BYTES))
+    per_batch = head_per_batch(net.config)
     eval_tensors = None
     if not cfg.augment:
         eval_tensors = np.empty((n, 1, size, size), dtype=dtype)
         for i in range(0, n, chunk):
             eval_tensors[i : i + chunk] = data_mod.eval_chunk(images[i : i + chunk], size, dtype)
-    xs = np.empty((chunk, 1, size, size), dtype=dtype)
-    drop_masks = np.empty((chunk, net.config.fc_hidden), dtype=dtype)
-    grad_logits = np.empty((chunk, net.config.num_classes), dtype=dtype)
+    head_rows = rows if per_batch else chunk
+    xs = np.empty((head_rows, 1, size, size), dtype=dtype)
+    drop_masks = np.empty((head_rows, net.config.fc_hidden), dtype=dtype)
+    grad_logits = np.empty((head_rows, net.config.num_classes), dtype=dtype)
     keep = TrainBuffers(len(net.convs))
 
     # np.zeros leaves the pages to the first sgd_step's writes; zeros_like would fill them here
@@ -517,9 +602,13 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
             for grad in accumulated:
                 grad[...] = 0
             done = 0
-            for part in _chunks(batch, chunk):
-                m = len(part)
-                for k, idx in enumerate(part.tolist()):
+            parts = _chunks(batch, chunk)
+            for group in [parts] if per_batch else [[part] for part in parts]:
+                ids = [idx for part in group for idx in part.tolist()]
+                ends = list(itertools.accumulate(len(part) for part in group))
+                spans = list(zip([0] + ends[:-1], ends))  # each chunk's rows in the pass
+                m = len(ids)
+                for k, idx in enumerate(ids):
                     if cfg.augment:
                         aug_rng = np.random.default_rng([cfg.seed, epoch, 1, idx])
                         xs[k] = data_mod.augment(images[idx], aug_rng, size, dtype=dtype)
@@ -529,9 +618,11 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
                         drop_rng = np.random.default_rng([cfg.seed, epoch, 2, idx])
                         drop_masks[k] = dropout_mask((net.config.fc_hidden,), cfg.dropout_p,
                                                      drop_rng, dtype=dtype)
-                logits = net.forward(xs[:m], keep=keep,
-                                     drop_mask=drop_masks[:m] if cfg.dropout_p > 0 else None)
-                for k, idx in enumerate(part.tolist()):
+                for a, b in spans:
+                    fc1_inputs[done + a : done + b] = net.forward(xs[a:b], keep=keep)
+                logits = net.head(fc1_inputs[done : done + m], keep=keep,
+                                  drop_mask=drop_masks[:m] if cfg.dropout_p > 0 else None)
+                for k, idx in enumerate(ids):
                     loss, grad_logits[k] = softmax_cross_entropy(logits[k], labels[idx])
                     if not np.isfinite(loss):
                         raise NumericError(
@@ -540,8 +631,9 @@ def train(net: Network, manifest: data_mod.DatasetManifest, cfg: TrainConfig,
                         )
                     epoch_loss += loss
                     epoch_correct += int(np.argmax(logits[k]) == labels[idx])
-                fc1_grads[done : done + m] = net.backward(keep, grad_logits[:m])
-                fc1_inputs[done : done + m] = keep.flat
+                fc1_grads[done : done + m], grad_flat = net.head_backward(keep, grad_logits[:m])
+                for a, b in reversed(spans):
+                    net.backward(keep, grad_flat[a:b])
                 done += m
             sgd_step(net, velocity, cfg, 1.0 / done, (fc1_grads[:done], fc1_inputs[:done]))
         train_loss = epoch_loss / n
@@ -689,6 +781,7 @@ __all__ = [
     "build_network",
     "checkpoint_hash",
     "evaluate",
+    "head_per_batch",
     "images_per_chunk",
     "load_checkpoint",
     "reduced_config",

@@ -99,6 +99,23 @@ def test_undecodable_output_path_prints_escaped(tmp_path):
     assert (tmp_path / os.fsdecode(b"ds\x80") / "manifest.csv").is_file()
 
 
+def test_train_with_every_image_on_the_test_side_exits_2(tmp_path, dataset, config_file, capsys):
+    # split keeps whole sequences together: with one sequence, any test_count takes them all
+    manifest = data.load_manifest(dataset)
+    one_sequence = dataclasses.replace(
+        manifest, rows=[dataclasses.replace(row, sequence="seq") for row in manifest.rows])
+    one_sequence.save(dataset)
+    cfg = tmp_path / "split.txt"
+    cfg.write_text(config_file.read_text() + "train.test_count=1\n")
+    ckpt = tmp_path / "run.ckpt"
+    rc = main(["train", "--manifest", str(dataset), "--config", str(cfg), "--out", str(ckpt)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert "test_count 1 takes every image" in err
+    assert not ckpt.exists()
+
+
 def test_train_harvest_associate_chain(tmp_path, dataset, config_file, capsys):
     ckpt = tmp_path / "run.ckpt"
     log = tmp_path / "metrics.csv"

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from auprobe import data
-from auprobe.model import ModelConfig, TrainConfig, build_network, sgd_step
+from auprobe import data, model
+from auprobe.model import ModelConfig, TrainConfig, build_network, sgd_step, train
 
 # Peak extra allocation allowed, as a share of fc1's weight bytes. The
 # whole-array update took 2.00x and a per-sample np.outer 1.01x.
@@ -123,3 +123,27 @@ def test_float32_init_builds_no_float64_weight_copy():
     held = sum(value.nbytes + grad.nbytes for _, value, grad in built[0].parameters())
     assert built[0].fc1.weights.dtype == np.float32
     assert extra < held + LIMIT * built[0].fc1.weights.nbytes, extra
+
+
+def test_batch_head_training_holds_one_chunk_of_patch_matrices(net, tmp_path, monkeypatch):
+    """A train call that runs the head once per batch keeps every chunk's pooled
+    maps and switches until backward, but the patch matrices of one chunk per
+    stage: the others are rebuilt in backward. Kept for every chunk, they would
+    cost 184 MB at ModelConfig()'s batches of 8."""
+    config = net.config
+    assert model.head_per_batch(config)
+    patch_bytes = 8 * sum(model._patch_elements(config))  # one image's, 358 KB
+    monkeypatch.setattr(model, "TRAIN_CHUNK_BYTES", 1)  # chunks of one image
+    manifest = data.generate_synthetic(data.default_synthetic_spec(samples_per_class=4, seed=2),
+                                       tmp_path / "ds")
+    assert len(manifest) == 16
+
+    def peak(images):
+        part = data.DatasetManifest(rows=manifest.rows[:images], base_dir=manifest.base_dir)
+        fresh = build_network(config)
+        cfg = TrainConfig(batch_size=images, epochs=1, augment=False)
+        return peak_extra_bytes(lambda: train(fresh, part, cfg))
+
+    # each further image adds its input, maps, switches and head rows: about 100 KB
+    grown = peak(16) - peak(1)
+    assert grown < 15 * patch_bytes / 2, (grown, patch_bytes)

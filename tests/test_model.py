@@ -173,8 +173,9 @@ def test_dropout_inactive_at_inference():
     net = build_network(small_config(seed=7))
     xs = np.random.default_rng(2).normal(size=(3, 1, 16, 16))
     plain = net.forward(xs)
-    # a training forward without a dropout mask must agree with inference exactly
-    logits = net.forward(xs, keep=TrainBuffers(len(net.convs)))
+    # a training forward and head without a dropout mask must agree with inference exactly
+    keep = TrainBuffers(len(net.convs))
+    logits = net.head(net.forward(xs, keep=keep), keep=keep)
     np.testing.assert_array_equal(plain, logits)
 
 
@@ -217,27 +218,80 @@ def test_training_sample_builds_each_patch_matrix_once(monkeypatch):
                                    dtype=np.float32) for i in range(3)])
     calls = _count_calls(monkeypatch, layers, ["im2col", "col2im"])
     keep = TrainBuffers(len(net.convs))
-    logits = net.forward(xs, keep=keep, drop_mask=masks)
+    logits = net.head(net.forward(xs, keep=keep), keep=keep, drop_mask=masks)
+    chunk = keep.chunks[-1]
     grad_logits = np.stack([softmax_cross_entropy(row, label)[1]
                             for row, label in zip(logits, [2, 0, 3])])
     _zero_grads(net)
-    net.backward(keep, grad_logits)
+    net.backward(keep, net.head_backward(keep, grad_logits)[1])
     # one im2col per conv for the whole chunk, kept for backward; no col2im into the image
     assert calls == {"im2col": 3, "col2im": 2}
+    assert not keep.chunks
     cached = [grad.copy() for _, _, grad in net.parameters()]
 
     # reference: every conv rebuilds its patch matrix and returns an input gradient
     _zero_grads(net)
     g = net.fc2.backward(grad_logits, keep.fc2_in) * keep.drop_mask
     g = net.fc1.backward(relu_backward(g, keep.fc1_out), keep.flat)
-    c, n, h, w = keep.stages[-1].pooled.shape
+    c, n, h, w = chunk.stages[-1].pooled.shape
     g = g.reshape(n, c, h, w).transpose(1, 0, 2, 3)
-    for stage, conv in zip(reversed(keep.stages), reversed(net.convs)):
-        g = conv.backward(maxpool_backward(g, stage.switches, stage.pooled), stage.conv_in)
+    ins = [chunk.x] + [stage.pooled for stage in chunk.stages[:-1]]
+    for stage, conv_in, conv in zip(reversed(chunk.stages), reversed(ins), reversed(net.convs)):
+        g = conv.backward(maxpool_backward(g, stage.switches, stage.pooled), conv_in)
     assert calls == {"im2col": 6, "col2im": 5}
     for (name, _, grad), expected in zip(net.parameters(), cached):
         if not name.startswith("fc1"):  # backward leaves fc1's parameters to the batch
             assert np.array_equal(grad, expected), name
+
+
+@pytest.mark.parametrize("fc_hidden, per_batch", [(128, False), (256, True)],
+                         ids=["head-per-chunk", "head-per-batch"])
+def test_training_rebuilds_patch_matrices_of_all_but_the_last_chunk(tiny_manifest, monkeypatch,
+                                                                     fc_hidden, per_batch):
+    # one batch of 16 images in 6 chunks (3, 3, 3, 3, 2, 2)
+    config = dataclasses.replace(model.reduced_config(seed=4), fc_hidden=fc_hidden)
+    assert model.head_per_batch(config) is per_batch
+    monkeypatch.setattr(model, "TRAIN_CHUNK_BYTES", 3 * 8 * 5 * 5 * 24 * 24 * 4)  # 3 x conv2's
+    log = []  # [call, im2col calls inside it]
+
+    def marked(name, original):
+        def call(*args, **kwargs):
+            log.append([name, 0])
+            return original(*args, **kwargs)
+        return call
+
+    def im2col(*args, _original=layers.im2col, **kwargs):
+        log[-1][1] += 1
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(Network, "forward", marked("forward", Network.forward))
+    monkeypatch.setattr(Network, "backward", marked("backward", Network.backward))
+    monkeypatch.setattr(layers, "im2col", im2col)
+    train(build_network(config), tiny_manifest,
+          TrainConfig(batch_size=16, epochs=1, seed=9, augment=False))
+    if per_batch:
+        # all forward, then backward in reverse: the last chunk's patch matrices are still kept
+        assert log == [["forward", 3]] * 6 + [["backward", 0]] + [["backward", 3]] * 5
+    else:
+        assert log == [["forward", 3], ["backward", 0]] * 6
+
+
+def test_head_per_batch_when_fc1_outweighs_an_images_patch_matrices():
+    # (fc1 weights, one image's patch matrices summed over the convs) in float32 bytes
+    def sizes(config):
+        return (4 * config.fc_hidden * config.flat_features, 4 * sum(model._patch_elements(config)))
+
+    # CI's cfg.txt is reduced_config()'s geometry; its head.txt trains batches of 8 in 4 chunks
+    cfg_txt = ModelConfig(input_size=48, conv_channels=(8, 16, 32), fc_hidden=128, num_classes=4)
+    ci_batch = ModelConfig(input_size=64, conv_channels=(2, 4, 8), fc_hidden=512, num_classes=4)
+    assert sizes(model.reduced_config()) == sizes(cfg_txt) == (589_824, 921_600)
+    assert sizes(ModelConfig()) == (150_994_944, 23_040_000)
+    assert sizes(ci_batch) == (1_048_576, 716_800)
+    assert model.images_per_chunk(ci_batch, model.TRAIN_CHUNK_BYTES) == 2
+    configs = (model.reduced_config(), cfg_txt, ModelConfig(), ci_batch)
+    for config, per_batch in zip(configs, (False, False, True, True)):
+        assert model.head_per_batch(config) is per_batch
+        assert model.head_per_batch(dataclasses.replace(config, dtype="float64")) is per_batch
 
 
 def test_weight_decay_alone_shrinks_norms():
@@ -402,15 +456,21 @@ def test_train_batch_gradients_match_per_sample_loop(tiny_manifest, monkeypatch)
     earlier loop that ran every layer on one image at a time
     (oracles.sample_gradients). In float64, where the two summation orders
     agree to 1e-12. Chunks of 1, a whole batch, and batches that are not a
-    multiple of the chunk, so the last chunk is short."""
-    config = dataclasses.replace(model.reduced_config(seed=4), dtype="float64")
-    labels = model._label_indices(tiny_manifest, config.num_classes)
+    multiple of the chunk, so the last chunk is short. With fc_hidden=256
+    fc1 (2.36 MB) outweighs an image's patch matrices (1.84 MB), so the
+    head runs once per batch and every chunk but the last rebuilds its
+    patch matrices in backward."""
+    configs = [dataclasses.replace(model.reduced_config(seed=4), dtype="float64", **change)
+               for change in ({}, {"fc_hidden": 256})]
+    assert [model.head_per_batch(config) for config in configs] == [False, True]
+    labels = model._label_indices(tiny_manifest, configs[0].num_classes)
 
     class FirstStep(Exception):
         pass
 
     conv2_patch_bytes = 8 * 5 * 5 * 24 * 24 * 8  # the largest patch matrix, per image
-    for batch_size, chunk in ((8, 1), (8, 8), (8, 3), (12, 5)):
+    for config, (batch_size, chunk) in ((config, case) for config in configs
+                                         for case in ((8, 1), (8, 8), (8, 3), (12, 5))):
         monkeypatch.setattr(model, "TRAIN_CHUNK_BYTES", chunk * conv2_patch_bytes)
         assert model.images_per_chunk(config, model.TRAIN_CHUNK_BYTES) == chunk
         net = build_network(config)
@@ -444,7 +504,8 @@ def test_train_batch_gradients_match_per_sample_loop(tiny_manifest, monkeypatch)
             assert got.any(), name
             np.testing.assert_allclose(got, expected, rtol=1e-12,
                                        atol=1e-12 * np.abs(expected).max(),
-                                       err_msg=f"{name}, batch {batch_size}, chunk {chunk}")
+                                       err_msg=f"{name}, fc_hidden {config.fc_hidden}, "
+                                               f"batch {batch_size}, chunk {chunk}")
 
 
 def test_float64_input_runs_in_network_dtype():
@@ -462,9 +523,9 @@ def test_float64_input_runs_in_network_dtype():
              (net.stage_outputs(x64, 2), net.stage_outputs(x32, 2))]
     pairs += zip(arrays(net.forward_trace(x64)), arrays(net.forward_trace(x32)))
     kept = [TrainBuffers(len(net.convs)) for _ in range(2)]
-    train_logits = [net.forward(x, keep=keep) for x, keep in zip((x64, x32), kept)]
+    train_logits = [net.head(net.forward(x, keep=keep)) for x, keep in zip((x64, x32), kept)]
     pairs += [(train_logits[0], train_logits[1]),
-              (kept[0].stages[0].cols, kept[1].stages[0].cols)]
+              (kept[0].chunks[0].stages[0].cols, kept[1].chunks[0].stages[0].cols)]
     for got, want in pairs:
         assert got.dtype == want.dtype == np.float32
         assert np.array_equal(got, want)
@@ -515,12 +576,13 @@ def test_dropout_fraction_during_training():
     net = build_network(small_config(seed=9, fc_hidden=64))
     x = np.random.default_rng(3).normal(size=(1, 1, 16, 16))
     keep = TrainBuffers(len(net.convs))
+    flat = net.forward(x, keep=keep)
     zeroed = 0
     total = 0
     trial = 0
     while total < 10000:
         mask = dropout_mask((1, 64), 0.5, np.random.default_rng(trial), dtype=np.float32)
-        net.forward(x, keep=keep, drop_mask=mask)
+        net.head(flat, keep=keep, drop_mask=mask)
         live = keep.fc1_out > 0
         assert live.any()
         zeroed += int((keep.fc2_in[live] == 0).sum())
