@@ -14,72 +14,229 @@ window whose origin is the field's corner in that stage's grid; every
 record's window has the same width, so a chunk's signal is one
 [C, N, w, w] array. The top window is the one activation, 1 wide, of
 its map alone. Each stage rectifies its window, unpools it to twice the
-width, reading the switches only at the window's in-image pooled
-positions, and applies the transposed convolution, which
+width through the switches of the window's in-grid pooled positions,
+and applies the transposed convolution, which
 ConvLayer.transpose_apply leaves unclipped: the window grows by k - 1,
 to the origin 2 * origin - k // 2. At the top stage only the
 activation's map, and so only its kernels, take part.
-Window positions outside the image are never read on: the next unpool
-skips them, and only the final window's in-image part is pasted into
-the [S, S] image, so border units need no special case. Every pixel
-sums the same non-zero terms in the same order as the full-image
-pathway, so the two agree bit for bit. With 5x5 kernels the windows
-are 6, 16 and 36 pixels wide at layers 1-3.
+Window positions outside the grid are never unpooled, and only the
+final window's in-image part is pasted into the [S, S] image, so border
+units need no special case. Every pixel sums the same non-zero terms in
+the same order as the full-image pathway, so the two agree bit for bit.
+With 5x5 kernels the windows are 6, 16 and 36 pixels wide at layers 1-3.
+
+That backward half reads a WindowTrace: the unit's pooled values and
+each stage's switches over its window, as indices into the unpooled
+window. project() cuts a full ForwardTrace to the windows (_crop), and
+trace_windows() runs a chunk's conv stages only inside them, the path
+behind montages: stage i is a "valid" convolution of the window below
+(zeros outside the image or pooled grid), its outputs outside the conv
+grid -inf before the pool, as the pool pads an odd grid. A layer-3
+unit's convs then compute 1024, 144 and 4 outputs per map, not 2304,
+576 and 144 (48 px, 5x5 kernels). Each record is one GEMM over every
+map, its columns padded with zero columns to a whole number of the
+sgemm kernel's 16-column blocks: sgemm sums a column in another order
+when it falls in a partial block, and a GEMM of one map goes through
+GEMV. So in float32 the windows hold the full trace's bits; in float64,
+and in float32 at input sizes whose stage grids are odd (13, 15 px), a
+few values may differ in the last bits (tests/test_deconv.py).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import imageio
-from .layers import ShapeError, SwitchRecord, relu_forward
+from .layers import ConvLayer, ShapeError, SwitchRecord, im2col, maxpool_forward, relu_forward
 from .model import ForwardTrace, ModelConfig, Network
 
+# Columns in a block of the sgemm kernel; a window GEMM pads each
+# record's columns to a multiple of it.
+GEMM_BLOCK_COLUMNS = 16
 
-def _check_trace(trace: ForwardTrace, net: Network) -> None:
-    if len(trace.stages) != len(net.convs):
-        raise ShapeError(f"trace has {len(trace.stages)} stages, network {len(net.convs)}")
-    ins = [1] + [st.pooled.shape[0] for st in trace.stages]  # a stage reads the previous one's maps
-    for i, (st, c_in, conv) in enumerate(zip(trace.stages, ins, net.convs), start=1):
-        if (c_in, st.pooled.shape[0]) != (conv.in_channels, conv.out_channels):
-            raise ShapeError(f"trace stage {i} channels {c_in}->{st.pooled.shape[0]} "
+
+@dataclass
+class WindowStage:
+    """A stage's switches over each record's pooled window, w wide."""
+
+    index: np.ndarray  # [C, N, w, w]: each switch's flat index into the unpooled [C, N, 2w, 2w]
+    inside: np.ndarray  # [N, w, w]: the pooled position lies in the stage's grid
+
+
+@dataclass
+class WindowTrace:
+    """What projections of one unit per record at `layer` read, in the units' windows.
+
+    Record k's unit sits at locations[k] of the layer's pooled grid. top
+    [C, N] holds every map's pooled value there; stages, first stage
+    first, hold each stage's switches over its window (_window_frames).
+    image_id is the caller's label for the chunk's images.
+    """
+
+    image_id: int | tuple[int, ...] | None
+    layer: int
+    locations: np.ndarray
+    top: np.ndarray
+    stages: list[WindowStage]
+
+
+def _window_frames(layer: int, kernel_size: int,
+                   locations: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """(origin [N, 2], width) of the windows of units at `locations` of `layer`.
+
+    Entry i is in stage i's pooled grid, entry 0 in the image: the units'
+    1-wide windows at the top, and below each window the unclipped field
+    of the one above, 2 * w + k - 1 wide from 2 * origin - k // 2.
+    """
+    frames = [(locations, 1)]
+    for _ in range(layer):
+        origin, width = frames[0]
+        frames.insert(0, (2 * origin - kernel_size // 2, 2 * width + kernel_size - 1))
+    return frames
+
+
+def _in_grid(origin: np.ndarray, width: int, grid: tuple[int, int]) -> np.ndarray:
+    """[N, w, w]: which positions of the windows at origin [N, 2] lie in a grid."""
+    rows = origin[:, :1] + np.arange(width)
+    cols = origin[:, 1:] + np.arange(width)
+    return (((rows >= 0) & (rows < grid[0]))[:, :, None]
+            & ((cols >= 0) & (cols < grid[1]))[:, None, :])
+
+
+def _crop_stage(switches: SwitchRecord, origin: np.ndarray, width: int) -> WindowStage:
+    """A full trace stage's switches over the pooled windows at origin [N, 2]."""
+    c, n, grid_h, grid_w = switches.pooled_shape
+    h, w = switches.input_shape[-2:]
+    rows = origin[:, :1] + np.arange(width)  # [N, w]
+    cols = origin[:, 1:] + np.arange(width)
+    # a position outside the grid reads any switch: it is never unpooled
+    rows, cols = (rows % grid_h)[:, :, None], (cols % grid_w)[:, None, :]
+    at = (np.arange(n)[:, None, None] * grid_h + rows) * grid_w + cols  # [N, w, w]
+    index = np.take(switches.index.reshape(c, -1), at, axis=1)
+    # A switch lies 0, 1, w or w + 1 past the first element of its pooling
+    # window; it lies as far past (2i, 2j) in the unpooled window, whose
+    # rows are 2 * width long.
+    planes = np.arange(c * n).reshape(c, n, 1, 1)
+    index = index - (planes * (h * w) + 2 * (rows * w + cols))
+    index += (index >= w) * (2 * width - w)
+    index += (planes * (4 * width * width) + 4 * width * np.arange(width)[:, None]
+              + 2 * np.arange(width))
+    return WindowStage(index, _in_grid(origin, width, (grid_h, grid_w)))
+
+
+def _crop(trace: ForwardTrace, net: Network, layer: int, locations: np.ndarray) -> WindowTrace:
+    """A full trace cut to the windows of units at `locations` of `layer`."""
+    frames = _window_frames(layer, net.config.kernel_size, locations)
+    pooled = trace.stages[layer - 1].pooled
+    top = pooled[:, np.arange(pooled.shape[1]), locations[:, 0], locations[:, 1]]
+    stages = [_crop_stage(trace.stages[i].switches, *frames[i + 1]) for i in range(layer)]
+    return WindowTrace(trace.image_id, layer, locations, top, stages)
+
+
+def _image_windows(images: np.ndarray, origin: np.ndarray, width: int) -> np.ndarray:
+    """[N, w, w] windows of images [N, S, S] at origin [N, 2]; zeros outside the image."""
+    n, size, _ = images.shape
+    margin = max(0, -int(origin.min()), int((origin + width - size).max()))
+    canvas = np.zeros((n, size + 2 * margin, size + 2 * margin), dtype=images.dtype)
+    canvas[:, margin : margin + size, margin : margin + size] = images
+    windows = np.lib.stride_tricks.sliding_window_view(canvas, (width, width), axis=(1, 2))
+    return windows[np.arange(n), origin[:, 0] + margin, origin[:, 1] + margin]
+
+
+def _window_conv(conv: ConvLayer, a: np.ndarray) -> np.ndarray:
+    """conv's "valid" outputs [out, N, w - k + 1, w - k + 1] over windows a [C, N, w, w].
+
+    One GEMM per record over every map, as ConvLayer.forward runs one per
+    image, each record's columns padded with zero columns to a multiple
+    of GEMM_BLOCK_COLUMNS.
+    """
+    _, n, w, _ = a.shape
+    side = w - conv.kernel_size + 1
+    cols = im2col(a, conv.kernel_size, 0)
+    per, k = side * side, len(cols)
+    padded = -(-per // GEMM_BLOCK_COLUMNS) * GEMM_BLOCK_COLUMNS
+    operand = cols.reshape(k, n, per).transpose(1, 0, 2)
+    if padded != per:
+        operand = np.zeros((n, k, padded), dtype=cols.dtype)
+        operand[..., :per] = cols.reshape(k, n, per).transpose(1, 0, 2)
+    out = np.empty((conv.out_channels, n, padded), dtype=np.result_type(conv.kernels, cols))
+    np.matmul(conv.kernels.reshape(conv.out_channels, k), operand, out=out.transpose(1, 0, 2))
+    out = out[..., :per].reshape(conv.out_channels, n, side, side)
+    out += conv.bias[:, None, None, None]
+    return out
+
+
+def trace_windows(net: Network, xs: np.ndarray, layer: int,
+                  locations: list[tuple[int, int]],
+                  image_id: int | tuple[int, ...] | None = None) -> WindowTrace:
+    """The conv stages of a chunk xs [N, 1, S, S] up to `layer`, inside the units' windows.
+
+    locations holds one (row, col) of `layer`'s pooled grid per image.
+    Each stage convolves, rectifies and pools only the window a
+    projection of that unit reads, so project() of the result at the
+    same layer and locations gives the full trace's projections (see the
+    module docstring for the bits). xs is cast to the network's dtype.
+    """
+    config = net.config
+    grids = [config.input_size] + config.stage_sizes()
+    locs = np.array(locations, ndmin=2)
+    if xs.ndim != 4 or xs.shape[1:] != (1, grids[0], grids[0]):
+        raise ShapeError(f"expected a chunk [N, 1, {grids[0]}, {grids[0]}], got {xs.shape}")
+    if not 1 <= layer < len(grids):
+        raise ShapeError(f"layer {layer} outside 1..{len(grids) - 1}")
+    if locs.shape != (len(xs), 2) or (locs < 0).any() or (locs >= grids[layer]).any():
+        raise ShapeError(f"locations {locs.tolist()} are not one unit per image of the "
+                         f"{grids[layer]}x{grids[layer]} grid of layer {layer}")
+    frames = _window_frames(layer, config.kernel_size, locs)
+    a = _image_windows(xs[:, 0].astype(config.np_dtype, copy=False), *frames[0])[None]
+    stages = []
+    for i, conv in enumerate(net.convs[:layer]):
+        origin, width = frames[i + 1]
+        conv_out = _window_conv(conv, a)
+        relu_forward(conv_out, out=conv_out)
+        beyond = ~_in_grid(2 * origin, 2 * width, (grids[i], grids[i]))
+        np.copyto(conv_out, -np.inf, where=beyond)  # as the pool pads an odd grid
+        a, switches = maxpool_forward(conv_out)
+        inside = _in_grid(origin, width, (grids[i + 1], grids[i + 1]))
+        np.copyto(a, 0, where=~inside)  # the next conv's zero padding
+        stages.append(WindowStage(switches.index, inside))
+    return WindowTrace(image_id, layer, locs, a[:, :, 0, 0], stages)
+
+
+def _check_trace(trace: ForwardTrace | WindowTrace, net: Network) -> None:
+    if isinstance(trace, WindowTrace):
+        outs = [st.index.shape[0] for st in trace.stages]
+        fits = len(outs) <= len(net.convs)
+    else:
+        outs = [st.pooled.shape[0] for st in trace.stages]
+        fits = len(outs) == len(net.convs)
+    if not fits:
+        raise ShapeError(f"trace has {len(outs)} stages, network {len(net.convs)}")
+    ins = [1] + outs  # a stage reads the previous one's maps
+    for i, (c_in, c_out, conv) in enumerate(zip(ins, outs, net.convs), start=1):
+        if (c_in, c_out) != (conv.in_channels, conv.out_channels):
+            raise ShapeError(f"trace stage {i} channels {c_in}->{c_out} "
                              f"do not match network {conv.in_channels}->{conv.out_channels}")
 
 
-def _unpool_window(signal: np.ndarray, switches: SwitchRecord, origin: np.ndarray,
-                   maps: slice = slice(None)) -> np.ndarray:
-    """Unpool windows [C, N, w, w] at pooled positions origin + (i, j) to [C, N, 2w, 2w].
+def _unpool(signal: np.ndarray, stage: WindowStage, maps: slice) -> np.ndarray:
+    """Unpool windows [C, N, w, w] of the maps `maps` through stage's switches to [C, N, 2w, 2w].
 
-    signal holds the maps `maps` of the pooled maps switches recorded.
-    Window positions outside the pooled grid carry nothing onward.
+    Positions outside the pooled grid carry nothing onward.
     """
     c, n, w, _ = signal.shape
-    grid_h, grid_w = switches.pooled_shape[-2:]
-    h, width = switches.input_shape[-2:]
-    rows = origin[:, :1] + np.arange(w)  # [N, w]
-    cols = origin[:, 1:] + np.arange(w)
-    inside = (((rows >= 0) & (rows < grid_h))[:, :, None]
-              & ((cols >= 0) & (cols < grid_w))[:, None, :])
-    # a position outside the grid reads any switch: its signal is zeroed
-    rows, cols = (rows % grid_h)[:, :, None], (cols % grid_w)[:, None, :]
-    at = (np.arange(n)[:, None, None] * grid_h + rows) * grid_w + cols  # [N, w, w]
-    index = np.take(switches.index[maps].reshape(c, -1), at, axis=1)
-    # A switch lies 0, 1, width or width + 1 past the first element of its
-    # pooling window; the value goes as far past (2i, 2j) in the unpooled
-    # window, whose rows are 2w long.
-    planes = np.arange(c * n).reshape(c, n, 1, 1)
-    offset = index - ((planes + (maps.start or 0) * n) * (h * width)
-                      + 2 * (rows * width + cols))
-    offset += (offset >= width) * (2 * w - width)
-    offset += planes * (4 * w * w) + 4 * w * np.arange(w)[:, None] + 2 * np.arange(w)
+    index = stage.index[maps]
+    if maps.start:  # the switches index the planes of every map
+        index = index - maps.start * (n * 4 * w * w)
     out = np.zeros(c * n * 4 * w * w, dtype=signal.dtype)
-    out[offset] = np.where(inside, signal, 0)
+    out[index] = np.where(stage.inside, signal, 0)
     return out.reshape(c, n, 2 * w, 2 * w)
 
 
-def project(trace: ForwardTrace, net: Network, layer: int, map_index: int,
+def project(trace: ForwardTrace | WindowTrace, net: Network, layer: int, map_index: int,
             locations: tuple[int, int] | list[tuple[int, int]]) -> np.ndarray:
     """Pixel-space responses [N, S, S] of one pooled activation per traced image at `layer`.
 
@@ -88,28 +245,37 @@ def project(trace: ForwardTrace, net: Network, layer: int, map_index: int,
     activation keeps its traced value and every other activation in that
     layer is zeroed; the whole chunk is then carried down through
     unpool / rectify / transposed convolution at once, in the units'
-    receptive-field windows.
+    receptive-field windows. trace is a full forward_trace, cut here to
+    the windows, or the trace_windows of the same layer and locations.
     """
     _check_trace(trace, net)
-    if not 1 <= layer <= len(trace.stages):
-        raise ShapeError(f"layer {layer} outside 1..{len(trace.stages)}")
-    pooled = trace.stages[layer - 1].pooled
-    c, n, h, w = pooled.shape
     locs = np.array(locations, ndmin=2)
-    if (locs.shape != (n, 2) or not 0 <= map_index < c or (locs < 0).any()
-            or (locs >= (h, w)).any()):
-        raise ShapeError(f"(map {map_index}, locations {locs.tolist()}) are not one unit "
-                         f"per traced image of feature maps {(c, n, h, w)}")
-    signal = pooled[map_index, np.arange(n), locs[:, 0], locs[:, 1]][None, :, None, None]
-    origin, maps = locs, slice(map_index, map_index + 1)
+    if isinstance(trace, WindowTrace):
+        if layer != trace.layer or not np.array_equal(locs, trace.locations):
+            raise ShapeError(f"layer {layer} at {locs.tolist()} is not the window trace's "
+                             f"layer {trace.layer} at {trace.locations.tolist()}")
+        windows = trace
+    else:
+        if not 1 <= layer <= len(trace.stages):
+            raise ShapeError(f"layer {layer} outside 1..{len(trace.stages)}")
+        c, n, h, w = trace.stages[layer - 1].pooled.shape
+        if locs.shape != (n, 2) or (locs < 0).any() or (locs >= (h, w)).any():
+            raise ShapeError(f"locations {locs.tolist()} are not one unit per traced image "
+                             f"of feature maps {(c, n, h, w)}")
+        windows = _crop(trace, net, layer, locs)
+    c, n = windows.top.shape
+    if not 0 <= map_index < c:
+        raise ShapeError(f"map {map_index} outside 0..{c - 1}")
+    signal = windows.top[map_index][None, :, None, None]
+    maps = slice(map_index, map_index + 1)
     for i in reversed(range(layer)):
-        conv = net.convs[i]
-        signal = _unpool_window(relu_forward(signal), trace.stages[i].switches, origin, maps)
-        signal = conv.transpose_apply(signal, maps)
-        origin, maps = 2 * origin - conv.pad, slice(None)
-    size = trace.stages[0].switches.input_shape[-1]  # the same-size conv1's output
+        signal = _unpool(relu_forward(signal), windows.stages[i], maps)
+        signal = net.convs[i].transpose_apply(signal, maps)
+        maps = slice(None)
+    size = net.config.input_size
     out = np.zeros((n, size, size), dtype=signal.dtype)
     span = signal.shape[-1]
+    origin, _ = _window_frames(layer, net.config.kernel_size, locs)[0]
     for i, (r0, c0) in enumerate(origin):
         rows = slice(max(r0, 0), min(r0 + span, size))
         cols = slice(max(c0, 0), min(c0 + span, size))
@@ -124,8 +290,7 @@ def unclipped_field(config: ModelConfig, layer: int,
 
     `location` is (row, col) in the layer's pooled grid, of size
     config.stage_sizes()[layer - 1] (ShapeError otherwise). The box is
-    composed from the stride/padding geometry, stage by stage, and may
-    reach past the image.
+    the image window of _window_frames, and may reach past the image.
     """
     grids = config.stage_sizes()
     if not 1 <= layer <= len(grids):
@@ -134,12 +299,9 @@ def unclipped_field(config: ModelConfig, layer: int,
     row, col = location
     if not (0 <= row < grid and 0 <= col < grid):
         raise ShapeError(f"location {location} outside {grid}x{grid} grid of layer {layer}")
-    half = config.kernel_size // 2
-    r0, r1, c0, c1 = row, row, col, col
-    for _ in range(layer):  # the pool's 2x2 window, then the conv's kernel
-        r0, r1 = 2 * r0 - half, 2 * r1 + 1 + half
-        c0, c1 = 2 * c0 - half, 2 * c1 + 1 + half
-    return c0, r0, c1, r1
+    origin, width = _window_frames(layer, config.kernel_size, np.array([location]))[0]
+    r0, c0 = (int(v) for v in origin[0])
+    return c0, r0, c0 + width - 1, r0 + width - 1
 
 
 def receptive_field(config: ModelConfig, layer: int,

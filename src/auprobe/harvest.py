@@ -9,7 +9,6 @@ manifest that produced it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -69,16 +68,18 @@ class ActivationDB:
     def save(self, path) -> None:
         """Write the header, the column names and one line per (image, map), image-major.
 
-        The body is formatted a column at a time: each value is repr of
-        its Python float, every other field its Python int.
+        Each value is repr of its Python float, every other field its
+        Python int. An image's m lines are one % template, the map
+        indices written into it, over that image's row of a table of
+        Python objects.
         """
-        m = self.num_maps
-        body = map("{},{},{},{},{}\n".format,
-                   np.arange(self.num_images).repeat(m).tolist(),
-                   itertools.cycle(range(m)),
-                   map(repr, self.values.ravel().tolist()),
-                   self.rows.ravel().tolist(), self.cols.ravel().tolist())
-        data_mod.write_atomic(path, f"{self._header_line()}\n{DB_COLUMNS}\n" + "".join(body))
+        n, m = self.num_images, self.num_maps
+        template = "".join(f"%d,{j},%r,%d,%d\n" for j in range(m))
+        table = np.empty((n, m, 4), dtype=object)  # assignment converts to Python scalars
+        table[..., 0] = np.arange(n)[:, None]
+        table[..., 1], table[..., 2], table[..., 3] = self.values, self.rows, self.cols
+        body = "".join([template % tuple(line) for line in table.reshape(n, 4 * m).tolist()])
+        data_mod.write_atomic(path, f"{self._header_line()}\n{DB_COLUMNS}\n{body}")
 
     def _header_line(self) -> str:
         fields = " ".join(f"{k}={v}" for k, v in sorted(self.provenance.items()))

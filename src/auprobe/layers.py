@@ -100,33 +100,36 @@ class Scratch:
 
 def im2col(x: np.ndarray, kernel_size: int, pad: int,
            scratch: Scratch | None = None) -> np.ndarray:
-    """Unroll a chunk x [C,N,H,W] into the patch matrix [C*k*k, N*H*W], zero padded.
+    """Unroll a chunk x [C,N,H,W] into the patch matrix [C*k*k, N*OH*OW], zero padded.
 
-    Each image's H*W columns come in turn, each image padded on its own.
-    x is copied once into a zero-padded canvas. Then, a block of channels
-    at a time, two passes of k copies fill the patch matrix: the first
-    copies k column shifts of the canvas into planes [k,N,H+2*pad,W] per
-    channel, the second k row shifts of those planes, each image's H rows
-    one contiguous run. k*k copies straight from the canvas, each of runs
-    of one image row, took about twice as long at a training chunk's
-    shapes.
+    The output is OH = H + 2*pad - k + 1 by OW likewise: H by W for the
+    same-size pad k // 2, and the "valid" H - k + 1 by W - k + 1 for pad
+    0. Each image's OH*OW columns come in turn, each image padded on its
+    own. x is copied once into a zero-padded canvas. Then, a block of
+    channels at a time, two passes of k copies fill the patch matrix: the
+    first copies k column shifts of the canvas into planes
+    [k,N,H+2*pad,OW] per channel, the second k row shifts of those planes,
+    each image's OH rows one contiguous run. k*k copies straight from the
+    canvas, each of runs of one image row, took about twice as long at a
+    training chunk's shapes.
     """
     scratch = scratch or Scratch()
     c, n, h, w = x.shape
     k = kernel_size
     tall = h + 2 * pad
+    out_h, out_w = tall - k + 1, w + 2 * pad - k + 1
     canvas = scratch.canvas("canvas", (c, n, tall, w + 2 * pad), x.dtype)
-    cols = scratch.empty("cols", (c, k, k, n, h, w), x.dtype)
+    cols = scratch.empty("cols", (c, k, k, n, out_h, out_w), x.dtype)
     canvas[:, :, pad : pad + h, pad : pad + w] = x
-    block = max(1, min(c, SHIFT_BYTES // (k * n * tall * w * x.itemsize)))
+    block = max(1, min(c, SHIFT_BYTES // (k * n * tall * out_w * x.itemsize)))
     for c0 in range(0, c, block):
         part = canvas[c0 : c0 + block]
-        shifts = scratch.empty("shifts", (len(part), k, n, tall, w), x.dtype)
+        shifts = scratch.empty("shifts", (len(part), k, n, tall, out_w), x.dtype)
         for v in range(k):
-            shifts[:, v] = part[..., v : v + w]
+            shifts[:, v] = part[..., v : v + out_w]
         for u in range(k):
-            cols[c0 : c0 + len(part), u] = shifts[:, :, :, u : u + h]
-    return cols.reshape(c * k * k, n * h * w)
+            cols[c0 : c0 + len(part), u] = shifts[:, :, :, u : u + out_h]
+    return cols.reshape(c * k * k, n * out_h * out_w)
 
 
 def col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kernel_size: int, pad: int,

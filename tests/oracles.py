@@ -53,15 +53,16 @@ def maxpool_direct(x: np.ndarray) -> np.ndarray:
 
 
 def im2col_transposed(x: np.ndarray, kernel_size: int, pad: int) -> np.ndarray:
-    """Patch rows [H*W, C*k*k] gathered from an np.pad copy of x."""
+    """Patch rows [OH*OW, C*k*k] gathered from an np.pad copy of x; OH = H + 2*pad - k + 1."""
     c, h, w = x.shape
     k = kernel_size
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((c, k, k, h, w), dtype=x.dtype)
+    oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    cols = np.empty((c, k, k, oh, ow), dtype=x.dtype)
     for u in range(k):
         for v in range(k):
-            cols[:, u, v] = xp[:, u : u + h, v : v + w]
-    return cols.reshape(c * k * k, h * w).T
+            cols[:, u, v] = xp[:, u : u + oh, v : v + ow]
+    return cols.reshape(c * k * k, oh * ow).T
 
 
 def col2im_transposed(cols: np.ndarray, shape, kernel_size: int, pad: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from auprobe import cli, data, model
+from auprobe import cli, data, model, report
 from auprobe import harvest as harvest_mod
 from auprobe.cli import main, parse_config_file, write_resolved_config
 from auprobe.harvest import ActivationDB
@@ -285,10 +285,11 @@ def test_deconv_writes_montage_and_responses(tmp_path, dataset, config_file, mon
     assert main(["train", "--manifest", str(dataset), "--config", str(config_file),
                  "--out", str(ckpt)]) == 0
     traced = []
-    forward_trace = model.Network.forward_trace
-    monkeypatch.setattr(model.Network, "forward_trace",
-                        lambda net, x, image_id=None: traced.append((len(x), image_id))
-                        or forward_trace(net, x, image_id))
+    trace_windows = report.trace_windows
+    monkeypatch.setattr(report, "trace_windows",
+                        lambda net, xs, layer, locations, image_id=None:
+                        traced.append((len(xs), image_id))
+                        or trace_windows(net, xs, layer, locations, image_id))
     out = tmp_path / "dec"
     assert main(["deconv", "--checkpoint", str(ckpt), "--manifest", str(dataset),
                  "--map", "1", "--top", "2", "--out", str(out)]) == 0

@@ -3,11 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from auprobe import deconv
 from auprobe.deconv import (
     project,
     receptive_field,
     receptive_field_span,
     render_response,
+    trace_windows,
 )
 from auprobe.imageio import read_image
 from auprobe.layers import ConvLayer, ShapeError
@@ -167,10 +169,36 @@ def test_chunk_projection_equals_chunks_of_one(config):
     assert nonzero >= 3 * 3 * 4  # as many as the peaks, if none were dead
 
 
+def unit_sets(pooled, rng):
+    """Per map: (map, location lists) of corners, edges, each image's peak and random units."""
+    c, n, h, w = pooled.shape
+    corners = [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)]
+    edges = [(0, w // 2), (h // 2, 0), (h - 1, w // 2), (h // 2, w - 1)]
+    for m in range(c):
+        peaks = [np.unravel_index(int(np.argmax(pooled[m, k])), (h, w)) for k in range(n)]
+        randoms = [(int(rng.integers(h)), int(rng.integers(w))) for _ in range(n)]
+        yield m, (corners, corners[::-1], edges, peaks, randoms)
+
+
+def assert_same_windows(got, want):
+    """Equal unit values, and equal switches at every in-grid window position."""
+    assert got.top.tobytes() == want.top.tobytes()
+    for g, w in zip(got.stages, want.stages, strict=True):
+        np.testing.assert_array_equal(g.inside, w.inside)
+        np.testing.assert_array_equal(g.index[:, g.inside], w.index[:, w.inside])
+
+
 # 16 px: the 36 px field of layer 3 is wider than the image; 13 and 15 px:
-# odd stage sizes, where the pools pad with -inf
+# odd stage sizes, where the pools pad with -inf; 50 px: stage grids of 50,
+# 25 and 13, whose full-trace GEMMs end in partial 16-column blocks
 WINDOW_CASES = [(13, "float32"), (15, "float64"), (16, "float32"), (16, "float64"),
-                (48, "float32"), (48, "float64")]
+                (48, "float32"), (48, "float64"), (50, "float32"), (96, "float32"),
+                (15, "float32"), (13, "float64")]
+# trace_windows keeps the full trace's bits in float32 at these sizes. At the
+# rest, a window GEMM can sum an output in another order than the full one:
+# sgemm a column of a small GEMM's partial last block (13 px: conv2's 49
+# columns), dgemm a small GEMM in another kernel
+EXACT_WINDOW_CASES = [(16, "float32"), (48, "float32"), (50, "float32"), (96, "float32")]
 
 
 @pytest.mark.parametrize("size,dtype", WINDOW_CASES,
@@ -179,23 +207,49 @@ def test_window_projection_equals_full_frame_oracle(size, dtype):
     config = dataclasses.replace(reduced_config(seed=size), input_size=size, dtype=dtype)
     net = Network(config)
     rng = np.random.default_rng(size)
-    trace = net.forward_trace(rng.normal(size=(4, 1, size, size)).astype(dtype))
+    xs = rng.normal(size=(4, 1, size, size)).astype(dtype)
+    trace = net.forward_trace(xs)
+    exact = (size, dtype) in EXACT_WINDOW_CASES
+    # of a projection's largest magnitude; 2.3e-6 measured at 13 px in float32
+    tolerance = 1e-5 if dtype == "float32" else 1e-12
     nonzero = 0
     for layer in (1, 2, 3):
-        pooled = trace.stages[layer - 1].pooled
-        c, n, h, w = pooled.shape
-        corners = [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)]
-        edges = [(0, w // 2), (h // 2, 0), (h - 1, w // 2), (h // 2, w - 1)]
-        for m in range(c):
-            peaks = [np.unravel_index(int(np.argmax(pooled[m, k])), (h, w)) for k in range(n)]
-            randoms = [(int(rng.integers(h)), int(rng.integers(w))) for _ in range(n)]
-            for locations in (corners, corners[::-1], edges, peaks, randoms):
+        for m, location_sets in unit_sets(trace.stages[layer - 1].pooled, rng):
+            for locations in location_sets:
                 got = project(trace, net, layer, m, locations)
                 want = project_full_frame(trace, net, layer, m, locations)
                 assert got.dtype == want.dtype == np.dtype(dtype)
                 np.testing.assert_array_equal(got, want)
                 nonzero += int(got.any(axis=(1, 2)).sum())
+                windows = trace_windows(net, xs, layer, locations)
+                windowed = project(windows, net, layer, m, locations)
+                assert windowed.dtype == got.dtype
+                if exact:
+                    assert_same_windows(windows, deconv._crop(trace, net, layer,
+                                                              np.array(locations)))
+                    assert windowed.tobytes() == got.tobytes()
+                else:
+                    scale = np.abs(got).max(axis=(1, 2), keepdims=True)
+                    assert (np.abs(windowed - got) <= tolerance * scale).all()
     assert nonzero >= (8 + 16 + 32) * 4  # as many as the peaks' records alone
+
+
+def test_window_trace_projects_only_its_own_units():
+    net = small_net(seed=13)
+    xs = np.random.default_rng(9).normal(size=(2, 1, 16, 16))
+    windows = trace_windows(net, xs, 2, [(1, 2), (3, 0)])
+    for layer, locations in ((3, [(1, 2), (3, 0)]), (2, [(1, 2), (3, 1)]), (2, [(1, 2)])):
+        with pytest.raises(ShapeError):
+            project(windows, net, layer, 0, locations)
+    with pytest.raises(ShapeError):
+        project(windows, net, 2, 3, [(1, 2), (3, 0)])  # conv2 has 3 maps
+    for layer, locations in ((0, [(0, 0)] * 2), (4, [(0, 0)] * 2), (2, [(4, 0), (0, 0)]),
+                             (2, [(0, -1), (0, 0)]), (2, [(0, 0)])):
+        with pytest.raises(ShapeError):
+            trace_windows(net, xs, layer, locations)
+    with pytest.raises(ShapeError):
+        trace_windows(net, xs[:, 0], 2, [(0, 0)] * 2)
+    assert project(windows, net, 2, 2, [(1, 2), (3, 0)]).shape == (2, 16, 16)
 
 
 def test_projection_reads_only_its_maps_kernels():

@@ -22,7 +22,8 @@ ENTRY_POINTS = [
     (model, "relu_forward"), (model, "relu_backward"),
     (model, "maxpool_forward"), (model, "maxpool_backward"), (model, "maxpool_values"),
     (model, "softmax_cross_entropy"), (model, "dropout_mask"),
-    (deconv, "_unpool_window"), (deconv, "relu_forward"),
+    (deconv, "_unpool"), (deconv, "relu_forward"), (deconv, "im2col"),
+    (deconv, "maxpool_forward"), (deconv, "_window_conv"),
 ]
 
 
@@ -72,6 +73,9 @@ def test_float32_train_harvest_deconv_stay_float32(tmp_path, dtypes_seen):
     proj = deconv.project(trace, net, db.layer, 0, (rec.row, rec.col))
     assert proj.dtype == np.float32
     assert np.abs(proj).sum() > 0
+    # the montages' window trace casts the same image
+    windows = deconv.trace_windows(net, x[None], db.layer, [(rec.row, rec.col)], rec.image_id)
+    assert deconv.project(windows, net, db.layer, 0, (rec.row, rec.col)).tobytes() == proj.tobytes()
 
     assert set(dtypes_seen) == {f"{o.__name__}.{n}" for o, n in ENTRY_POINTS}
     wider = {key: sorted(str(d) for d in found) for key, found in dtypes_seen.items()

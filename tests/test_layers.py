@@ -347,19 +347,23 @@ def test_col2im_blocks_of_channels(monkeypatch, clip):
 @pytest.mark.parametrize("k", [1, 3, 5, 7])
 def test_im2col_blocks_and_chunks_equal_transposed_layout(monkeypatch, k):
     # a shift budget of 3 channels' planes of 3 images splits 8 channels
-    # into blocks of 3, 3 and 2, and 2 images into blocks of 4; extents
+    # into blocks of 3, 3 and 2, and 2 images into blocks of 4; outputs
     # down to one pixel, narrower than the padding, and chunks of every
-    # size on one Scratch, whose canvas must keep its zero border
-    in_c, pad = 8, k // 2
+    # size on one Scratch, whose canvas must keep its zero border; pad 0
+    # gives the "valid" output, k - 1 smaller than the input
+    in_c = 8
     rng = np.random.default_rng(k)
-    for h, w in [(1, 1), (1, 2), (2, 1), (3, 4), (7, 6)]:
-        monkeypatch.setattr(layers, "SHIFT_BYTES", 3 * k * 3 * (h + 2 * pad) * w * 8 + 1)
-        scratch = Scratch()
-        for n in (3, 2, 1, 3):
-            xs = rng.normal(size=(in_c, n, h, w))
-            cols = im2col(xs, k, pad, scratch).reshape(in_c * k * k, n, h * w)
-            for i in range(n):
-                np.testing.assert_array_equal(cols[:, i], im2col_transposed(xs[:, i], k, pad).T)
+    for pad in (k // 2, 0):
+        for oh, ow in [(1, 1), (1, 2), (2, 1), (3, 4), (7, 6)]:
+            h, w = oh + k - 1 - 2 * pad, ow + k - 1 - 2 * pad
+            monkeypatch.setattr(layers, "SHIFT_BYTES", 3 * k * 3 * (h + 2 * pad) * ow * 8 + 1)
+            scratch = Scratch()
+            for n in (3, 2, 1, 3):
+                xs = rng.normal(size=(in_c, n, h, w))
+                cols = im2col(xs, k, pad, scratch).reshape(in_c * k * k, n, oh * ow)
+                for i in range(n):
+                    np.testing.assert_array_equal(cols[:, i],
+                                                  im2col_transposed(xs[:, i], k, pad).T)
 
 
 # one image at ModelConfig(), a training chunk of 2 and a harvest chunk of 9 at reduced_config

@@ -128,10 +128,10 @@ def test_map_responses_in_chunks_equal_record_by_record(trained_setup, monkeypat
     n = db.num_images
     assert n == 16
     traced = []
-    forward_trace = model.Network.forward_trace
-    monkeypatch.setattr(model.Network, "forward_trace",
-                        lambda net, x, image_id=None: traced.append(len(x))
-                        or forward_trace(net, x, image_id))
+    trace_windows = report.trace_windows
+    monkeypatch.setattr(report, "trace_windows",
+                        lambda net, xs, layer, locations, image_id=None: traced.append(len(xs))
+                        or trace_windows(net, xs, layer, locations, image_id))
     nonzero = 0
     for map_index in range(db.num_maps):
         got = list(report.map_responses(db, net, manifest, map_index, n))
