@@ -25,85 +25,30 @@ units need no special case. Every pixel sums the same non-zero terms in
 the same order as the full-image pathway, so the two agree bit for bit.
 With 5x5 kernels the windows are 6, 16 and 36 pixels wide at layers 1-3.
 
-That backward half reads a WindowTrace: the unit's pooled values and
-each stage's switches over its window, as indices into the unpooled
+That backward half reads a model.WindowTrace: the unit's pooled values
+and each stage's switches over its window, as indices into the unpooled
 window. project() cuts a full ForwardTrace to the windows (_crop), and
-trace_windows() runs a chunk's conv stages only inside them, the path
-behind montages: stage i is a "valid" convolution of the window below
-(zeros outside the image or pooled grid), its outputs outside the conv
-grid -inf before the pool, as the pool pads an odd grid. A layer-3
-unit's convs then compute 1024, 144 and 4 outputs per map, not 2304,
-576 and 144 (48 px, 5x5 kernels). Each record is one GEMM over every
-map, its columns padded with zero columns to a whole number of the
-sgemm kernel's 16-column blocks: sgemm sums a column in another order
-when it falls in a partial block, and a GEMM of one map goes through
-GEMV. So in float32 the windows hold the full trace's bits; in float64,
-and in float32 at input sizes whose stage grids are odd (13, 15 px), a
-few values may differ in the last bits (tests/test_deconv.py).
+Network.forward_trace given the units' layer and locations runs a
+chunk's conv stages only inside them, the path behind montages (see
+Network._trace_windows). Each record's window convolution is one GEMM
+over every map, its columns padded with zero columns to whole 16-column
+sgemm blocks (model.GEMM_BLOCK_COLUMNS), so that it sums every output in
+the full trace's order. With OpenBLAS's SkylakeX sgemm kernel the
+windows then hold the full trace's float32 bits; in float64, at input
+sizes whose stage grids are odd (13 px), or with OpenBLAS's other x86
+kernels, a few values differ in the last bits (tests/test_deconv.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import imageio
-from .layers import ConvLayer, ShapeError, SwitchRecord, im2col, maxpool_forward, relu_forward
-from .model import ForwardTrace, ModelConfig, Network
-
-# Columns in a block of the sgemm kernel; a window GEMM pads each
-# record's columns to a multiple of it.
-GEMM_BLOCK_COLUMNS = 16
-
-
-@dataclass
-class WindowStage:
-    """A stage's switches over each record's pooled window, w wide."""
-
-    index: np.ndarray  # [C, N, w, w]: each switch's flat index into the unpooled [C, N, 2w, 2w]
-    inside: np.ndarray  # [N, w, w]: the pooled position lies in the stage's grid
-
-
-@dataclass
-class WindowTrace:
-    """What projections of one unit per record at `layer` read, in the units' windows.
-
-    Record k's unit sits at locations[k] of the layer's pooled grid. top
-    [C, N] holds every map's pooled value there; stages, first stage
-    first, hold each stage's switches over its window (_window_frames).
-    image_id is the caller's label for the chunk's images.
-    """
-
-    image_id: int | tuple[int, ...] | None
-    layer: int
-    locations: np.ndarray
-    top: np.ndarray
-    stages: list[WindowStage]
-
-
-def _window_frames(layer: int, kernel_size: int,
-                   locations: np.ndarray) -> list[tuple[np.ndarray, int]]:
-    """(origin [N, 2], width) of the windows of units at `locations` of `layer`.
-
-    Entry i is in stage i's pooled grid, entry 0 in the image: the units'
-    1-wide windows at the top, and below each window the unclipped field
-    of the one above, 2 * w + k - 1 wide from 2 * origin - k // 2.
-    """
-    frames = [(locations, 1)]
-    for _ in range(layer):
-        origin, width = frames[0]
-        frames.insert(0, (2 * origin - kernel_size // 2, 2 * width + kernel_size - 1))
-    return frames
-
-
-def _in_grid(origin: np.ndarray, width: int, grid: tuple[int, int]) -> np.ndarray:
-    """[N, w, w]: which positions of the windows at origin [N, 2] lie in a grid."""
-    rows = origin[:, :1] + np.arange(width)
-    cols = origin[:, 1:] + np.arange(width)
-    return (((rows >= 0) & (rows < grid[0]))[:, :, None]
-            & ((cols >= 0) & (cols < grid[1]))[:, None, :])
+from .layers import ShapeError, SwitchRecord, relu_forward
+from .model import (ForwardTrace, ModelConfig, Network, WindowStage, WindowTrace, window_frames,
+                    window_in_grid)
 
 
 def _crop_stage(switches: SwitchRecord, origin: np.ndarray, width: int) -> WindowStage:
@@ -124,86 +69,16 @@ def _crop_stage(switches: SwitchRecord, origin: np.ndarray, width: int) -> Windo
     index += (index >= w) * (2 * width - w)
     index += (planes * (4 * width * width) + 4 * width * np.arange(width)[:, None]
               + 2 * np.arange(width))
-    return WindowStage(index, _in_grid(origin, width, (grid_h, grid_w)))
+    return WindowStage(index, window_in_grid(origin, width, (grid_h, grid_w)))
 
 
 def _crop(trace: ForwardTrace, net: Network, layer: int, locations: np.ndarray) -> WindowTrace:
     """A full trace cut to the windows of units at `locations` of `layer`."""
-    frames = _window_frames(layer, net.config.kernel_size, locations)
+    frames = window_frames(layer, net.config.kernel_size, locations)
     pooled = trace.stages[layer - 1].pooled
     top = pooled[:, np.arange(pooled.shape[1]), locations[:, 0], locations[:, 1]]
     stages = [_crop_stage(trace.stages[i].switches, *frames[i + 1]) for i in range(layer)]
-    return WindowTrace(trace.image_id, layer, locations, top, stages)
-
-
-def _image_windows(images: np.ndarray, origin: np.ndarray, width: int) -> np.ndarray:
-    """[N, w, w] windows of images [N, S, S] at origin [N, 2]; zeros outside the image."""
-    n, size, _ = images.shape
-    margin = max(0, -int(origin.min()), int((origin + width - size).max()))
-    canvas = np.zeros((n, size + 2 * margin, size + 2 * margin), dtype=images.dtype)
-    canvas[:, margin : margin + size, margin : margin + size] = images
-    windows = np.lib.stride_tricks.sliding_window_view(canvas, (width, width), axis=(1, 2))
-    return windows[np.arange(n), origin[:, 0] + margin, origin[:, 1] + margin]
-
-
-def _window_conv(conv: ConvLayer, a: np.ndarray) -> np.ndarray:
-    """conv's "valid" outputs [out, N, w - k + 1, w - k + 1] over windows a [C, N, w, w].
-
-    One GEMM per record over every map, as ConvLayer.forward runs one per
-    image, each record's columns padded with zero columns to a multiple
-    of GEMM_BLOCK_COLUMNS.
-    """
-    _, n, w, _ = a.shape
-    side = w - conv.kernel_size + 1
-    cols = im2col(a, conv.kernel_size, 0)
-    per, k = side * side, len(cols)
-    padded = -(-per // GEMM_BLOCK_COLUMNS) * GEMM_BLOCK_COLUMNS
-    operand = cols.reshape(k, n, per).transpose(1, 0, 2)
-    if padded != per:
-        operand = np.zeros((n, k, padded), dtype=cols.dtype)
-        operand[..., :per] = cols.reshape(k, n, per).transpose(1, 0, 2)
-    out = np.empty((conv.out_channels, n, padded), dtype=np.result_type(conv.kernels, cols))
-    np.matmul(conv.kernels.reshape(conv.out_channels, k), operand, out=out.transpose(1, 0, 2))
-    out = out[..., :per].reshape(conv.out_channels, n, side, side)
-    out += conv.bias[:, None, None, None]
-    return out
-
-
-def trace_windows(net: Network, xs: np.ndarray, layer: int,
-                  locations: list[tuple[int, int]],
-                  image_id: int | tuple[int, ...] | None = None) -> WindowTrace:
-    """The conv stages of a chunk xs [N, 1, S, S] up to `layer`, inside the units' windows.
-
-    locations holds one (row, col) of `layer`'s pooled grid per image.
-    Each stage convolves, rectifies and pools only the window a
-    projection of that unit reads, so project() of the result at the
-    same layer and locations gives the full trace's projections (see the
-    module docstring for the bits). xs is cast to the network's dtype.
-    """
-    config = net.config
-    grids = [config.input_size] + config.stage_sizes()
-    locs = np.array(locations, ndmin=2)
-    if xs.ndim != 4 or xs.shape[1:] != (1, grids[0], grids[0]):
-        raise ShapeError(f"expected a chunk [N, 1, {grids[0]}, {grids[0]}], got {xs.shape}")
-    if not 1 <= layer < len(grids):
-        raise ShapeError(f"layer {layer} outside 1..{len(grids) - 1}")
-    if locs.shape != (len(xs), 2) or (locs < 0).any() or (locs >= grids[layer]).any():
-        raise ShapeError(f"locations {locs.tolist()} are not one unit per image of the "
-                         f"{grids[layer]}x{grids[layer]} grid of layer {layer}")
-    frames = _window_frames(layer, config.kernel_size, locs)
-    a = _image_windows(xs[:, 0].astype(config.np_dtype, copy=False), *frames[0])[None]
-    stages = []
-    for i, conv in enumerate(net.convs[:layer]):
-        origin, width = frames[i + 1]
-        conv_out = _window_conv(conv, a)
-        relu_forward(conv_out, out=conv_out)
-        beyond = ~_in_grid(2 * origin, 2 * width, (grids[i], grids[i]))
-        np.copyto(conv_out, -np.inf, where=beyond)  # as the pool pads an odd grid
-        a, switches = maxpool_forward(conv_out)
-        inside = _in_grid(origin, width, (grids[i + 1], grids[i + 1]))
-        np.copyto(a, 0, where=~inside)  # the next conv's zero padding
-        stages.append(WindowStage(switches.index, inside))
-    return WindowTrace(image_id, layer, locs, a[:, :, 0, 0], stages)
+    return WindowTrace(layer, locations, top, stages)
 
 
 def _check_trace(trace: ForwardTrace | WindowTrace, net: Network) -> None:
@@ -246,7 +121,8 @@ def project(trace: ForwardTrace | WindowTrace, net: Network, layer: int, map_ind
     layer is zeroed; the whole chunk is then carried down through
     unpool / rectify / transposed convolution at once, in the units'
     receptive-field windows. trace is a full forward_trace, cut here to
-    the windows, or the trace_windows of the same layer and locations.
+    the windows, or the window trace (forward_trace given layer and
+    locations) of the same layer and locations.
     """
     _check_trace(trace, net)
     locs = np.array(locations, ndmin=2)
@@ -275,7 +151,7 @@ def project(trace: ForwardTrace | WindowTrace, net: Network, layer: int, map_ind
     size = net.config.input_size
     out = np.zeros((n, size, size), dtype=signal.dtype)
     span = signal.shape[-1]
-    origin, _ = _window_frames(layer, net.config.kernel_size, locs)[0]
+    origin, _ = window_frames(layer, net.config.kernel_size, locs)[0]
     for i, (r0, c0) in enumerate(origin):
         rows = slice(max(r0, 0), min(r0 + span, size))
         cols = slice(max(c0, 0), min(c0 + span, size))
@@ -290,7 +166,7 @@ def unclipped_field(config: ModelConfig, layer: int,
 
     `location` is (row, col) in the layer's pooled grid, of size
     config.stage_sizes()[layer - 1] (ShapeError otherwise). The box is
-    the image window of _window_frames, and may reach past the image.
+    the image window of model.window_frames, and may reach past the image.
     """
     grids = config.stage_sizes()
     if not 1 <= layer <= len(grids):
@@ -299,7 +175,7 @@ def unclipped_field(config: ModelConfig, layer: int,
     row, col = location
     if not (0 <= row < grid and 0 <= col < grid):
         raise ShapeError(f"location {location} outside {grid}x{grid} grid of layer {layer}")
-    origin, width = _window_frames(layer, config.kernel_size, np.array([location]))[0]
+    origin, width = window_frames(layer, config.kernel_size, np.array([location]))[0]
     r0, c0 = (int(v) for v in origin[0])
     return c0, r0, c0 + width - 1, r0 + width - 1
 

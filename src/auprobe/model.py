@@ -27,6 +27,7 @@ from .layers import (
     ShapeError,
     SwitchRecord,
     dropout_mask,
+    im2col,
     maxpool_backward,
     maxpool_forward,
     maxpool_values,
@@ -43,6 +44,13 @@ class NumericError(Exception):
 CHECKPOINT_MAGIC = b"AUPROBE-CKPT v1\n"
 CONVERGENCE_MIN_IMPROVEMENT = 1e-4
 CONVERGENCE_PATIENCE = 5
+# Columns in a block of the sgemm kernel; a window GEMM pads each
+# record's columns to a multiple of it. Measured with OpenBLAS 0.3.31
+# (numpy 2.4's wheel): with its SkylakeX kernel the padded window GEMMs
+# keep the full trace's float32 bits; with its Nehalem, Sandybridge,
+# Haswell and generic kernels some outputs differ in the last bits at
+# any padding tried (16, 32, 64).
+GEMM_BLOCK_COLUMNS = 16
 
 
 @dataclass(frozen=True)
@@ -152,6 +160,86 @@ class ForwardTrace:
 
     image_id: int | tuple[int, ...] | None
     stages: list[TraceStage]
+
+
+@dataclass
+class WindowStage:
+    """A stage's switches over each record's pooled window, w wide."""
+
+    index: np.ndarray  # [C, N, w, w]: each switch's flat index into the unpooled [C, N, 2w, 2w]
+    inside: np.ndarray  # [N, w, w]: the pooled position lies in the stage's grid
+
+
+@dataclass
+class WindowTrace:
+    """What projections of one unit per record at `layer` read, in the units' windows.
+
+    Record k's unit sits at locations[k] of the layer's pooled grid. top
+    [C, N] holds every map's pooled value there; stages, first stage
+    first, hold each stage's switches over its window (window_frames).
+    """
+
+    layer: int
+    locations: np.ndarray
+    top: np.ndarray
+    stages: list[WindowStage]
+
+
+def window_frames(layer: int, kernel_size: int,
+                  locations: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """(origin [N, 2], width) of the windows of units at `locations` of `layer`.
+
+    Entry i is in stage i's pooled grid, entry 0 in the image: the units'
+    1-wide windows at the top, and below each window the unclipped field
+    of the one above, 2 * w + k - 1 wide from 2 * origin - k // 2.
+    """
+    frames = [(locations, 1)]
+    for _ in range(layer):
+        origin, width = frames[0]
+        frames.insert(0, (2 * origin - kernel_size // 2, 2 * width + kernel_size - 1))
+    return frames
+
+
+def window_in_grid(origin: np.ndarray, width: int, grid: tuple[int, int]) -> np.ndarray:
+    """[N, w, w]: which positions of the windows at origin [N, 2] lie in a grid."""
+    rows = origin[:, :1] + np.arange(width)
+    cols = origin[:, 1:] + np.arange(width)
+    return (((rows >= 0) & (rows < grid[0]))[:, :, None]
+            & ((cols >= 0) & (cols < grid[1]))[:, None, :])
+
+
+def _image_windows(images: np.ndarray, origin: np.ndarray, width: int) -> np.ndarray:
+    """[N, w, w] windows of images [N, S, S] at origin [N, 2]; zeros outside the image."""
+    n, size, _ = images.shape
+    margin = max(0, -int(origin.min()), int((origin + width - size).max()))
+    canvas = np.zeros((n, size + 2 * margin, size + 2 * margin), dtype=images.dtype)
+    canvas[:, margin : margin + size, margin : margin + size] = images
+    windows = np.lib.stride_tricks.sliding_window_view(canvas, (width, width), axis=(1, 2))
+    return windows[np.arange(n), origin[:, 0] + margin, origin[:, 1] + margin]
+
+
+def _window_conv(conv: ConvLayer, a: np.ndarray) -> np.ndarray:
+    """conv's "valid" outputs [out, N, w - k + 1, w - k + 1] over windows a [C, N, w, w].
+
+    One GEMM per record over every map, as ConvLayer.forward runs one per
+    image (a GEMM of one map goes through GEMV), each record's columns
+    padded with zero columns to a multiple of GEMM_BLOCK_COLUMNS: sgemm
+    sums a column in another order when it falls in a partial block.
+    """
+    _, n, w, _ = a.shape
+    side = w - conv.kernel_size + 1
+    cols = im2col(a, conv.kernel_size, 0)
+    per, k = side * side, len(cols)
+    padded = -(-per // GEMM_BLOCK_COLUMNS) * GEMM_BLOCK_COLUMNS
+    operand = cols.reshape(k, n, per).transpose(1, 0, 2)
+    if padded != per:
+        operand = np.zeros((n, k, padded), dtype=cols.dtype)
+        operand[..., :per] = cols.reshape(k, n, per).transpose(1, 0, 2)
+    out = np.empty((conv.out_channels, n, padded), dtype=np.result_type(conv.kernels, cols))
+    np.matmul(conv.kernels.reshape(conv.out_channels, k), operand, out=out.transpose(1, 0, 2))
+    out = out[..., :per].reshape(conv.out_channels, n, side, side)
+    out += conv.bias[:, None, None, None]
+    return out
 
 
 class TrainBuffers:
@@ -292,20 +380,65 @@ class Network:
             keep.flat, keep.fc1_out, keep.fc2_in, keep.drop_mask = flat, fc1_out, fc2_in, drop_mask
         return self.fc2.forward(fc2_in)
 
-    def forward_trace(self, x: np.ndarray,
-                      image_id: int | tuple[int, ...] | None = None) -> ForwardTrace:
+    def forward_trace(self, x: np.ndarray, image_id: int | tuple[int, ...] | None = None, *,
+                      layer: int | None = None, locations: list[tuple[int, int]] | None = None
+                      ) -> ForwardTrace | WindowTrace:
         """The conv stages of a chunk x [N, 1, S, S], or of one image x [1, S, S] as a chunk.
 
         Each stage runs conv, in-place ReLU and the switch-recording pool;
         the convs share one Scratch, so the trace keeps no stage's input or
-        patch matrix. The classifier head does not run.
+        patch matrix. The classifier head does not run. image_id is the
+        full trace's label.
+
+        Given `layer` and `locations`, one (row, col) of layer's pooled
+        grid per image, it traces only what deconv.project of those units
+        reads: the stages up to `layer`, each only inside the units'
+        windows (_trace_windows), as a WindowTrace.
         """
-        a, scratch, stages = self._chunk(x[None] if x.ndim == 3 else x), Scratch(), []
+        a = self._chunk(x[None] if x.ndim == 3 else x)
+        if layer is not None or locations is not None:
+            return self._trace_windows(a[0], layer, locations)
+        scratch, stages = Scratch(), []
         for conv in self.convs:
             conv_out = conv.forward(a, scratch=scratch)
             a, switches = maxpool_forward(relu_forward(conv_out, out=conv_out))
             stages.append(TraceStage(a, switches))
         return ForwardTrace(image_id, stages)
+
+    def _trace_windows(self, images: np.ndarray, layer: int | None,
+                       locations: list[tuple[int, int]] | None) -> WindowTrace:
+        """The conv stages of images [N, S, S] up to `layer`, inside the units' windows.
+
+        Stage i is a "valid" convolution (_window_conv) of the window
+        below, which holds zeros outside the image or pooled grid; its
+        outputs outside the conv grid are -inf before the pool, as the
+        pool pads an odd grid, and its pooled positions outside the grid
+        are zeroed, the next conv's padding. A layer-3 unit's convs then
+        compute 1024, 144 and 4 outputs per map, not 2304, 576 and 144
+        (48 px, 5x5 kernels).
+        """
+        config = self.config
+        grids = [config.input_size] + config.stage_sizes()
+        locs = np.array(locations, ndmin=2)
+        if layer is None or not 1 <= layer < len(grids):
+            raise ShapeError(f"layer {layer} outside 1..{len(grids) - 1}")
+        if locs.shape != (len(images), 2) or (locs < 0).any() or (locs >= grids[layer]).any():
+            raise ShapeError(f"locations {locs.tolist()} are not one unit per image of the "
+                             f"{grids[layer]}x{grids[layer]} grid of layer {layer}")
+        frames = window_frames(layer, config.kernel_size, locs)
+        a = _image_windows(images, *frames[0])[None]
+        stages = []
+        for i, conv in enumerate(self.convs[:layer]):
+            origin, width = frames[i + 1]
+            conv_out = _window_conv(conv, a)
+            relu_forward(conv_out, out=conv_out)
+            beyond = ~window_in_grid(2 * origin, 2 * width, (grids[i], grids[i]))
+            np.copyto(conv_out, -np.inf, where=beyond)
+            a, switches = maxpool_forward(conv_out)
+            inside = window_in_grid(origin, width, (grids[i + 1], grids[i + 1]))
+            np.copyto(a, 0, where=~inside)
+            stages.append(WindowStage(switches.index, inside))
+        return WindowTrace(layer, locs, a[:, :, 0, 0], stages)
 
     def stage_outputs(self, xs: np.ndarray, layer: int) -> np.ndarray:
         """Pooled feature maps [N, C, h, w] of stage `layer` (1-based) for xs [N, 1, S, S].

@@ -24,7 +24,7 @@ from . import data as data_mod
 from . import imageio
 from .association import AUDistanceProfile, save_profile_csv
 from .deconv import (normalized_crop, project, receptive_field, receptive_field_span,
-                     trace_windows, unclipped_field)
+                     unclipped_field)
 from .harvest import CHUNK_BYTES, ActivationDB, partition_by_au, recorded_config, top_n
 from .model import ModelConfig, Network, images_per_chunk
 
@@ -104,7 +104,7 @@ def map_responses(db: ActivationDB, net: Network, manifest: data_mod.DatasetMani
     """(record, view, projection, box) of one map's top-n peaks, in rank order.
 
     The peaks' images are traced, only in their units' windows
-    (deconv.trace_windows), and projected in chunks of
+    (Network.forward_trace given layer and locations), and projected in chunks of
     images_per_chunk() at harvest's CHUNK_BYTES, each image once: view is the
     uint8 [S, S] image the network saw, projection the [S, S]
     deconvolution response and box the receptive field (x0, y0, x1, y1),
@@ -124,8 +124,7 @@ def map_responses(db: ActivationDB, net: Network, manifest: data_mod.DatasetMani
                                          for rec in part],
                                         config.input_size, config.np_dtype, views=True)
         locations = [(rec.row, rec.col) for rec in part]
-        trace = trace_windows(net, xs, db.layer, locations,
-                              image_id=tuple(rec.image_id for rec in part))
+        trace = net.forward_trace(xs, layer=db.layer, locations=locations)
         projections = project(trace, net, db.layer, map_index, locations)
         for rec, view, proj in zip(part, views, projections):
             yield rec, view, proj, receptive_field(config, db.layer, (rec.row, rec.col))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from auprobe import cli, data, model, report
+from auprobe import cli, data, model
 from auprobe import harvest as harvest_mod
 from auprobe.cli import main, parse_config_file, write_resolved_config
 from auprobe.harvest import ActivationDB
@@ -285,11 +285,10 @@ def test_deconv_writes_montage_and_responses(tmp_path, dataset, config_file, mon
     assert main(["train", "--manifest", str(dataset), "--config", str(config_file),
                  "--out", str(ckpt)]) == 0
     traced = []
-    trace_windows = report.trace_windows
-    monkeypatch.setattr(report, "trace_windows",
-                        lambda net, xs, layer, locations, image_id=None:
-                        traced.append((len(xs), image_id))
-                        or trace_windows(net, xs, layer, locations, image_id))
+    forward_trace = model.Network.forward_trace
+    monkeypatch.setattr(model.Network, "forward_trace",
+                        lambda net, x, image_id=None, **units: traced.append((len(x), units))
+                        or forward_trace(net, x, image_id, **units))
     out = tmp_path / "dec"
     assert main(["deconv", "--checkpoint", str(ckpt), "--manifest", str(dataset),
                  "--map", "1", "--top", "2", "--out", str(out)]) == 0
@@ -297,8 +296,9 @@ def test_deconv_writes_montage_and_responses(tmp_path, dataset, config_file, mon
     assert (out / "map_1_deconv.png").is_file()
     responses = sorted(p.name for p in out.glob("img*_L3_m1_r*_deconv.png"))
     assert len(responses) == 2
-    # both records traced once, in one chunk of harvest's 9, for montage and files alike
-    assert [(size, len(set(ids))) for size, ids in traced] == [(2, 2)]
+    # both records traced once, in their units' windows and in one chunk of
+    # harvest's 9, for montage and files alike
+    assert [(size, units["layer"]) for size, units in traced] == [(2, 3)]
 
 
 def test_deconv_db_writes_the_harvesting_run_bytes(tmp_path, dataset, config_file,

@@ -9,7 +9,6 @@ from auprobe.deconv import (
     receptive_field,
     receptive_field_span,
     render_response,
-    trace_windows,
 )
 from auprobe.imageio import read_image
 from auprobe.layers import ConvLayer, ShapeError
@@ -194,8 +193,9 @@ def assert_same_windows(got, want):
 WINDOW_CASES = [(13, "float32"), (15, "float64"), (16, "float32"), (16, "float64"),
                 (48, "float32"), (48, "float64"), (50, "float32"), (96, "float32"),
                 (15, "float32"), (13, "float64")]
-# trace_windows keeps the full trace's bits in float32 at these sizes. At the
-# rest, a window GEMM can sum an output in another order than the full one:
+# the window trace keeps the full trace's bits in float32 at these sizes, with
+# OpenBLAS's SkylakeX sgemm kernel (model.GEMM_BLOCK_COLUMNS). At the rest, a
+# window GEMM can sum an output in another order than the full one:
 # sgemm a column of a small GEMM's partial last block (13 px: conv2's 49
 # columns), dgemm a small GEMM in another kernel
 EXACT_WINDOW_CASES = [(16, "float32"), (48, "float32"), (50, "float32"), (96, "float32")]
@@ -221,7 +221,7 @@ def test_window_projection_equals_full_frame_oracle(size, dtype):
                 assert got.dtype == want.dtype == np.dtype(dtype)
                 np.testing.assert_array_equal(got, want)
                 nonzero += int(got.any(axis=(1, 2)).sum())
-                windows = trace_windows(net, xs, layer, locations)
+                windows = net.forward_trace(xs, layer=layer, locations=locations)
                 windowed = project(windows, net, layer, m, locations)
                 assert windowed.dtype == got.dtype
                 if exact:
@@ -237,7 +237,7 @@ def test_window_projection_equals_full_frame_oracle(size, dtype):
 def test_window_trace_projects_only_its_own_units():
     net = small_net(seed=13)
     xs = np.random.default_rng(9).normal(size=(2, 1, 16, 16))
-    windows = trace_windows(net, xs, 2, [(1, 2), (3, 0)])
+    windows = net.forward_trace(xs, layer=2, locations=[(1, 2), (3, 0)])
     for layer, locations in ((3, [(1, 2), (3, 0)]), (2, [(1, 2), (3, 1)]), (2, [(1, 2)])):
         with pytest.raises(ShapeError):
             project(windows, net, layer, 0, locations)
@@ -246,9 +246,9 @@ def test_window_trace_projects_only_its_own_units():
     for layer, locations in ((0, [(0, 0)] * 2), (4, [(0, 0)] * 2), (2, [(4, 0), (0, 0)]),
                              (2, [(0, -1), (0, 0)]), (2, [(0, 0)])):
         with pytest.raises(ShapeError):
-            trace_windows(net, xs, layer, locations)
+            net.forward_trace(xs, layer=layer, locations=locations)
     with pytest.raises(ShapeError):
-        trace_windows(net, xs[:, 0], 2, [(0, 0)] * 2)
+        net.forward_trace(xs[:, 0], layer=2, locations=[(0, 0)] * 2)
     assert project(windows, net, 2, 2, [(1, 2), (3, 0)]).shape == (2, 16, 16)
 
 

@@ -22,8 +22,8 @@ ENTRY_POINTS = [
     (model, "relu_forward"), (model, "relu_backward"),
     (model, "maxpool_forward"), (model, "maxpool_backward"), (model, "maxpool_values"),
     (model, "softmax_cross_entropy"), (model, "dropout_mask"),
-    (deconv, "_unpool"), (deconv, "relu_forward"), (deconv, "im2col"),
-    (deconv, "maxpool_forward"), (deconv, "_window_conv"),
+    (model, "im2col"), (model, "_window_conv"),
+    (deconv, "_unpool"), (deconv, "relu_forward"),
 ]
 
 
@@ -74,7 +74,7 @@ def test_float32_train_harvest_deconv_stay_float32(tmp_path, dtypes_seen):
     assert proj.dtype == np.float32
     assert np.abs(proj).sum() > 0
     # the montages' window trace casts the same image
-    windows = deconv.trace_windows(net, x[None], db.layer, [(rec.row, rec.col)], rec.image_id)
+    windows = net.forward_trace(x, layer=db.layer, locations=[(rec.row, rec.col)])
     assert deconv.project(windows, net, db.layer, 0, (rec.row, rec.col)).tobytes() == proj.tobytes()
 
     assert set(dtypes_seen) == {f"{o.__name__}.{n}" for o, n in ENTRY_POINTS}

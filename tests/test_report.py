@@ -128,10 +128,10 @@ def test_map_responses_in_chunks_equal_record_by_record(trained_setup, monkeypat
     n = db.num_images
     assert n == 16
     traced = []
-    trace_windows = report.trace_windows
-    monkeypatch.setattr(report, "trace_windows",
-                        lambda net, xs, layer, locations, image_id=None: traced.append(len(xs))
-                        or trace_windows(net, xs, layer, locations, image_id))
+    forward_trace = model.Network.forward_trace
+    monkeypatch.setattr(model.Network, "forward_trace",
+                        lambda net, x, image_id=None, **units: traced.append((len(x), units))
+                        or forward_trace(net, x, image_id, **units))
     nonzero = 0
     for map_index in range(db.num_maps):
         got = list(report.map_responses(db, net, manifest, map_index, n))
@@ -142,7 +142,8 @@ def test_map_responses_in_chunks_equal_record_by_record(trained_setup, monkeypat
             assert proj.shape == view.shape == (net.config.input_size,) * 2
             assert view.tobytes() == view0.tobytes() and proj.tobytes() == proj0.tobytes()
             nonzero += bool(proj.any())
-    assert traced == [9, 7] * db.num_maps
+    # each chunk traced once, in the units' windows
+    assert [(size, units["layer"]) for size, units in traced] == [(9, db.layer), (7, db.layer)] * db.num_maps
     assert nonzero > db.num_maps * n // 2
 
 
