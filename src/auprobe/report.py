@@ -104,11 +104,11 @@ def map_responses(db: ActivationDB, net: Network, manifest: data_mod.DatasetMani
     """(record, view, projection, box) of one map's top-n peaks, in rank order.
 
     The peaks' images are traced, only in their units' windows
-    (Network.forward_trace given layer and locations), and projected in chunks of
-    images_per_chunk() at harvest's CHUNK_BYTES, each image once: view is the
-    uint8 [S, S] image the network saw, projection the [S, S]
-    deconvolution response and box the receptive field (x0, y0, x1, y1),
-    inclusive. Warns when fewer than n images are available.
+    (Network.forward_trace given layer and locations), and projected in
+    chunks of images_per_chunk() at harvest's CHUNK_BYTES, each image
+    once: view is the uint8 [S, S] image the network saw, projection the
+    [S, S] deconvolution response and box the receptive field (x0, y0,
+    x1, y1), inclusive. Warns when fewer than n images are available.
     """
     records = top_n(db, map_index, range(db.num_images), n)
     if len(records) < n:

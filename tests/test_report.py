@@ -143,7 +143,8 @@ def test_map_responses_in_chunks_equal_record_by_record(trained_setup, monkeypat
             assert view.tobytes() == view0.tobytes() and proj.tobytes() == proj0.tobytes()
             nonzero += bool(proj.any())
     # each chunk traced once, in the units' windows
-    assert [(size, units["layer"]) for size, units in traced] == [(9, db.layer), (7, db.layer)] * db.num_maps
+    chunks = [(size, units["layer"]) for size, units in traced]
+    assert chunks == [(9, db.layer), (7, db.layer)] * db.num_maps
     assert nonzero > db.num_maps * n // 2
 
 
